@@ -14,21 +14,19 @@ import sys
 import time
 from pathlib import Path
 
-from .discovery import (
-    CachingResolver,
-    FixtureWhois,
-    StubResolver,
-    ZoneFixtureResolver,
-    annotate_tree,
-    discover_local_edges,
-    identify_addresses,
-)
-from .dnswire import resolv_nameservers
+from .discovery import FixtureWhois, discover_local_edges
 from .errors import EdiscoError
 from .placement import FixtureCapacityService, load_service_profiles, plan_round
 from .probing import ProbeConfig, TracerouteProber
 from .redirect import RedirectService, make_http_server, rules_from_plan_document
-from .rounds import Scheduler, append_journal, load_run_config, run_round
+from .rounds import (
+    Scheduler,
+    append_journal,
+    discover_phase,
+    load_run_config,
+    make_resolver,
+    run_round,
+)
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
 from .topology import (
     AggregationTree,
@@ -38,7 +36,6 @@ from .topology import (
     ingest_recorded_paths,
     paths_to_document,
 )
-from .zonefile import parse_zone
 
 logger = logging.getLogger(__name__)
 
@@ -77,11 +74,6 @@ def _load_tree(args) -> AggregationTree:
             build_tree(paths, args.root, getattr(args, "prefix_len", 24))
         )
     raise EdiscoError("need either --tree or both --traces and --root")
-
-
-def _fixture_resolver(zone_path):
-    with open(zone_path, encoding="utf-8") as fh:
-        return ZoneFixtureResolver(parse_zone(fh.read()))
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -124,11 +116,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    if args.zone:
-        resolver = _fixture_resolver(args.zone)
-    else:
-        resolver = CachingResolver(StubResolver(resolv_nameservers()))
-    servers = discover_local_edges(args.domain, resolver)
+    servers = discover_local_edges(args.domain, make_resolver(args.zone))
     if args.transport != "both":
         servers = [s for s in servers if s.protocol.value == args.transport]
     if not servers:
@@ -147,22 +135,16 @@ def cmd_discover(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.whois and not args.zone:
+        print("edisco plan: --whois needs --zone", file=sys.stderr)
+        return 2
     tree = _load_tree(args)
     if args.zone:
-        resolver = _fixture_resolver(args.zone)
         whois = FixtureWhois(_load_json(args.whois)) if args.whois else None
-        addresses = set()
-        for node in tree.nodes.values():
-            addresses.update(node.member_addresses)
-        identities = identify_addresses(addresses, resolver, whois)
-        domains = sorted({i.domain for i in identities.values() if i.domain})
-        edges = {d: discover_local_edges(d, resolver) for d in domains}
-        annotate_tree(tree, identities, edges)
+        discover_phase(tree, make_resolver(args.zone), whois)
     services = load_service_profiles(_load_json(args.services))
     capacity = FixtureCapacityService(_load_json(args.capacity))
-    plan = plan_round(
-        tree, services, capacity, round_id=args.round_id, strategy=args.strategy
-    )
+    plan = plan_round(tree, services, capacity, round_id=args.round_id)
     _emit_document(args, plan.to_document())
     if plan.unplaced:
         print(f"unplaced: {', '.join(plan.unplaced)}", file=sys.stderr)
@@ -348,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--services", required=True)
     p.add_argument("--capacity", required=True)
     p.add_argument("--round-id", type=int, default=1)
-    p.add_argument("--strategy", default="bandwidth_clients")
     p.add_argument("--out")
     p.set_defaults(func=cmd_plan)
 

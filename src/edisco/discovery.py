@@ -203,7 +203,40 @@ class StubResolver:
         return records
 
 
-class CachingResolver:
+class LookupWrapper:
+    """Base for wrappers around a resolver or a whois service.
+
+    The resolver and whois methods all funnel into lookup(kind, key), so a
+    wrapper that changes how lookups are made overrides that one method.
+    """
+
+    _METHODS = {
+        "ptr": "lookup_ptr",
+        "a": "lookup_a",
+        "srv": "lookup_srv",
+        "whois": "domains_for",
+    }
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def lookup(self, kind: str, key: str):
+        return getattr(self.inner, self._METHODS[kind])(key)
+
+    def lookup_ptr(self, address: str) -> PtrRecord | None:
+        return self.lookup("ptr", address)
+
+    def lookup_a(self, name: str) -> list[ARecord]:
+        return self.lookup("a", name)
+
+    def lookup_srv(self, qname: str) -> list[SrvRecord]:
+        return self.lookup("srv", qname)
+
+    def domains_for(self, address: str) -> list[str]:
+        return self.lookup("whois", address)
+
+
+class CachingResolver(LookupWrapper):
     """TTL-honoring cache in front of another resolver.
 
     Scoped to a single round: build one per round, drop it at the end.
@@ -211,53 +244,25 @@ class CachingResolver:
     """
 
     def __init__(self, inner: Resolver, clock=time.monotonic):
-        self.inner = inner
+        super().__init__(inner)
         self.clock = clock
         self._lock = threading.Lock()
         self._cache: dict[tuple[str, str], tuple[float, object]] = {}
 
-    def _get(self, key: tuple[str, str]):
+    def lookup(self, kind: str, key: str):
+        # names are case-insensitive; PTR keys are addresses
+        cache_key = (kind, key if kind == "ptr" else key.lower())
         with self._lock:
-            hit = self._cache.get(key)
-            if hit is None:
-                return None, False
-            expires_at, value = hit
-            if self.clock() >= expires_at:
-                del self._cache[key]
-                return None, False
-            return value, True
-
-    def _put(self, key: tuple[str, str], value, ttl: int):
-        with self._lock:
-            self._cache[key] = (self.clock() + ttl, value)
-
-    def lookup_ptr(self, address: str) -> PtrRecord | None:
-        key = ("ptr", address)
-        value, ok = self._get(key)
-        if ok:
-            return value  # type: ignore[return-value]
-        record = self.inner.lookup_ptr(address)
+            hit = self._cache.get(cache_key)
+            if hit is not None and self.clock() < hit[0]:
+                return hit[1]
+        value = super().lookup(kind, key)
+        records = value if isinstance(value, list) else [value] if value else []
         # negative answers get a short fixed TTL
-        self._put(key, record, record.ttl if record else 30)
-        return record
-
-    def lookup_a(self, name: str) -> list[ARecord]:
-        key = ("a", name.lower())
-        value, ok = self._get(key)
-        if ok:
-            return value  # type: ignore[return-value]
-        records = self.inner.lookup_a(name)
-        self._put(key, records, min((r.ttl for r in records), default=30))
-        return records
-
-    def lookup_srv(self, qname: str) -> list[SrvRecord]:
-        key = ("srv", qname.lower())
-        value, ok = self._get(key)
-        if ok:
-            return value  # type: ignore[return-value]
-        records = self.inner.lookup_srv(qname)
-        self._put(key, records, min((r.ttl for r in records), default=30))
-        return records
+        ttl = min((r.ttl for r in records), default=30)
+        with self._lock:
+            self._cache[cache_key] = (self.clock() + ttl, value)
+        return value
 
 
 def registrable_domain(

@@ -6,10 +6,9 @@ clients), and ask servers for capacity until one accepts.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from .discovery import EdgeServer
 from .errors import (
@@ -163,9 +162,6 @@ class PlacementPlan:
             unplaced=list(doc["unplaced"]),
         )
 
-    def digest_input(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
-
 
 @dataclass(frozen=True)
 class CapacityResponse:
@@ -214,22 +210,14 @@ class FixtureCapacityService:
         return response
 
 
-def _by_bandwidth_times_clients(profile: ServiceProfile) -> float:
-    return profile.bandwidth_demand * len(profile.client_subnets)
-
-
-SCORING_STRATEGIES: dict[str, Callable[[ServiceProfile], float]] = {
-    "bandwidth_clients": _by_bandwidth_times_clients,
-}
-
-
-def rank_services(
-    profiles: Iterable[ServiceProfile], strategy: str = "bandwidth_clients"
-) -> list[ServiceProfile]:
-    """Order services by onload benefit, highest first. Ties break on
-    service_id so the ranking is total."""
-    score = SCORING_STRATEGIES[strategy]
-    return sorted(profiles, key=lambda p: (-score(p), p.service_id))
+def rank_services(profiles: Iterable[ServiceProfile]) -> list[ServiceProfile]:
+    """Order services by onload benefit (bandwidth demand times client
+    subnets), highest first. Ties break on service_id so the ranking is
+    total."""
+    return sorted(
+        profiles,
+        key=lambda p: (-p.bandwidth_demand * len(p.client_subnets), p.service_id),
+    )
 
 
 def _service_clients(tree: AggregationTree, service: ServiceProfile) -> list[str]:
@@ -334,13 +322,12 @@ def plan_round(
     profiles: Iterable[ServiceProfile],
     capacity: CapacityService,
     round_id: int = 0,
-    strategy: str = "bandwidth_clients",
 ) -> PlacementPlan:
     """Greedy deployment: per ranked service, walk candidates until a server
     accepts. Rejections and unplaceable services are recorded, never raised.
     """
     plan = PlacementPlan(round_id=round_id)
-    for service in rank_services(list(profiles), strategy):
+    for service in rank_services(list(profiles)):
         try:
             candidates = score_candidates(tree, service)
         except NoCandidatesError as exc:

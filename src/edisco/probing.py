@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ProbePermissionError, ProbeTimeoutError
-from .topology import Hop, PathSource, ProbedPath
+from .topology import Hop, ProbedPath
 
 logger = logging.getLogger(__name__)
 
@@ -163,12 +163,7 @@ class TracerouteProber:
                 break
         if not answered_any:
             raise ProbeTimeoutError(f"{client}: no hop answered any probe")
-        return ProbedPath(
-            client=client,
-            hops=tuple(hops),
-            probed_at=time.time(),
-            source=PathSource.LIVE,
-        )
+        return ProbedPath(client=client, hops=tuple(hops))
 
 
 class FixtureProber:

@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .errors import MalformedFixtureError
 from .placement import PlacementPlan
-from .topology import AggregationTree, group_subnet
+from .topology import group_subnet
 
 logger = logging.getLogger(__name__)
 
@@ -48,66 +49,54 @@ def _target_url(server) -> str:
     return f"http://{server.address}:{server.port}"
 
 
+def _prefix_len(table: RuleTable) -> int:
+    """The one prefix length the rule keys use; the round's tree picked it.
+    An empty table matches nothing, so any length will do."""
+    try:
+        lengths = {int(prefix.partition("/")[2]) for _, prefix in table}
+    except ValueError:
+        raise MalformedFixtureError("coverage prefix without a length") from None
+    if len(lengths) > 1:
+        raise MalformedFixtureError(f"coverage mixes prefix lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 24
+
+
 class RedirectService:
     """Rule table plus resolution. Reads are lock-free against an immutable
-    table reference; installs swap the whole reference at once."""
+    (table, prefix length) pair; installs swap the whole pair at once."""
 
-    def __init__(self, clock=time.time, prefix_len: int = 24):
+    def __init__(self, clock=time.time):
         self.clock = clock
-        self.prefix_len = prefix_len
-        self._table: RuleTable = {}
+        self._rules: tuple[RuleTable, int] = ({}, 24)
         self._install_lock = threading.Lock()
 
-    def install_rules(
-        self,
-        plan: PlacementPlan,
-        tree: AggregationTree | None = None,
-        round_deadline: float = 0.0,
-    ) -> RuleTable:
-        """Build round N's table and swap it in atomically.
-
-        Coverage comes from the plan's assignments; a tree is only consulted
-        for assignments that carry none (then every client /24 routed
-        through the assigned node is covered).
-        """
+    def install_rules(self, plan: PlacementPlan, round_deadline: float = 0.0) -> RuleTable:
+        """Build round N's table from the plan's coverage and swap it in
+        atomically."""
         table: RuleTable = {}
         for assignment in plan.assignments:
-            prefixes = assignment.covered_prefixes
-            if not prefixes and tree is not None:
-                prefixes = tuple(
-                    sorted(
-                        {
-                            group_subnet(client, tree.prefix_len)
-                            for client, path in tree.client_paths.items()
-                            if assignment.node_subnet in path
-                        }
-                    )
-                )
-            for prefix in prefixes:
+            for prefix in assignment.covered_prefixes:
                 table[(assignment.service_id, prefix)] = RedirectRule(
                     service_id=assignment.service_id,
                     client_prefix=prefix,
                     target_url=_target_url(assignment.server),
                     expires_at=round_deadline,
                 )
+        rules = (table, _prefix_len(table))
         with self._install_lock:
-            self._table = table
+            self._rules = rules
         return table
-
-    def clear(self):
-        with self._install_lock:
-            self._table = {}
 
     @property
     def rule_count(self) -> int:
-        return len(self._table)
+        return len(self._rules[0])
 
     def resolve(self, client: str, service_id: str, now: float | None = None) -> Decision:
         """Covered and unexpired -> redirect with remaining TTL, otherwise
         pass through. At now = expires_at exactly the rule is already dead.
         """
-        table = self._table  # one read; the reference never mutates in place
-        rule = table.get((service_id, group_subnet(client, self.prefix_len)))
+        table, prefix_len = self._rules  # one read; never mutated in place
+        rule = table.get((service_id, group_subnet(client, prefix_len)))
         if rule is None:
             return Decision.pass_through()
         if now is None:

@@ -18,6 +18,7 @@ import logging
 import math
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -26,6 +27,7 @@ from .discovery import (
     CachingResolver,
     FixtureWhois,
     LiveWhois,
+    LookupWrapper,
     Resolver,
     StubResolver,
     WhoisService,
@@ -34,7 +36,6 @@ from .discovery import (
     discover_local_edges,
     identify_addresses,
 )
-from .dnswire import resolv_nameservers
 from .errors import (
     EmptyInputError,
     InvalidPeriodError,
@@ -52,7 +53,12 @@ from .placement import (
     plan_round,
 )
 from .probing import FixtureProber, ProbeConfig, TracerouteProber, probe_many
-from .topology import build_tree, compute_centrality, ingest_recorded_paths
+from .topology import (
+    AggregationTree,
+    build_tree,
+    compute_centrality,
+    ingest_recorded_paths,
+)
 from .zonefile import parse_zone
 
 logger = logging.getLogger(__name__)
@@ -67,7 +73,6 @@ class RoundConfig:
     clients: tuple[str, ...]
     period_s: float = 300.0
     prefix_len: int = 24
-    strategy: str = "bandwidth_clients"
     probe_concurrency: int = 8
 
     def __post_init__(self):
@@ -109,48 +114,62 @@ class RoundRecord:
         }
 
 
-class _DegradingResolver:
-    """Resolver wrapper that turns transport failures into empty answers.
+class _Degrading(LookupWrapper):
+    """Turns transport failures into empty answers.
 
-    A dead resolver must not abort a round; the affected nodes simply stay
-    unknown and carry no edge servers.
+    A dead resolver or registry must not abort a round; the affected nodes
+    simply stay unknown and carry no edge servers.
     """
 
-    def __init__(self, inner: Resolver):
-        self.inner = inner
-
-    def lookup_ptr(self, address):
+    def lookup(self, kind: str, key: str):
         try:
-            return self.inner.lookup_ptr(address)
-        except (ResolverUnreachableError, OSError) as exc:
-            logger.warning("PTR lookup failed for %s: %s", address, exc)
-            return None
-
-    def lookup_a(self, name):
-        try:
-            return self.inner.lookup_a(name)
-        except (ResolverUnreachableError, OSError) as exc:
-            logger.warning("A lookup failed for %s: %s", name, exc)
-            return []
-
-    def lookup_srv(self, qname):
-        try:
-            return self.inner.lookup_srv(qname)
-        except (ResolverUnreachableError, OSError) as exc:
-            logger.warning("SRV lookup failed for %s: %s", qname, exc)
-            return []
+            return super().lookup(kind, key)
+        except (ResolverUnreachableError, WhoisUnreachableError, OSError) as exc:
+            logger.warning("%s lookup failed for %s: %s", kind, key, exc)
+            return None if kind == "ptr" else []
 
 
-class _DegradingWhois:
-    def __init__(self, inner: WhoisService):
-        self.inner = inner
+@contextmanager
+def _timed(durations: dict[str, float], phase: str):
+    """Adds the block's wall time to durations[phase]."""
+    mark = time.perf_counter()
+    yield
+    durations[phase] = durations.get(phase, 0.0) + time.perf_counter() - mark
 
-    def domains_for(self, address):
-        try:
-            return self.inner.domains_for(address)
-        except (WhoisUnreachableError, OSError) as exc:
-            logger.warning("whois lookup failed for %s: %s", address, exc)
-            return []
+
+def make_resolver(zone=None, nameservers: list[str] | None = None) -> Resolver:
+    """The zone fixture in file `zone`; without one, live DNS through a
+    per-round TTL cache (nameservers default to /etc/resolv.conf)."""
+    if zone is None:
+        return CachingResolver(StubResolver(nameservers))
+    with open(zone, encoding="utf-8") as fh:
+        return ZoneFixtureResolver(parse_zone(fh.read()))
+
+
+def discover_phase(
+    tree: AggregationTree, resolver: Resolver, whois: WhoisService | None = None
+) -> dict[str, float]:
+    """Identify every node's member addresses (PTR, then whois), look up
+    each domain's `_edge` servers and annotate the tree in place.
+
+    Lookup failures degrade to empty answers. Returns the durations of the
+    identify and srv phases.
+    """
+    resolver = _Degrading(resolver)
+    whois = _Degrading(whois) if whois is not None else None
+    durations: dict[str, float] = {}
+
+    with _timed(durations, "identify"):
+        addresses = set()
+        for node in tree.nodes.values():
+            addresses.update(node.member_addresses)
+        identities = identify_addresses(addresses, resolver, whois)
+
+    with _timed(durations, "srv"):
+        domains = sorted({i.domain for i in identities.values() if i.domain})
+        edges = {domain: discover_local_edges(domain, resolver) for domain in domains}
+        annotate_tree(tree, identities, edges)
+    return durations
 
 
 def run_round(
@@ -171,50 +190,25 @@ def run_round(
     started_at = providers.clock()
     durations: dict[str, float] = {}
 
-    mark = time.perf_counter()
-    paths = probe_many(config.clients, providers.prober, config.probe_concurrency)
-    durations["probe"] = time.perf_counter() - mark
+    with _timed(durations, "probe"):
+        paths = probe_many(config.clients, providers.prober, config.probe_concurrency)
     if not paths:
         raise RoundAbortedError(f"round {round_id}: zero paths obtained")
 
-    mark = time.perf_counter()
-    tree = build_tree(paths, config.root_address, config.prefix_len)
-    compute_centrality(tree)
-    durations["tree"] = time.perf_counter() - mark
+    with _timed(durations, "tree"):
+        tree = build_tree(paths, config.root_address, config.prefix_len)
+        compute_centrality(tree)
 
-    resolver = _DegradingResolver(providers.resolver)
-    whois = _DegradingWhois(providers.whois) if providers.whois else None
+    durations.update(discover_phase(tree, providers.resolver, providers.whois))
+    with _timed(durations, "srv"):  # the digest of the annotated tree
+        tree_digest = tree.digest()
 
-    mark = time.perf_counter()
-    addresses = set()
-    for node in tree.nodes.values():
-        addresses.update(node.member_addresses)
-    identities = identify_addresses(addresses, resolver, whois)
-    durations["identify"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    domains = sorted({i.domain for i in identities.values() if i.domain})
-    edges = {domain: discover_local_edges(domain, resolver) for domain in domains}
-    annotate_tree(tree, identities, edges)
-    tree_digest = tree.digest()
-    durations["srv"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    plan = plan_round(
-        tree,
-        services,
-        providers.capacity,
-        round_id=round_id,
-        strategy=config.strategy,
-    )
-    durations["plan"] = time.perf_counter() - mark
+    with _timed(durations, "plan"):
+        plan = plan_round(tree, services, providers.capacity, round_id=round_id)
 
     if redirect is not None:
-        mark = time.perf_counter()
-        redirect.install_rules(
-            plan, tree=tree, round_deadline=started_at + config.period_s
-        )
-        durations["install"] = time.perf_counter() - mark
+        with _timed(durations, "install"):
+            redirect.install_rules(plan, round_deadline=started_at + config.period_s)
 
     finished_at = providers.clock()
     record = RoundRecord(
@@ -244,7 +238,7 @@ def append_journal(path, record: RoundRecord):
 def read_client_addresses(path) -> list[str]:
     """Client list file: one IPv4 address per line, # comments, duplicates
     collapsed in first-seen order."""
-    clients = []
+    clients: dict[str, None] = {}  # a dict keeps first-seen order
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -254,25 +248,8 @@ def read_client_addresses(path) -> list[str]:
                 ipaddress.IPv4Address(line)
             except ValueError as exc:
                 raise MalformedFixtureError(f"{path} line {line_no}: {exc}") from exc
-            if line not in clients:
-                clients.append(line)
-    return clients
-
-
-def ingest_request_log(path) -> list[str]:
-    """Pull client addresses out of an access log: first whitespace token
-    per line, non-address lines skipped. Ragged input is expected."""
-    clients = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            token = raw.split(None, 1)[0] if raw.strip() else ""
-            try:
-                ipaddress.IPv4Address(token)
-            except ValueError:
-                continue
-            if token not in clients:
-                clients.append(token)
-    return clients
+            clients[line] = None
+    return list(clients)
 
 
 class Scheduler:
@@ -350,7 +327,6 @@ class RunSetup:
           "whois": "whois.json",        // or "live_whois": true, or absent
           "period_s": 300,
           "prefix_len": 24,
-          "strategy": "bandwidth_clients",
           "listen": "127.0.0.1:8302"
         }
 
@@ -371,7 +347,6 @@ class RunSetup:
             clients=tuple(clients),
             period_s=float(doc.get("period_s", 300)),
             prefix_len=int(doc.get("prefix_len", 24)),
-            strategy=doc.get("strategy", "bandwidth_clients"),
             probe_concurrency=int(doc.get("probe_concurrency", 8)),
         )
         with open(self._path(doc["services"]), encoding="utf-8") as fh:
@@ -394,12 +369,10 @@ class RunSetup:
     def _make_resolver(self) -> Resolver:
         doc = self.doc
         if doc.get("live_dns"):
-            servers = doc.get("nameservers") or resolv_nameservers()
-            return CachingResolver(StubResolver(servers))
+            return make_resolver(nameservers=doc.get("nameservers"))
         if "zone" not in doc:
             raise MalformedFixtureError("config needs zone or live_dns")
-        with open(self._path(doc["zone"]), encoding="utf-8") as fh:
-            return ZoneFixtureResolver(parse_zone(fh.read()))
+        return make_resolver(self._path(doc["zone"]))
 
     def _make_whois(self) -> WhoisService | None:
         doc = self.doc

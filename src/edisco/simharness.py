@@ -88,7 +88,6 @@ class ScenarioBundle:
             "whois": "whois.json",
             "period_s": DEFAULT_PERIOD_S,
             "prefix_len": 24,
-            "strategy": "bandwidth_clients",
             "listen": "127.0.0.1:0",
         }
 

@@ -13,7 +13,6 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
 from typing import TYPE_CHECKING, Iterable
 
@@ -23,11 +22,6 @@ if TYPE_CHECKING:
     from .discovery import EdgeServer
 
 TREE_FORMAT = "edisco-tree/1"
-
-
-class PathSource(str, Enum):
-    LIVE = "live"
-    RECORDED = "recorded"
 
 
 def _parse_ipv4(text: str) -> IPv4Address:
@@ -85,8 +79,6 @@ class ProbedPath:
 
     client: str
     hops: tuple[Hop, ...]
-    probed_at: float = 0.0
-    source: PathSource = PathSource.RECORDED
     truncated: bool = field(init=False)
 
     def __post_init__(self):

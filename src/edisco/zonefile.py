@@ -244,14 +244,6 @@ class ZoneData:
                 return r
         return None
 
-    def zone_names(self) -> set[str]:
-        names = {r.zone.lower() for r in self.srv_records}
-        for r in self.a_records:
-            labels = r.name.lower().split(".")
-            if len(labels) >= 2:
-                names.add(".".join(labels[-2:]))
-        return names
-
 
 def _qualify(name: str, origin: str | None, line_no: int) -> str:
     if name.endswith("."):

@@ -172,28 +172,52 @@ def test_discover_absent_domain_is_not_an_error(tmp_path, capsys):
 # -- plan ---------------------------------------------------------------------------
 
 
-def test_plan_matches_expected_golden(bundle_dir, capsys):
-    directory, bundle = bundle_dir
-    code = main(
-        [
-            "plan",
-            "--traces",
-            str(directory / "traces.json"),
-            "--root",
-            bundle.root_address,
-            "--zone",
-            str(directory / "zone.txt"),
-            "--whois",
-            str(directory / "whois.json"),
-            "--services",
-            str(directory / "services.json"),
-            "--capacity",
-            str(directory / "capacity.json"),
-        ]
+def plan_args(directory, bundle):
+    return [
+        "plan",
+        "--traces",
+        str(directory / "traces.json"),
+        "--root",
+        bundle.root_address,
+        "--zone",
+        str(directory / "zone.txt"),
+        "--whois",
+        str(directory / "whois.json"),
+        "--services",
+        str(directory / "services.json"),
+        "--capacity",
+        str(directory / "capacity.json"),
+    ]
+
+
+def test_plan_matches_expected_golden(bundle_dir, tmp_path, capsys):
+    # the second bundle takes the whois fallback and splices silent hops
+    degraded = generate_scenario(
+        ScenarioSpec(
+            clients=12, seed=7, services=3, ptr_missing_rate=0.5, unknown_hop_rate=0.1
+        )
     )
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc == bundle.expected["plan"]
+    degraded.write(tmp_path / "degraded")
+    for directory, bundle in (bundle_dir, (tmp_path / "degraded", degraded)):
+        assert main(plan_args(directory, bundle)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == bundle.expected["plan"]
+
+
+def test_plan_whois_without_zone_is_usage_error(bundle_dir, capsys):
+    directory, bundle = bundle_dir
+    args = plan_args(directory, bundle)
+    zone = args.index("--zone")
+    del args[zone : zone + 2]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--whois needs --zone" in captured.err
+
+
+def test_plan_strategy_flag_is_gone(bundle_dir, capsys):
+    directory, bundle = bundle_dir
+    assert main(plan_args(directory, bundle) + ["--strategy", "x"]) == 2
 
 
 # -- serve-redirect -------------------------------------------------------------------
@@ -247,6 +271,16 @@ def test_run_once_emits_record(bundle_dir, tmp_path, capsys):
     assert record["tree_digest"] == bundle.expected["tree_digest"]
     assert record["plan"] == bundle.expected["plan"]
     assert len(journal.read_text().splitlines()) == 1
+
+
+def test_run_accepts_config_with_old_strategy_key(bundle_dir, capsys):
+    directory, bundle = bundle_dir
+    config = directory / "config.json"
+    doc = json.loads(config.read_text())
+    doc["strategy"] = "bandwidth_clients"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--once"]) == 0
+    assert json.loads(capsys.readouterr().out)["plan"] == bundle.expected["plan"]
 
 
 def test_run_once_is_deterministic(bundle_dir, capsys):

@@ -17,8 +17,6 @@ from edisco.probing import (
     parse_icmp,
     probe_many,
 )
-from edisco.topology import PathSource
-
 from conftest import make_path
 
 
@@ -103,7 +101,6 @@ def test_probe_reaches_client_at_ttl_three():
     path = scripted_prober(script).probe("172.16.0.9")
     assert [h.address for h in path.hops] == ["10.0.0.1", "10.1.0.1", "172.16.0.9"]
     assert not path.truncated
-    assert path.source is PathSource.LIVE
 
 
 def test_silent_hop_recorded_as_unknown():

@@ -4,7 +4,10 @@ import http.client
 import threading
 import time
 
+import pytest
+
 from edisco.discovery import EdgeServer
+from edisco.errors import MalformedFixtureError
 from edisco.placement import Assignment, PlacementPlan
 from edisco.redirect import (
     Decision,
@@ -145,24 +148,13 @@ def test_rules_from_plan_document_round_trip():
     assert service.resolve("172.16.1.7", "svc-video", now=10.0).action == "redirect"
 
 
-def test_install_derives_coverage_from_tree_when_absent():
-    from edisco.topology import build_tree, compute_centrality
-
-    from conftest import make_path
-
-    tree = compute_centrality(
-        build_tree(
-            [
-                make_path("172.16.0.9", "10.2.0.1"),
-                make_path("172.16.1.9", "10.3.0.1"),
-            ],
-            "10.0.0.1",
-        )
-    )
-    bare = Assignment("svc-video", edge(), "10.2.0.0/24", covered_prefixes=())
-    service = RedirectService()
-    table = service.install_rules(plan_with(bare), tree=tree, round_deadline=60.0)
-    assert set(table) == {("svc-video", "172.16.0.0/24")}
+@pytest.mark.parametrize("prefixes", [("172.16.0.0/24", "172.16.2.0/23"), ("172.16.0.0",)])
+def test_coverage_must_share_one_prefix_length(prefixes):
+    service = RedirectService(clock=lambda: 0.0)
+    service.install_rules(plan_with(assignment()), round_deadline=300.0)
+    with pytest.raises(MalformedFixtureError):
+        service.install_rules(plan_with(assignment(prefixes=prefixes)), round_deadline=300.0)
+    assert service.rule_count == 2  # the old table stays
 
 
 # --- live HTTP round trip ---

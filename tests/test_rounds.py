@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+import edisco.rounds
+from edisco.cli import main
 from edisco.discovery import FixtureWhois, ZoneFixtureResolver
 from edisco.errors import (
     EmptyInputError,
@@ -10,6 +12,7 @@ from edisco.errors import (
     MalformedFixtureError,
     ResolverUnreachableError,
     RoundAbortedError,
+    WhoisUnreachableError,
 )
 from edisco.placement import FixtureCapacityService, ServiceProfile
 from edisco.probing import FixtureProber
@@ -20,7 +23,6 @@ from edisco.rounds import (
     RoundRecord,
     Scheduler,
     append_journal,
-    ingest_request_log,
     load_run_config,
     read_client_addresses,
     run_round,
@@ -140,6 +142,26 @@ def test_redirect_rules_expire_at_start_plus_period():
     assert redirect.resolve("172.16.0.9", "svc-video").action == "pass_through"
 
 
+def test_front_end_follows_the_round_prefix_length():
+    service = ServiceProfile(
+        service_id="svc-video",
+        bandwidth_demand=10.0,
+        cpu_demand=2.0,
+        client_subnets=frozenset({"172.16.0.0/23"}),
+    )
+    clock = lambda: 0.0
+    redirect = RedirectService(clock=clock)
+    record = run_round(
+        make_config(prefix_len=23),
+        [service],
+        make_providers(clock=clock),
+        redirect=redirect,
+    )
+    assert record.plan.assignments[0].covered_prefixes == ("172.16.0.0/23",)
+    for client in CLIENTS:
+        assert redirect.resolve(client, "svc-video").action == "redirect"
+
+
 def test_zero_paths_aborts():
     providers = make_providers(paths=[])
     providers.prober = FixtureProber([])
@@ -193,6 +215,17 @@ def test_dead_resolver_degrades_to_unplaced():
     record = run_round(make_config(), [video_service()], providers)
     assert record.plan.unplaced == ["svc-video"]
     assert record.plan.assignments == []
+
+
+class DeadWhois:
+    def domains_for(self, address):
+        raise WhoisUnreachableError("registry down")
+
+
+def test_dead_whois_degrades_to_unplaced():
+    providers = make_providers(zone_text=REFERENCE_ZONE, whois=DeadWhois())
+    record = run_round(make_config(), [video_service()], providers)
+    assert record.plan.unplaced == ["svc-video"]
 
 
 def test_whois_fallback_supplies_domain():
@@ -272,18 +305,6 @@ def test_read_client_addresses_rejects_garbage(tmp_path):
     listing.write_text("172.16.0.9\nnot-an-address\n")
     with pytest.raises(MalformedFixtureError, match="line 2"):
         read_client_addresses(listing)
-
-
-def test_ingest_request_log(tmp_path):
-    log = tmp_path / "access.log"
-    log.write_text(
-        '172.16.0.9 - - [19/Aug/2026:10:00:01] "GET /svc/x HTTP/1.1" 302\n'
-        "malformed line without an address\n"
-        '172.16.1.9 - - [19/Aug/2026:10:00:02] "GET /svc/x HTTP/1.1" 302\n'
-        '172.16.0.9 - - [19/Aug/2026:10:00:03] "GET /svc/y HTTP/1.1" 302\n'
-        "\n"
-    )
-    assert ingest_request_log(log) == ["172.16.0.9", "172.16.1.9"]
 
 
 # -- scheduler -------------------------------------------------------------------
@@ -415,6 +436,27 @@ def test_fresh_capacity_each_round(tmp_path):
             setup.config, setup.services, setup.make_providers(), round_id=round_id
         )
         assert len(record.plan.assignments) == 1
+
+
+def test_round_and_cli_plan_share_one_discovery_phase(tmp_path, monkeypatch, capsys):
+    calls = []
+    identify = edisco.rounds.identify_addresses
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return identify(*args, **kwargs)
+
+    monkeypatch.setattr(edisco.rounds, "identify_addresses", counting)
+    run_round(make_config(), [video_service()], make_providers())
+    assert len(calls) == 1
+
+    write_bundle(tmp_path)
+    args = ["plan", "--traces", "traces.json", "--root", ROOT, "--zone", "zone.txt"]
+    args += ["--services", "services.json", "--capacity", "capacity.json"]
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    assert len(calls) == 2
+    assert json.loads(capsys.readouterr().out)["assignments"]
 
 
 def test_config_missing_required_key(tmp_path):

@@ -196,10 +196,6 @@ def test_a_lookup_case_insensitive(reference_zone):
     assert zone.a_by_name("SERVERA.DOMAINA.COM")[0].address == "192.168.121.30"
 
 
-def test_zone_names(reference_zone):
-    assert parse_zone(reference_zone).zone_names() == {"domaina.com"}
-
-
 def test_comments_and_blank_lines_skipped(reference_zone):
     noisy = "; preamble\n\n" + reference_zone.replace(
         "serverA.domainA.com.  86400 IN A 192.168.121.30",
