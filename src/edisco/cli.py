@@ -23,6 +23,7 @@ from .rounds import (
     Scheduler,
     append_journal,
     discover_phase,
+    load_json,
     load_run_config,
     make_resolver,
     run_round,
@@ -38,11 +39,6 @@ from .topology import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _emit(args, text: str):
@@ -67,9 +63,9 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 def _load_tree(args) -> AggregationTree:
     if getattr(args, "tree", None):
-        return AggregationTree.from_document(_load_json(args.tree))
+        return AggregationTree.from_document(load_json(args.tree))
     if getattr(args, "traces", None) and getattr(args, "root", None):
-        paths = ingest_recorded_paths(_load_json(args.traces))
+        paths = ingest_recorded_paths(load_json(args.traces))
         return compute_centrality(
             build_tree(paths, args.root, getattr(args, "prefix_len", 24))
         )
@@ -104,7 +100,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    paths = ingest_recorded_paths(_load_json(args.traces))
+    paths = ingest_recorded_paths(load_json(args.traces))
     tree = compute_centrality(build_tree(paths, args.root, args.prefix_len))
     _emit_document(args, tree.to_document())
     return 0
@@ -140,10 +136,10 @@ def cmd_plan(args) -> int:
         return 2
     tree = _load_tree(args)
     if args.zone:
-        whois = FixtureWhois(_load_json(args.whois)) if args.whois else None
+        whois = FixtureWhois(load_json(args.whois)) if args.whois else None
         discover_phase(tree, make_resolver(args.zone), whois)
-    services = load_service_profiles(_load_json(args.services))
-    capacity = FixtureCapacityService(_load_json(args.capacity))
+    services = load_service_profiles(load_json(args.services))
+    capacity = FixtureCapacityService(load_json(args.capacity))
     plan = plan_round(tree, services, capacity, round_id=args.round_id)
     _emit_document(args, plan.to_document())
     if plan.unplaced:
@@ -152,7 +148,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_serve_redirect(args) -> int:
-    doc = _load_json(args.plan)
+    doc = load_json(args.plan)
     deadline = time.time() + args.period_s
     service = rules_from_plan_document(doc, deadline)
     host, port = args.listen
@@ -377,10 +373,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except EdiscoError as exc:
-        print(f"edisco: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EdiscoError, OSError) as exc:
         print(f"edisco: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from .errors import (
     NoCandidatesError,
     ServerUnreachableError,
 )
-from .topology import AggregationTree, SubnetNode, subnet_sort_key, group_subnet
+from .topology import AggregationTree, SubnetNode, parse_subnets, subnet_sort_key
 from .zonefile import Transport
 
 logger = logging.getLogger(__name__)
@@ -53,7 +53,7 @@ class ServiceProfile:
             service_id=doc["service_id"],
             bandwidth_demand=doc["bandwidth_demand"],
             cpu_demand=doc["cpu_demand"],
-            client_subnets=frozenset(doc["client_subnets"]),
+            client_subnets=parse_subnets(doc["client_subnets"]),
             transport=Transport(doc.get("transport", "tcp")),
         )
 
@@ -76,6 +76,7 @@ class PlacementCandidate:
     server: EdgeServer
     centrality: int  # restricted to the service's own clients
     client_distance: float
+    covered_prefixes: tuple[str, ...]  # the service's prefixes routed through node
 
     def __post_init__(self):
         if self.server not in self.node.edge_servers:
@@ -220,55 +221,41 @@ def rank_services(profiles: Iterable[ServiceProfile]) -> list[ServiceProfile]:
     )
 
 
-def _service_clients(tree: AggregationTree, service: ServiceProfile) -> list[str]:
-    return [
-        client
-        for client in tree.clients
-        if group_subnet(client, tree.prefix_len) in service.client_subnets
-    ]
-
-
-def _distance_to_client(path: tuple[str, ...], subnet: str) -> int | None:
-    # hops from the node's last occurrence to the path's end (the client)
-    for i in range(len(path) - 1, -1, -1):
-        if path[i] == subnet:
-            return len(path) - 1 - i
-    return None
-
-
 def score_candidates(
     tree: AggregationTree, service: ServiceProfile
 ) -> list[PlacementCandidate]:
     """All deployable (node, server) pairs for one service, best first.
 
-    Centrality is recomputed against the service's own clients only; the
-    sort is centrality descending, mean distance to those clients ascending,
-    then subnet, then server identity.
-    """
-    clients = _service_clients(tree, service)
+    One pass over the paths of the service's own clients gives each node its
+    restricted centrality, its mean distance to those clients and the
+    prefixes it covers. The sort is centrality descending, mean distance
+    ascending, then subnet, then server identity."""
+    reach: dict[str, list] = {}  # subnet -> [count, distance_sum, prefixes]
+    for path in tree.client_paths.values():
+        prefix = path[-1]  # a client path ends at its client's own subnet
+        if prefix not in service.client_subnets:
+            continue
+        last = {subnet: len(path) - 1 - i for i, subnet in enumerate(path)}
+        for subnet, distance in last.items():
+            entry = reach.setdefault(subnet, [0, 0, set()])
+            entry[0] += 1
+            entry[1] += distance
+            entry[2].add(prefix)
     candidates = []
-    for subnet in tree.sorted_subnets():
+    for subnet, (count, distance_sum, prefixes) in reach.items():
         node = tree.nodes[subnet]
         servers = [s for s in node.edge_servers if s.protocol is service.transport]
-        if not servers:
-            continue
-        distances = []
-        for client in clients:
-            d = _distance_to_client(tree.client_paths[client], subnet)
-            if d is not None:
-                distances.append(d)
-        if not distances:
-            continue  # not on any client path of this service
-        restricted = len(distances)
-        mean_distance = sum(distances) / len(distances)
-        for server in servers:
-            candidates.append(
+        if servers:
+            covered = tuple(sorted(prefixes, key=subnet_sort_key))
+            candidates.extend(
                 PlacementCandidate(
                     node=node,
                     server=server,
-                    centrality=restricted,
-                    client_distance=mean_distance,
+                    centrality=count,
+                    client_distance=distance_sum / count,
+                    covered_prefixes=covered,
                 )
+                for server in servers
             )
     if not candidates:
         raise NoCandidatesError(
@@ -306,17 +293,6 @@ def negotiate(
         )
 
 
-def _coverage(
-    tree: AggregationTree, service: ServiceProfile, subnet: str
-) -> tuple[str, ...]:
-    prefixes = {
-        group_subnet(client, tree.prefix_len)
-        for client in _service_clients(tree, service)
-        if subnet in tree.client_paths[client]
-    }
-    return tuple(sorted(prefixes, key=subnet_sort_key))
-
-
 def plan_round(
     tree: AggregationTree,
     profiles: Iterable[ServiceProfile],
@@ -334,7 +310,6 @@ def plan_round(
             logger.info("%s", exc)
             plan.unplaced.append(service.service_id)
             continue
-        placed = False
         for candidate in candidates:
             response = negotiate(candidate, service, capacity)
             if response.accepted:
@@ -343,12 +318,9 @@ def plan_round(
                         service_id=service.service_id,
                         server=candidate.server,
                         node_subnet=candidate.node.subnet,
-                        covered_prefixes=_coverage(
-                            tree, service, candidate.node.subnet
-                        ),
+                        covered_prefixes=candidate.covered_prefixes,
                     )
                 )
-                placed = True
                 break
             plan.rejected.append(
                 Rejection(
@@ -357,6 +329,6 @@ def plan_round(
                     reason=response.reason or "rejected",
                 )
             )
-        if not placed:
+        else:
             plan.unplaced.append(service.service_id)
     return plan

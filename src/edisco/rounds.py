@@ -235,6 +235,15 @@ def append_journal(path, record: RoundRecord):
         fh.write(json.dumps(record.to_document(), sort_keys=True) + "\n")
 
 
+def load_json(path):
+    """Parse one JSON file; MalformedFixtureError names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise MalformedFixtureError(f"{path}: not valid JSON: {exc}") from None
+
+
 def read_client_addresses(path) -> list[str]:
     """Client list file: one IPv4 address per line, # comments, duplicates
     collapsed in first-seen order."""
@@ -349,8 +358,7 @@ class RunSetup:
             prefix_len=int(doc.get("prefix_len", 24)),
             probe_concurrency=int(doc.get("probe_concurrency", 8)),
         )
-        with open(self._path(doc["services"]), encoding="utf-8") as fh:
-            self.services = load_service_profiles(json.load(fh))
+        self.services = load_service_profiles(load_json(self._path(doc["services"])))
         self.listen = doc.get("listen", "127.0.0.1:0")
 
     def _path(self, rel) -> Path:
@@ -363,8 +371,7 @@ class RunSetup:
             return TracerouteProber(ProbeConfig(**probe))
         if "traces" not in doc:
             raise MalformedFixtureError("config needs traces or live_probe")
-        with open(self._path(doc["traces"]), encoding="utf-8") as fh:
-            return FixtureProber(ingest_recorded_paths(json.load(fh)))
+        return FixtureProber(ingest_recorded_paths(load_json(self._path(doc["traces"]))))
 
     def _make_resolver(self) -> Resolver:
         doc = self.doc
@@ -380,12 +387,10 @@ class RunSetup:
             return LiveWhois()
         if "whois" not in doc:
             return None
-        with open(self._path(doc["whois"]), encoding="utf-8") as fh:
-            return FixtureWhois(json.load(fh))
+        return FixtureWhois(load_json(self._path(doc["whois"])))
 
     def _make_capacity(self) -> CapacityService:
-        with open(self._path(self.doc["capacity"]), encoding="utf-8") as fh:
-            return FixtureCapacityService(json.load(fh))
+        return FixtureCapacityService(load_json(self._path(self.doc["capacity"])))
 
     def make_providers(self) -> RoundProviders:
         return RoundProviders(
@@ -398,8 +403,7 @@ class RunSetup:
 
 def load_run_config(path) -> RunSetup:
     config_path = Path(path)
-    with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(config_path)
     if not isinstance(doc, dict):
         raise MalformedFixtureError(f"{path}: config must be a JSON object")
     return RunSetup(doc, config_path.parent)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import socket
 from collections import Counter
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
@@ -30,6 +32,24 @@ def _parse_ipv4(text: str) -> IPv4Address:
 
 def subnet_sort_key(subnet: str) -> int:
     return int(IPv4Network(subnet).network_address)
+
+
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"  # no leading zeros
+_PREFIX = re.compile(rf"({_OCTET}(?:\.{_OCTET}){{3}})/(3[0-2]|[12]?[0-9])")
+
+
+def parse_subnets(value) -> frozenset[str]:
+    """A list of IPv4 prefixes, each written exactly as IPv4Network writes it
+    (checked without IPv4Network, which costs four times as much)."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of IPv4 prefixes, got {value!r}")
+    for text in value:
+        match = _PREFIX.fullmatch(text) if isinstance(text, str) else None
+        if match is None or int.from_bytes(socket.inet_aton(match[1]), "big") & (
+            (1 << (32 - int(match[2]))) - 1
+        ):
+            raise ValueError(f"{text!r} is not a canonical IPv4 prefix")
+    return frozenset(value)
 
 
 def group_subnet(address: str, prefix_len: int = 24) -> str:
@@ -100,6 +120,14 @@ class ProbedPath:
         return [h.address for h in self.hops if h.address is not None]
 
 
+def _typed(doc, key: str, kind: type, where: str):
+    """doc[key], or MalformedFixtureError if it is missing or not a `kind`."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise MalformedFixtureError(f"{where}: {key!r} is missing or not of type {kind.__name__}")
+    return value
+
+
 def ingest_recorded_paths(document) -> list[ProbedPath]:
     """Parse a recorded-trace document into ProbedPaths.
 
@@ -115,17 +143,9 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
     paths = []
     for i, entry in enumerate(document):
         where = f"entry {i}"
-        if not isinstance(entry, dict):
-            raise MalformedFixtureError(f"{where}: not an object")
-        try:
-            client = entry["client"]
-            raw_hops = entry["hops"]
-        except KeyError as exc:
-            raise MalformedFixtureError(f"{where}: missing field {exc}") from None
-        if not isinstance(raw_hops, list):
-            raise MalformedFixtureError(f"{where}: hops must be a list")
+        client = _typed(entry, "client", str, where)
         hops = []
-        for j, raw in enumerate(raw_hops):
+        for j, raw in enumerate(_typed(entry, "hops", list, where)):
             if not isinstance(raw, dict):
                 raise MalformedFixtureError(f"{where}, hop {j}: not an object")
             try:
@@ -191,10 +211,6 @@ class AggregationTree:
     def root(self) -> SubnetNode:
         return self.nodes[self.root_subnet]
 
-    @property
-    def clients(self) -> list[str]:
-        return sorted(self.client_paths, key=_parse_ipv4)
-
     def sorted_subnets(self) -> list[str]:
         return sorted(self.nodes, key=subnet_sort_key)
 
@@ -226,33 +242,52 @@ class AggregationTree:
 
     @classmethod
     def from_document(cls, doc: dict) -> "AggregationTree":
-        if doc.get("format") != TREE_FORMAT:
-            raise MalformedFixtureError(
-                f"not a tree document (format={doc.get('format')!r})"
-            )
-        nodes = {}
-        for raw in doc["nodes"]:
-            servers = []
-            if raw["edge_servers"]:
-                from .discovery import EdgeServer
+        """Load a tree document. Every client path must start at the root,
+        name only subnets in `nodes`, and end at its client's own subnet."""
+        from .discovery import EdgeServer
 
-                servers = [EdgeServer.from_document(s) for s in raw["edge_servers"]]
-            nodes[raw["subnet"]] = SubnetNode(
-                subnet=raw["subnet"],
-                member_addresses=set(raw["members"]),
-                domains=set(raw["domains"]),
-                centrality=raw["centrality"],
-                is_client=raw["is_client"],
-                edge_servers=servers,
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt != TREE_FORMAT:
+            raise MalformedFixtureError(f"not a tree document (format={fmt!r})")
+        try:
+            root_subnet = _typed(doc, "root_subnet", str, "tree")
+            prefix_len = _typed(doc, "prefix_len", int, "tree")
+            nodes = {}
+            for i, raw in enumerate(_typed(doc, "nodes", list, "tree")):
+                where = f"tree node {i}"
+                subnet = _typed(raw, "subnet", str, where)
+                nodes[subnet] = SubnetNode(
+                    subnet=subnet,
+                    member_addresses=set(_typed(raw, "members", list, where)),
+                    domains=set(_typed(raw, "domains", list, where)),
+                    centrality=_typed(raw, "centrality", int, where),
+                    is_client=_typed(raw, "is_client", bool, where),
+                    edge_servers=[
+                        EdgeServer.from_document(s)
+                        for s in _typed(raw, "edge_servers", list, where)
+                    ],
+                )
+            client_paths = {}
+            for client, path in _typed(doc, "client_paths", dict, "tree").items():
+                where = f"client path of {client}"
+                if not isinstance(path, list) or not path or path[0] != root_subnet:
+                    raise MalformedFixtureError(f"{where}: does not start at {root_subnet}")
+                unknown = [subnet for subnet in path if subnet not in nodes]
+                if unknown:
+                    raise MalformedFixtureError(f"{where}: {unknown[0]} is not a node")
+                if path[-1] != group_subnet(client, prefix_len):
+                    raise MalformedFixtureError(f"{where}: does not end at the client's subnet")
+                client_paths[client] = tuple(path)
+            return cls(
+                root_address=_typed(doc, "root_address", str, "tree"),
+                root_subnet=root_subnet,
+                prefix_len=prefix_len,
+                nodes=nodes,
+                edges={(a, b) for a, b in _typed(doc, "edges", list, "tree")},
+                client_paths=client_paths,
             )
-        return cls(
-            root_address=doc["root_address"],
-            root_subnet=doc["root_subnet"],
-            prefix_len=doc["prefix_len"],
-            nodes=nodes,
-            edges={(a, b) for a, b in doc["edges"]},
-            client_paths={c: tuple(p) for c, p in doc["client_paths"].items()},
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedFixtureError(f"tree document: {exc}") from None
 
     def digest(self) -> str:
         canonical = json.dumps(

@@ -220,6 +220,35 @@ def test_plan_strategy_flag_is_gone(bundle_dir, capsys):
     assert main(plan_args(directory, bundle) + ["--strategy", "x"]) == 2
 
 
+def assert_one_error_line(captured, *words):
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("edisco: ")
+    assert "Traceback" not in captured.err
+    for word in words:
+        assert word in lines[0]
+
+
+def test_plan_rejects_malformed_tree_document(bundle_dir, tmp_path, capsys):
+    directory, bundle = bundle_dir
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "edisco-tree/1"}))
+    args = plan_args(directory, bundle)
+    args[1:5] = ["--tree", str(bad)]
+    assert main(args) == 1
+    assert_one_error_line(capsys.readouterr(), "is missing")
+
+
+def test_broken_services_json_is_operational_error(bundle_dir, capsys):
+    directory, bundle = bundle_dir
+    services = directory / "services.json"
+    services.write_text(services.read_text()[:-20])  # truncated mid-document
+    assert main(plan_args(directory, bundle)) == 1
+    assert_one_error_line(capsys.readouterr(), str(services), "not valid JSON")
+    assert main(["run", "--config", str(directory / "config.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), str(services), "not valid JSON")
+
+
 # -- serve-redirect -------------------------------------------------------------------
 
 

@@ -142,6 +142,7 @@ def test_candidate_requires_server_on_node():
             server=edge("203.0.113.1"),
             centrality=1,
             client_distance=0.0,
+            covered_prefixes=(),
         )
 
 
@@ -178,11 +179,26 @@ def randomly_equipped_tree(seed):
     return tree
 
 
+def oracle_coverage(tree, svc, candidate):
+    return sorted(
+        {
+            group_subnet(c)
+            for c in tree.client_paths
+            if group_subnet(c) in svc.client_subnets
+            and candidate.node.subnet in tree.client_paths[c]
+        },
+        key=subnet_sort_key,
+    )
+
+
 def test_ordering_matches_comparator_oracle():
     checked = 0
     for seed in range(12):
         tree = randomly_equipped_tree(seed)
-        svc = service(subnets=[group_subnet(c) for c in tree.client_paths])
+        # a service owns a random non-empty share of the client subnets
+        rng = random.Random(seed)
+        subnets = sorted({group_subnet(c) for c in tree.client_paths})
+        svc = service(subnets=rng.sample(subnets, rng.randint(1, len(subnets))))
         try:
             ranked = score_candidates(tree, svc)
         except NoCandidatesError:
@@ -193,6 +209,7 @@ def test_ordering_matches_comparator_oracle():
         for candidate, key in zip(ranked, keys):
             assert candidate.centrality == -key[0]
             assert candidate.client_distance == key[1]
+            assert list(candidate.covered_prefixes) == oracle_coverage(tree, svc, candidate)
         checked += 1
     assert checked >= 6  # enough non-degenerate scenarios exercised
 
@@ -381,6 +398,12 @@ def test_load_service_profiles_rejects_bad_entries():
         load_service_profiles([{"service_id": "svc-a"}])
     with pytest.raises(MalformedFixtureError):
         load_service_profiles({"service_id": "svc-a"})
+    # client_subnets that could never match a tree prefix
+    for subnets in ("240.0.1.0/24", ["240.0.1.5/24"], ["nonsense"], [240]):
+        doc = service("svc-a", subnets=["240.0.1.0/24"]).to_document()
+        doc["client_subnets"] = subnets
+        with pytest.raises(MalformedFixtureError, match="entry 0"):
+            load_service_profiles([doc])
 
 
 def test_load_service_profiles_round_trip():

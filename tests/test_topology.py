@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+from ipaddress import IPv4Network
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edisco.errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
@@ -16,6 +17,7 @@ from edisco.topology import (
     export_dot,
     group_subnet,
     ingest_recorded_paths,
+    parse_subnets,
     paths_to_document,
 )
 
@@ -152,6 +154,10 @@ def test_ingest_error_cites_location():
     with pytest.raises(MalformedFixtureError) as err:
         ingest_recorded_paths(doc)
     assert "entry 1" in str(err.value)
+    # entries whose fields are missing or of the wrong type
+    for entry in ("x", {"hops": []}, {**doc[0], "client": 5}, {**doc[0], "hops": {}}):
+        with pytest.raises(MalformedFixtureError, match="entry 1"):
+            ingest_recorded_paths([doc[0], entry])
 
 
 def test_paths_round_trip_through_document():
@@ -334,6 +340,86 @@ def test_tree_document_round_trip():
 def test_from_document_rejects_unknown_format():
     with pytest.raises(MalformedFixtureError):
         AggregationTree.from_document({"format": "something-else"})
+
+
+def _keep_only_format(doc):
+    for key in list(doc):
+        if key != "format":
+            del doc[key]
+
+
+def _break_nodes_type(doc):
+    doc["nodes"] = {"10.1.0.0/24": {}}
+
+
+def _drop_nodes(doc):
+    del doc["nodes"]
+
+
+def _break_node_field(doc):
+    doc["nodes"][0]["centrality"] = "3"
+
+
+def _path_off_root(doc):
+    doc["client_paths"]["172.16.0.9"] = doc["client_paths"]["172.16.0.9"][1:]
+
+
+def _path_through_unknown_subnet(doc):
+    doc["client_paths"]["172.16.0.9"].insert(1, "10.9.9.0/24")
+
+
+def _path_ends_elsewhere(doc):
+    doc["client_paths"]["172.16.0.9"].append("10.1.0.0/24")
+
+
+MALFORMED_TREES = [
+    (_keep_only_format, "is missing"),
+    (_drop_nodes, "'nodes' is missing"),
+    (_break_nodes_type, "'nodes' is missing or not of type list"),
+    (_break_node_field, "'centrality' is missing or not of type int"),
+    (_path_off_root, "does not start at 10.0.0.0/24"),
+    (_path_through_unknown_subnet, "10.9.9.0/24 is not a node"),
+    (_path_ends_elsewhere, "does not end at the client's subnet"),
+]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [pytest.param(d, m, id=d.__name__.lstrip("_")) for d, m in MALFORMED_TREES],
+)
+def test_from_document_rejects_malformed_tree(damage, message):
+    tree = build_tree(
+        [make_path("172.16.0.9", "10.1.0.1"), make_path("172.16.1.9", "10.1.0.1")], ROOT
+    )
+    doc = tree.to_document()
+    damage(doc)
+    with pytest.raises(MalformedFixtureError, match=message):
+        AggregationTree.from_document(doc)
+
+
+OCTET_TEXT = st.one_of(
+    st.just("0"), st.integers(0, 255).map(str), st.from_regex(r"[0-9]{1,4}", fullmatch=True)
+)
+LENGTH_TEXT = st.one_of(
+    st.integers(0, 32).map(str), st.from_regex(r"[0-9]{1,3}", fullmatch=True)
+)
+
+
+@given(st.lists(OCTET_TEXT, min_size=3, max_size=5), LENGTH_TEXT)
+@example(["240", "0", "1", "0"], "24")
+@example(["240", "0", "1", "5"], "24")
+@example(["240", "0", "01", "0"], "24")
+def test_parse_subnets_accepts_exactly_ipv4network_text(octets, length):
+    text = ".".join(octets) + "/" + length
+    try:
+        canonical = str(IPv4Network(text)) == text
+    except ValueError:
+        canonical = False
+    try:
+        accepted = parse_subnets([text]) == {text}
+    except ValueError:
+        accepted = False
+    assert accepted == canonical
 
 
 # --- export_dot ---
