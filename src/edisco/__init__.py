@@ -18,7 +18,7 @@ from .discovery import (
 )
 from .errors import EdiscoError
 from .placement import PlacementPlan, ServiceProfile, plan_round, score_candidates
-from .probing import ProbeConfig, probe_path
+from .probing import ProbeConfig
 from .redirect import RedirectService
 from .rounds import RoundConfig, RoundProviders, RoundRecord, Scheduler, run_round
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
@@ -63,7 +63,6 @@ __all__ = [
     "parse_srv_line",
     "parse_zone",
     "plan_round",
-    "probe_path",
     "query_edge_srv",
     "reverse_lookup",
     "run_round",

@@ -7,10 +7,12 @@ stderr. Exit codes: 0 success, 1 operational error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -100,9 +102,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    paths = ingest_recorded_paths(load_json(args.traces))
-    tree = compute_centrality(build_tree(paths, args.root, args.prefix_len))
-    _emit_document(args, tree.to_document())
+    _emit_document(args, _load_tree(args).to_document())
     return 0
 
 
@@ -177,40 +177,35 @@ def cmd_run(args) -> int:
         )
         return 2
     setup = load_run_config(config_path)
-
-    if args.once:
-        redirect = RedirectService()
-        record = run_round(
-            setup.config, setup.services, setup.make_providers(), redirect=redirect
-        )
-        if args.journal:
-            append_journal(args.journal, record)
-        _emit_document(args, record.to_document())
-        return 0
-
     redirect = RedirectService()
-    host, port = _parse_listen(setup.listen)
-    httpd = make_http_server(redirect, host, port)
-    bound = httpd.server_address
-    print(f"redirect service on http://{bound[0]}:{bound[1]}", file=sys.stderr)
-    import threading
 
-    server_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    server_thread.start()
-
-    counter = {"round_id": 0}
-
-    def one_round():
-        counter["round_id"] += 1
+    def journaled_round(round_id: int):
         record = run_round(
             setup.config,
             setup.services,
             setup.make_providers(),
             redirect=redirect,
-            round_id=counter["round_id"],
+            round_id=round_id,
         )
         if args.journal:
             append_journal(args.journal, record)
+        return record
+
+    if args.once:
+        _emit_document(args, journaled_round(1).to_document())
+        return 0
+
+    host, port = _parse_listen(setup.listen)
+    httpd = make_http_server(redirect, host, port)
+    bound = httpd.server_address
+    print(f"redirect service on http://{bound[0]}:{bound[1]}", file=sys.stderr)
+    server_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    server_thread.start()
+
+    round_ids = itertools.count(1)
+
+    def one_round():
+        record = journaled_round(next(round_ids))
         print(
             f"round {record.round_id}: digest {record.tree_digest[:12]}, "
             f"{len(record.plan.assignments)} assignments",

@@ -1,8 +1,9 @@
 """Map path hops to domains and retrieve `_edge` SRV records per domain.
 
 Identification prefers PTR records and falls back to whois. All DNS goes
-through a pluggable resolver so the whole flow runs against a zone fixture
-offline, or against a real recursive server via the wire-format stub.
+through a pluggable resolver so the whole flow runs against a parsed zone
+fixture (`ZoneData`) offline, or against a real recursive server via the
+wire-format stub.
 """
 from __future__ import annotations
 
@@ -17,17 +18,19 @@ from enum import Enum
 from typing import Iterable, Protocol
 
 from . import dnswire
-from .errors import NoServersError, WhoisUnreachableError
-from .topology import AggregationTree
-from .zonefile import ARecord, PtrRecord, SrvRecord, Transport, ZoneData
+from .errors import MalformedFixtureError, NoServersError, WhoisUnreachableError
+from .topology import AggregationTree, _typed, group_subnet, parse_subnets
+from .zonefile import ARecord, PtrRecord, SrvRecord, Transport
 
 logger = logging.getLogger(__name__)
 
 # Multi-label public suffixes the two-label default would mangle. Small on
-# purpose; overridable per call.
-DEFAULT_MULTI_LABEL_SUFFIXES = frozenset(
+# purpose.
+MULTI_LABEL_SUFFIXES = frozenset(
     {"co.uk", "org.uk", "ac.uk", "gov.uk", "com.au", "net.au", "co.jp", "com.br"}
 )
+EDGE_SERVICE = "edge"  # the SRV service label: _edge._tcp.<domain>
+LOOKUP_CONCURRENCY = 8
 
 
 class Provenance(str, Enum):
@@ -87,13 +90,16 @@ class EdgeServer:
 
     @classmethod
     def from_document(cls, doc: dict) -> "EdgeServer":
+        """Raises MalformedFixtureError for a missing or mistyped key, and
+        ValueError for an unknown protocol."""
+        where = "edge server"
         return cls(
-            zone=doc["zone"],
-            protocol=Transport(doc["protocol"]),
-            priority=doc["priority"],
-            weight=doc["weight"],
-            address=doc["address"],
-            port=doc["port"],
+            zone=_typed(doc, "zone", str, where),
+            protocol=Transport(_typed(doc, "protocol", str, where)),
+            priority=_typed(doc, "priority", int, where),
+            weight=_typed(doc, "weight", int, where),
+            address=_typed(doc, "address", str, where),
+            port=_typed(doc, "port", int, where),
         )
 
 
@@ -103,22 +109,6 @@ class Resolver(Protocol):
     def lookup_a(self, name: str) -> list[ARecord]: ...
 
     def lookup_srv(self, qname: str) -> list[SrvRecord]: ...
-
-
-class ZoneFixtureResolver:
-    """Resolver backed by parsed zone-fixture text. Read-only, thread-safe."""
-
-    def __init__(self, zone: ZoneData):
-        self.zone = zone
-
-    def lookup_ptr(self, address: str) -> PtrRecord | None:
-        return self.zone.ptr_by_address(address)
-
-    def lookup_a(self, name: str) -> list[ARecord]:
-        return self.zone.a_by_name(name)
-
-    def lookup_srv(self, qname: str) -> list[SrvRecord]:
-        return self.zone.srv_by_qname(qname)
 
 
 def _srv_from_wire(qname: str, answer: dnswire.WireAnswer) -> SrvRecord | None:
@@ -265,9 +255,7 @@ class CachingResolver(LookupWrapper):
         return value
 
 
-def registrable_domain(
-    name: str, multi_label_suffixes: frozenset[str] = DEFAULT_MULTI_LABEL_SUFFIXES
-) -> str:
+def registrable_domain(name: str) -> str:
     """Last two labels of a host name, three when the tail is a known
     multi-label public suffix (router1.isp.co.uk -> isp.co.uk).
 
@@ -276,7 +264,7 @@ def registrable_domain(
     labels = name.rstrip(".").split(".")
     if len(labels) <= 2:
         return ".".join(labels)
-    if ".".join(labels[-2:]).lower() in multi_label_suffixes:
+    if ".".join(labels[-2:]).lower() in MULTI_LABEL_SUFFIXES:
         return ".".join(labels[-3:])
     return ".".join(labels[-2:])
 
@@ -286,16 +274,27 @@ class WhoisService(Protocol):
 
 
 class FixtureWhois:
-    """Registry fixture: JSON map of CIDR prefix to registrant domain."""
+    """Registry fixture: JSON map of IPv4 prefix to registrant domain.
+
+    A lookup tries the address's enclosing prefix once per prefix length
+    present in the table."""
 
     def __init__(self, prefixes: dict[str, str]):
-        self.networks = [
-            (ipaddress.ip_network(cidr), domain) for cidr, domain in prefixes.items()
-        ]
+        if not isinstance(prefixes, dict):
+            raise MalformedFixtureError("whois fixture must be a JSON object")
+        try:
+            parse_subnets(list(prefixes))
+        except ValueError as exc:
+            raise MalformedFixtureError(f"whois fixture: {exc}") from None
+        for prefix, domain in prefixes.items():
+            if not isinstance(domain, str):
+                raise MalformedFixtureError(f"whois fixture: {prefix!r}: domain is not a string")
+        self.prefixes = prefixes
+        self.lengths = sorted({int(prefix.partition("/")[2]) for prefix in prefixes})
 
     def domains_for(self, address: str) -> list[str]:
-        ip = ipaddress.ip_address(address)
-        return sorted({domain for net, domain in self.networks if ip in net})
+        found = (self.prefixes.get(group_subnet(address, n)) for n in self.lengths)
+        return sorted({domain for domain in found if domain is not None})
 
 
 class LiveWhois:
@@ -377,26 +376,23 @@ def identify_addresses(
     addresses: Iterable[str],
     resolver: Resolver,
     whois: WhoisService | None = None,
-    concurrency: int = 8,
 ) -> dict[str, DomainIdentity]:
     """Concurrent reverse_lookup over many addresses."""
     unique = sorted(set(addresses), key=ipaddress.IPv4Address)
     if not unique:
         return {}
-    with ThreadPoolExecutor(max_workers=min(concurrency, len(unique))) as pool:
+    with ThreadPoolExecutor(max_workers=min(LOOKUP_CONCURRENCY, len(unique))) as pool:
         results = pool.map(lambda a: reverse_lookup(a, resolver, whois), unique)
     return {identity.address: identity for identity in results}
 
 
-def query_edge_srv(
-    domain: str, protocol: Transport, resolver: Resolver, service: str = "edge"
-) -> list[EdgeServer]:
+def query_edge_srv(domain: str, protocol: Transport, resolver: Resolver) -> list[EdgeServer]:
     """SRV lookup for one domain and transport, targets resolved to
     addresses. Targets without an A record are dropped loudly. An empty
     result is a normal outcome."""
     if not domain:
         raise ValueError("domain must be non-empty")
-    qname = f"_{service}._{protocol.value}.{domain}"
+    qname = f"_{EDGE_SERVICE}._{protocol.value}.{domain}"
     servers = []
     for record in resolver.lookup_srv(qname):
         a_records = resolver.lookup_a(record.target)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Protocol
 
 from .discovery import EdgeServer
@@ -16,7 +17,7 @@ from .errors import (
     NoCandidatesError,
     ServerUnreachableError,
 )
-from .topology import AggregationTree, SubnetNode, parse_subnets, subnet_sort_key
+from .topology import AggregationTree, SubnetNode, _typed, parse_subnets, subnet_sort_key
 from .zonefile import Transport
 
 logger = logging.getLogger(__name__)
@@ -137,31 +138,41 @@ class PlacementPlan:
 
     @classmethod
     def from_document(cls, doc: dict) -> "PlacementPlan":
-        if doc.get("format") != PLAN_FORMAT:
-            raise MalformedFixtureError(
-                f"not a plan document (format={doc.get('format')!r})"
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt != PLAN_FORMAT:
+            raise MalformedFixtureError(f"not a plan document (format={fmt!r})")
+        try:
+            assignments = []
+            for i, a in enumerate(_typed(doc, "assignments", list, "plan")):
+                where = f"plan assignment {i}"
+                coverage = _typed(a, "coverage", list, where)
+                parse_subnets(coverage)
+                assignments.append(
+                    Assignment(
+                        service_id=_typed(a, "service_id", str, where),
+                        server=EdgeServer.from_document(_typed(a, "server", dict, where)),
+                        node_subnet=_typed(a, "node", str, where),
+                        covered_prefixes=tuple(coverage),
+                    )
+                )
+            rejected = []
+            for i, r in enumerate(_typed(doc, "rejected", list, "plan")):
+                where = f"plan rejection {i}"
+                rejected.append(
+                    Rejection(
+                        service_id=_typed(r, "service_id", str, where),
+                        server=EdgeServer.from_document(_typed(r, "server", dict, where)),
+                        reason=_typed(r, "reason", str, where),
+                    )
+                )
+            return cls(
+                round_id=_typed(doc, "round_id", int, "plan"),
+                assignments=assignments,
+                rejected=rejected,
+                unplaced=list(_typed(doc, "unplaced", list, "plan")),
             )
-        return cls(
-            round_id=doc["round_id"],
-            assignments=[
-                Assignment(
-                    service_id=a["service_id"],
-                    server=EdgeServer.from_document(a["server"]),
-                    node_subnet=a["node"],
-                    covered_prefixes=tuple(a["coverage"]),
-                )
-                for a in doc["assignments"]
-            ],
-            rejected=[
-                Rejection(
-                    service_id=r["service_id"],
-                    server=EdgeServer.from_document(r["server"]),
-                    reason=r["reason"],
-                )
-                for r in doc["rejected"]
-            ],
-            unplaced=list(doc["unplaced"]),
-        )
+        except (TypeError, ValueError) as exc:
+            raise MalformedFixtureError(f"plan document: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -186,8 +197,13 @@ class FixtureCapacityService:
     """
 
     def __init__(self, capacities: dict[str, dict]):
+        if not isinstance(capacities, dict):
+            raise MalformedFixtureError("capacity fixture must be a JSON object")
         self.available = {
-            address: {"cpu": float(spec["cpu"]), "bandwidth": float(spec["bandwidth"])}
+            address: {
+                key: float(_typed(spec, key, Real, f"capacity of {address}"))
+                for key in ("cpu", "bandwidth")
+            }
             for address, spec in capacities.items()
         }
 

@@ -34,7 +34,6 @@ class ProbeConfig:
     timeout_s: float = 1.0
     max_ttl: int = 30
     base_port: int = 33434
-    concurrency: int = 8
 
     def __post_init__(self):
         if self.method not in ("udp", "icmp"):
@@ -177,10 +176,6 @@ class FixtureProber:
         if path is None:
             raise ProbeTimeoutError(f"{client}: no recorded path")
         return path
-
-
-def probe_path(client: str, config: ProbeConfig | None = None) -> ProbedPath:
-    return TracerouteProber(config).probe(client)
 
 
 def probe_many(clients, prober, concurrency: int = 8) -> list[ProbedPath]:

@@ -31,7 +31,6 @@ from .discovery import (
     Resolver,
     StubResolver,
     WhoisService,
-    ZoneFixtureResolver,
     annotate_tree,
     discover_local_edges,
     identify_addresses,
@@ -73,7 +72,6 @@ class RoundConfig:
     clients: tuple[str, ...]
     period_s: float = 300.0
     prefix_len: int = 24
-    probe_concurrency: int = 8
 
     def __post_init__(self):
         if self.period_s <= 0:
@@ -138,12 +136,13 @@ def _timed(durations: dict[str, float], phase: str):
 
 
 def make_resolver(zone=None, nameservers: list[str] | None = None) -> Resolver:
-    """The zone fixture in file `zone`; without one, live DNS through a
-    per-round TTL cache (nameservers default to /etc/resolv.conf)."""
+    """The parsed zone fixture in file `zone`, which answers lookups
+    itself; without one, live DNS through a per-round TTL cache
+    (nameservers default to /etc/resolv.conf)."""
     if zone is None:
         return CachingResolver(StubResolver(nameservers))
     with open(zone, encoding="utf-8") as fh:
-        return ZoneFixtureResolver(parse_zone(fh.read()))
+        return parse_zone(fh.read())
 
 
 def discover_phase(
@@ -191,7 +190,7 @@ def run_round(
     durations: dict[str, float] = {}
 
     with _timed(durations, "probe"):
-        paths = probe_many(config.clients, providers.prober, config.probe_concurrency)
+        paths = probe_many(config.clients, providers.prober)
     if not paths:
         raise RoundAbortedError(f"round {round_id}: zero paths obtained")
 
@@ -285,7 +284,6 @@ class Scheduler:
         self._clock = clock
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.rounds_started = 0
 
     def start(self) -> "Scheduler":
         if self._thread is not None:
@@ -303,7 +301,6 @@ class Scheduler:
             now = self._clock()
             if now < tick and self._stop.wait(tick - now):
                 break
-            self.rounds_started += 1
             try:
                 self._runner()
             except RoundAbortedError as exc:
@@ -356,7 +353,6 @@ class RunSetup:
             clients=tuple(clients),
             period_s=float(doc.get("period_s", 300)),
             prefix_len=int(doc.get("prefix_len", 24)),
-            probe_concurrency=int(doc.get("probe_concurrency", 8)),
         )
         self.services = load_service_profiles(load_json(self._path(doc["services"])))
         self.listen = doc.get("listen", "127.0.0.1:0")
@@ -367,8 +363,10 @@ class RunSetup:
     def _make_prober(self):
         doc = self.doc
         if doc.get("live_probe"):
-            probe = doc.get("probe", {})
-            return TracerouteProber(ProbeConfig(**probe))
+            try:
+                return TracerouteProber(ProbeConfig(**doc.get("probe", {})))
+            except (TypeError, ValueError) as exc:
+                raise MalformedFixtureError(f"config 'probe': {exc}") from None
         if "traces" not in doc:
             raise MalformedFixtureError("config needs traces or live_probe")
         return FixtureProber(ingest_recorded_paths(load_json(self._path(doc["traces"]))))

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .discovery import FixtureWhois, ZoneFixtureResolver, registrable_domain
+from .discovery import FixtureWhois, registrable_domain
 from .errors import EdiscoError, InvalidScenarioError
 from .placement import FixtureCapacityService, load_service_profiles
 from .probing import FixtureProber
@@ -143,7 +143,7 @@ def bundle_providers(bundle: ScenarioBundle) -> RoundProviders:
     """Fresh fixture providers for one round over an in-memory bundle."""
     return RoundProviders(
         prober=FixtureProber(ingest_recorded_paths(bundle.traces)),
-        resolver=ZoneFixtureResolver(parse_zone(bundle.zone_text)),
+        resolver=parse_zone(bundle.zone_text),
         whois=FixtureWhois(bundle.whois),
         capacity=FixtureCapacityService(bundle.capacity),
     )
@@ -408,9 +408,12 @@ def validate_bundle(bundle: ScenarioBundle) -> list[Violation]:
         zone = None
 
     if zone is not None:
-        a_names = {r.name.lower() for r in zone.a_records}
+        address_of: dict[str, str] = {}  # SRV target -> its first A address
         for record in zone.srv_records:
-            if record.target.lower() not in a_names:
+            answer = zone.lookup_a(record.target)
+            if answer:
+                address_of[record.target.lower()] = answer[0].address
+            else:
                 violations.append(
                     Violation(
                         f"zone:{record.qname}",
@@ -433,13 +436,6 @@ def validate_bundle(bundle: ScenarioBundle) -> list[Violation]:
                     )
                 )
 
-        address_of = {
-            r.target.lower(): next(
-                a.address for a in zone.a_records if a.name.lower() == r.target.lower()
-            )
-            for r in zone.srv_records
-            if r.target.lower() in a_names
-        }
         for target, address in sorted(address_of.items()):
             if address not in bundle.capacity:
                 violations.append(

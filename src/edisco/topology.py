@@ -26,10 +26,6 @@ if TYPE_CHECKING:
 TREE_FORMAT = "edisco-tree/1"
 
 
-def _parse_ipv4(text: str) -> IPv4Address:
-    return IPv4Address(text)
-
-
 def subnet_sort_key(subnet: str) -> int:
     return int(IPv4Network(subnet).network_address)
 
@@ -60,7 +56,7 @@ def group_subnet(address: str, prefix_len: int = 24) -> str:
     """
     if not 0 <= prefix_len <= 32:
         raise ValueError(f"prefix length out of range: {prefix_len}")
-    addr = _parse_ipv4(address)
+    addr = IPv4Address(address)
     return str(IPv4Network((addr, prefix_len), strict=False))
 
 
@@ -74,7 +70,6 @@ class Hop:
     index: int
     address: str | None = None
     rtt_ms: float | None = None
-    domain: str | None = None
 
     def __post_init__(self):
         if self.index < 1:
@@ -82,7 +77,7 @@ class Hop:
         if self.address is None and self.rtt_ms is not None:
             raise ValueError(f"hop {self.index}: rtt without address")
         if self.address is not None:
-            _parse_ipv4(self.address)
+            IPv4Address(self.address)
 
     @property
     def known(self) -> bool:
@@ -102,7 +97,7 @@ class ProbedPath:
     truncated: bool = field(init=False)
 
     def __post_init__(self):
-        _parse_ipv4(self.client)
+        IPv4Address(self.client)
         if not self.hops:
             raise ValueError("path has no hops")
         for position, hop in enumerate(self.hops, start=1):
@@ -221,7 +216,7 @@ class AggregationTree:
             nodes.append(
                 {
                     "subnet": node.subnet,
-                    "members": sorted(node.member_addresses, key=_parse_ipv4),
+                    "members": sorted(node.member_addresses, key=IPv4Address),
                     "domains": sorted(node.domains),
                     "centrality": node.centrality,
                     "is_client": node.is_client,

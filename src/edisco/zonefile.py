@@ -3,7 +3,8 @@
 Handles the three record types the discovery flow needs: SRV lines in the
 ``_edge._tcp.zone. TTL IN SRV priority weight port target`` layout, A lines,
 and PTR lines under in-addr.arpa. Zone text is line oriented; ``;`` starts a
-comment and ``$ORIGIN`` qualifies relative names.
+comment and ``$ORIGIN`` qualifies relative names. A parsed zone
+(`ZoneData`) is also the resolver that offline rounds query.
 """
 from __future__ import annotations
 
@@ -54,19 +55,6 @@ class SrvRecord:
     @property
     def qname(self) -> str:
         return f"_{self.service}._{self.protocol.value}.{self.zone}"
-
-    def to_document(self) -> dict:
-        return {
-            "service": self.service,
-            "protocol": self.protocol.value,
-            "zone": self.zone,
-            "ttl": self.ttl,
-            "dns_class": self.dns_class,
-            "priority": self.priority,
-            "weight": self.weight,
-            "port": self.port,
-            "target": self.target,
-        }
 
 
 @dataclass(frozen=True)
@@ -224,25 +212,36 @@ def _address_from_reverse_name(owner: str) -> str:
 
 @dataclass
 class ZoneData:
-    """Parsed zone fixture, indexed for lookups."""
+    """Parsed zone fixture, and the Resolver that answers from it.
 
-    srv_records: list[SrvRecord]
-    a_records: list[ARecord]
-    ptr_records: list[PtrRecord]
+    Each lookup is one dict access. Names match without their trailing dot
+    and without case; the first PTR record for an address wins; A and SRV
+    answers keep file order, in a fresh list per call.
+    """
 
-    def srv_by_qname(self, qname: str) -> list[SrvRecord]:
-        wanted = _strip_dot(qname).lower()
-        return [r for r in self.srv_records if r.qname.lower() == wanted]
+    srv_records: tuple[SrvRecord, ...]
+    a_records: tuple[ARecord, ...]
+    ptr_records: tuple[PtrRecord, ...]
 
-    def a_by_name(self, name: str) -> list[ARecord]:
-        wanted = _strip_dot(name).lower()
-        return [r for r in self.a_records if r.name.lower() == wanted]
-
-    def ptr_by_address(self, address: str) -> PtrRecord | None:
+    def __post_init__(self):
+        self._srv: dict[str, list[SrvRecord]] = {}
+        for r in self.srv_records:
+            self._srv.setdefault(r.qname.lower(), []).append(r)
+        self._a: dict[str, list[ARecord]] = {}
+        for r in self.a_records:
+            self._a.setdefault(r.name.lower(), []).append(r)
+        self._ptr: dict[str, PtrRecord] = {}
         for r in self.ptr_records:
-            if r.address == address:
-                return r
-        return None
+            self._ptr.setdefault(r.address, r)
+
+    def lookup_ptr(self, address: str) -> PtrRecord | None:
+        return self._ptr.get(address)
+
+    def lookup_a(self, name: str) -> list[ARecord]:
+        return list(self._a.get(_strip_dot(name).lower(), ()))
+
+    def lookup_srv(self, qname: str) -> list[SrvRecord]:
+        return list(self._srv.get(_strip_dot(qname).lower(), ()))
 
 
 def _qualify(name: str, origin: str | None, line_no: int) -> str:
@@ -295,7 +294,7 @@ def parse_zone(text: str) -> ZoneData:
             a.append(record)
         else:
             ptr.append(record)
-    return ZoneData(srv_records=srv, a_records=a, ptr_records=ptr)
+    return ZoneData(srv_records=tuple(srv), a_records=tuple(a), ptr_records=tuple(ptr))
 
 
 def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):

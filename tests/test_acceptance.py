@@ -17,7 +17,6 @@ from pathlib import Path
 from edisco.discovery import (
     EdgeServer,
     FixtureWhois,
-    ZoneFixtureResolver,
     annotate_tree,
     discover_local_edges,
     identify_addresses,
@@ -328,7 +327,7 @@ def test_criterion_07_redirect_contract_over_live_http():
         prober=FixtureProber(
             [make_path(c, "10.5.0.1", "192.168.121.1") for c in ("127.0.0.1",)]
         ),
-        resolver=ZoneFixtureResolver(parse_zone(ZONE_WITH_PTR)),
+        resolver=parse_zone(ZONE_WITH_PTR),
         capacity=FixtureCapacityService(
             {
                 "192.168.121.30": {"cpu": 8, "bandwidth": 100},
@@ -457,7 +456,7 @@ def test_criterion_10_degraded_fixtures_complete_a_round():
         # rebuild the annotated tree to inspect node provenance
         paths = ingest_recorded_paths(bundle.traces)
         tree = compute_centrality(build_tree(paths, bundle.root_address))
-        resolver = ZoneFixtureResolver(parse_zone(bundle.zone_text))
+        resolver = parse_zone(bundle.zone_text)
         whois = FixtureWhois(bundle.whois)
         addresses = set()
         for node in tree.nodes.values():

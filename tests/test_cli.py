@@ -278,6 +278,13 @@ def test_serve_redirect_bad_listen_is_usage_error(capsys):
     assert main(["serve-redirect", "--plan", "x.json", "--listen", "nope"]) == 2
 
 
+def test_serve_redirect_rejects_malformed_plan(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"format": "edisco-plan/1"}))
+    assert main(["serve-redirect", "--plan", str(plan_file)]) == 1
+    assert_one_error_line(capsys.readouterr(), "'assignments' is missing")
+
+
 # -- run ---------------------------------------------------------------------------------
 
 
@@ -310,6 +317,39 @@ def test_run_accepts_config_with_old_strategy_key(bundle_dir, capsys):
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config), "--once"]) == 0
     assert json.loads(capsys.readouterr().out)["plan"] == bundle.expected["plan"]
+
+
+@pytest.mark.parametrize(
+    "table, words",
+    [
+        ({"x": "isp0.test"}, ("whois", "'x' is not a canonical IPv4 prefix")),
+        ({"240.0.1.0/24": 5}, ("whois", "'240.0.1.0/24'", "not a string")),
+    ],
+)
+def test_malformed_whois_json_is_operational_error(bundle_dir, capsys, table, words):
+    directory, _ = bundle_dir
+    (directory / "whois.json").write_text(json.dumps(table))
+    assert main(["run", "--config", str(directory / "config.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), *words)
+
+
+def test_capacity_entry_without_cpu_is_operational_error(bundle_dir, capsys):
+    directory, bundle = bundle_dir
+    capacity = dict(bundle.capacity)
+    victim = sorted(capacity)[0]
+    capacity[victim] = {"bandwidth": 10.0}
+    (directory / "capacity.json").write_text(json.dumps(capacity))
+    assert main(["run", "--config", str(directory / "config.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), victim, "'cpu' is missing")
+
+
+def test_run_rejects_unknown_probe_setting(bundle_dir, capsys):
+    directory, _ = bundle_dir
+    config = json.loads((directory / "config.json").read_text())
+    config.update(live_probe=True, probe={"bogus": 1})
+    (directory / "live.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(directory / "live.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), "'probe'", "bogus")
 
 
 def test_run_once_is_deterministic(bundle_dir, capsys):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ipaddress
 import logging
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edisco import dnswire
 from edisco.discovery import (
@@ -14,7 +17,6 @@ from edisco.discovery import (
     FixtureWhois,
     Provenance,
     StubResolver,
-    ZoneFixtureResolver,
     annotate_tree,
     discover_local_edges,
     identify_addresses,
@@ -24,7 +26,7 @@ from edisco.discovery import (
     select_server,
     whois_fallback,
 )
-from edisco.errors import NoServersError
+from edisco.errors import MalformedFixtureError, NoServersError
 from edisco.topology import build_tree, compute_centrality
 from edisco.zonefile import Transport, parse_zone
 
@@ -33,7 +35,7 @@ from conftest import make_path
 
 @pytest.fixture
 def resolver(reference_zone):
-    return ZoneFixtureResolver(parse_zone(reference_zone))
+    return parse_zone(reference_zone)
 
 
 def server(priority=10, weight=30, address="192.168.121.30", port=5060, proto=Transport.TCP):
@@ -60,10 +62,9 @@ def test_registrable_domain_multi_label_suffix():
 
 
 def test_registrable_domain_custom_suffixes():
-    assert (
-        registrable_domain("a.b.internal.example", frozenset({"internal.example"}))
-        == "b.internal.example"
-    )
+    # only the listed suffixes keep a third label
+    assert registrable_domain("a.b.internal.example") == "internal.example"
+    assert registrable_domain("a.b.isp.com.au") == "isp.com.au"
 
 
 # --- identity ---
@@ -76,13 +77,12 @@ def test_identity_requires_domain_provenance_agreement():
         DomainIdentity(address="10.0.0.1", domain=None, provenance=Provenance.PTR)
 
 
-def test_reverse_lookup_prefers_ptr(resolver):
-    from edisco.zonefile import PtrRecord
-
-    resolver.zone.ptr_records.append(
-        PtrRecord(address="192.168.121.30", ttl=86400, dns_class="IN", target="serverA.domainA.com")
+def test_reverse_lookup_prefers_ptr(reference_zone):
+    resolver = parse_zone(
+        reference_zone + "30.121.168.192.in-addr.arpa. 86400 IN PTR serverA.domainA.com.\n"
     )
-    identity = reverse_lookup("192.168.121.30", resolver)
+    whois = FixtureWhois({"192.168.121.0/24": "other.net"})
+    identity = reverse_lookup("192.168.121.30", resolver, whois)
     assert identity.domain == "domainA.com"
     assert identity.provenance is Provenance.PTR
 
@@ -126,6 +126,43 @@ def test_fixture_whois_table_round_trips():
         assert whois.domains_for(f"198.51.{i}.200") == [f"org{i}.net"]
 
 
+def oracle_domains(table, address):
+    """The scan the prefix table replaced: every network, tested in turn."""
+    ip = ipaddress.ip_address(address)
+    return sorted({d for cidr, d in table.items() if ip in ipaddress.ip_network(cidr)})
+
+
+WHOIS_ADDRESSES = ["10.0.0.1", "10.0.0.200", "10.0.1.7", "10.1.0.1", "11.0.0.1"]
+whois_prefix = st.builds(
+    lambda address, length: str(ipaddress.IPv4Network((address, length), strict=False)),
+    st.sampled_from(WHOIS_ADDRESSES),
+    st.integers(8, 32),
+)
+
+
+@given(st.dictionaries(whois_prefix, st.sampled_from(["a.net", "b.net", "c.org"]), max_size=10))
+def test_fixture_whois_matches_network_scan(table):
+    whois = FixtureWhois(table)
+    for address in WHOIS_ADDRESSES + ["12.0.0.1"]:
+        assert whois.domains_for(address) == oracle_domains(table, address)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        ["10.0.0.0/8"],
+        {"x": "a.net"},
+        {"10.0.0.1/8": "a.net"},
+        {"010.0.0.0/8": "a.net"},
+        {"2001:db8::/32": "a.net"},
+        {"10.0.0.0/8": None},
+    ],
+)
+def test_fixture_whois_rejects_malformed_table(table):
+    with pytest.raises(MalformedFixtureError):
+        FixtureWhois(table)
+
+
 def test_identify_addresses_covers_all_inputs(resolver):
     whois = FixtureWhois({"192.168.121.0/24": "domainA.com"})
     identities = identify_addresses(
@@ -158,7 +195,7 @@ def test_query_edge_srv_drops_target_without_a(reference_zone, caplog):
         + "_edge._tcp.domainA.com. 86400 IN SRV 10 5 5060 ghost.domainA.com.\n"
     )
     with caplog.at_level(logging.WARNING):
-        servers = query_edge_srv("domainA.com", Transport.TCP, ZoneFixtureResolver(zone))
+        servers = query_edge_srv("domainA.com", Transport.TCP, zone)
     assert len(servers) == 2
     assert any("ghost.domainA.com" in r.message for r in caplog.records)
 

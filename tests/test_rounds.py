@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import edisco.rounds
 from edisco.cli import main
-from edisco.discovery import FixtureWhois, ZoneFixtureResolver
+from edisco.discovery import FixtureWhois
 from edisco.errors import (
     EmptyInputError,
     InvalidPeriodError,
@@ -68,7 +71,7 @@ def make_providers(zone_text=ZONE_WITH_PTR, paths=None, clock=time.time, whois=N
         paths = world_paths()
     return RoundProviders(
         prober=FixtureProber(paths),
-        resolver=ZoneFixtureResolver(parse_zone(zone_text)),
+        resolver=parse_zone(zone_text),
         whois=whois,
         capacity=full_capacity(),
         clock=clock,
@@ -457,6 +460,33 @@ def test_round_and_cli_plan_share_one_discovery_phase(tmp_path, monkeypatch, cap
     assert main(args) == 0
     assert len(calls) == 2
     assert json.loads(capsys.readouterr().out)["assignments"]
+
+
+def test_make_resolver_keeps_the_benchmark_hooks(tmp_path, monkeypatch):
+    """perfbench/tracing.py patches names in edisco.rounds and reads the
+    parsed zone's record sequences; a refactor must keep both working."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for attr, _span in tracing.ROUNDS_FUNCTIONS:
+        assert callable(getattr(edisco.rounds, attr)), attr
+
+    texts = []
+    parse = edisco.rounds.parse_zone
+
+    def spy(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(edisco.rounds, "parse_zone", spy)
+    zone_file = tmp_path / "zone.txt"
+    zone_file.write_text(ZONE_WITH_PTR)
+    zone = edisco.rounds.make_resolver(zone_file)
+    assert texts == [ZONE_WITH_PTR]
+    counts = Counter()
+    tracing._observe_zone(counts, zone, (ZONE_WITH_PTR,))
+    assert counts["zone_records"] == 7  # 4 SRV, 2 A and 1 PTR
 
 
 def test_config_missing_required_key(tmp_path):

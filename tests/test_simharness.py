@@ -161,14 +161,14 @@ def test_end_to_end_invariants_hold_at_scale():
 
 def test_missing_ptr_leaves_nodes_without_servers():
     from edisco.topology import build_tree, compute_centrality
-    from edisco.discovery import annotate_tree, identify_addresses, FixtureWhois
-    from edisco.discovery import ZoneFixtureResolver, discover_local_edges
+    from edisco.discovery import FixtureWhois, annotate_tree, discover_local_edges
+    from edisco.discovery import identify_addresses
 
     spec = small_spec(clients=30, seed=11, ptr_missing_rate=1.0)
     bundle = generate_scenario(spec)
     paths = ingest_recorded_paths(bundle.traces)
     tree = compute_centrality(build_tree(paths, bundle.root_address))
-    resolver = ZoneFixtureResolver(parse_zone(bundle.zone_text))
+    resolver = parse_zone(bundle.zone_text)
     whois = FixtureWhois(bundle.whois)
     addresses = set()
     for node in tree.nodes.values():

@@ -185,15 +185,76 @@ def test_reference_zone_round_trips_modulo_whitespace(reference_zone):
 
 def test_srv_lookup_by_qname(reference_zone):
     zone = parse_zone(reference_zone)
-    records = zone.srv_by_qname("_edge._tcp.domainA.com")
+    records = zone.lookup_srv("_edge._tcp.domainA.com")
     assert len(records) == 2
     assert {r.target for r in records} == {"serverA.domainA.com", "serverB.domainA.com"}
-    assert zone.srv_by_qname("_edge._tcp.other.org") == []
+    assert zone.lookup_srv("_edge._tcp.other.org") == []
 
 
 def test_a_lookup_case_insensitive(reference_zone):
     zone = parse_zone(reference_zone)
-    assert zone.a_by_name("SERVERA.DOMAINA.COM")[0].address == "192.168.121.30"
+    assert zone.lookup_a("SERVERA.DOMAINA.COM")[0].address == "192.168.121.30"
+
+
+# The linear scans the indexed lookups replaced, kept as oracles.
+def _strip(name):
+    return name[:-1] if name.endswith(".") else name
+
+
+def oracle_srv(zone, qname):
+    return [r for r in zone.srv_records if r.qname.lower() == _strip(qname).lower()]
+
+
+def oracle_a(zone, name):
+    return [r for r in zone.a_records if r.name.lower() == _strip(name).lower()]
+
+
+def oracle_ptr(zone, address):
+    return next((r for r in zone.ptr_records if r.address == address), None)
+
+
+ZONE_NAMES = ["host.example", "HOST.Example", "edge1.isp0.test", "Edge1.ISP0.test", "host"]
+ZONE_ADDRESSES = ["240.0.0.1", "240.0.0.2", "240.0.1.1"]
+zone_name = st.builds(
+    lambda name, dot: name + "." * dot, st.sampled_from(ZONE_NAMES), st.booleans()
+)  # names without a dot are relative to the $ORIGIN
+zone_line = st.one_of(
+    st.builds(
+        "{} 300 IN A {}".format, zone_name, st.sampled_from(ZONE_ADDRESSES)
+    ),
+    st.builds(
+        "_edge._{}.{} 300 IN SRV {} 10 5060 {}".format,
+        st.sampled_from(["tcp", "udp", "TCP"]),
+        zone_name,
+        st.integers(0, 3),
+        zone_name,
+    ),
+    st.builds(
+        lambda address, target: f"{reverse_pointer_name(address)}. 300 IN PTR {target}",
+        st.sampled_from(ZONE_ADDRESSES),
+        zone_name,
+    ),
+)
+query_name = st.builds(
+    lambda name, dot, swap: (name.swapcase() if swap else name) + "." * dot,
+    st.sampled_from(ZONE_NAMES + ["host.example.example", "missing.example"]),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@given(st.lists(zone_line, max_size=12), st.lists(query_name, min_size=1, max_size=6))
+def test_indexed_lookups_match_linear_scans(lines, queries):
+    zone = parse_zone("$ORIGIN example.\n" + "\n".join(lines))
+    for name in queries:
+        for qname in (name, f"_edge._tcp.{name}", f"_EDGE._udp.{name}"):
+            assert zone.lookup_srv(qname) == oracle_srv(zone, qname)
+        answer = zone.lookup_a(name)
+        assert type(answer) is list and answer == oracle_a(zone, name)
+        answer.append(None)  # each call hands out a fresh list
+        assert zone.lookup_a(name) == oracle_a(zone, name)
+    for address in ZONE_ADDRESSES + ["240.9.9.9"]:
+        assert zone.lookup_ptr(address) is oracle_ptr(zone, address)
 
 
 def test_comments_and_blank_lines_skipped(reference_zone):
@@ -240,8 +301,8 @@ def test_ptr_lookup_and_render_round_trip():
     )
     line = render_ptr_line(record)
     zone = parse_zone(line)
-    assert zone.ptr_by_address("192.168.121.30") == record
-    assert zone.ptr_by_address("192.168.121.99") is None
+    assert zone.lookup_ptr("192.168.121.30") == record
+    assert zone.lookup_ptr("192.168.121.99") is None
 
 
 def test_reverse_pointer_name():
