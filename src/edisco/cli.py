@@ -28,6 +28,7 @@ from .rounds import (
     load_json,
     load_run_config,
     make_resolver,
+    parse_listen,
     run_round,
 )
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
@@ -54,13 +55,6 @@ def _emit(args, text: str):
 
 def _emit_document(args, document):
     _emit(args, json.dumps(document, indent=2, sort_keys=True))
-
-
-def _parse_listen(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
 
 
 def _load_tree(args) -> AggregationTree:
@@ -195,7 +189,7 @@ def cmd_run(args) -> int:
         _emit_document(args, journaled_round(1).to_document())
         return 0
 
-    host, port = _parse_listen(setup.listen)
+    host, port = setup.listen
     httpd = make_http_server(redirect, host, port)
     bound = httpd.server_address
     print(f"redirect service on http://{bound[0]}:{bound[1]}", file=sys.stderr)
@@ -326,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-redirect", help="serve HTTP redirects from a plan")
     p.add_argument("--plan", required=True)
-    p.add_argument("--listen", type=_parse_listen, default=("127.0.0.1", 8302))
+    p.add_argument(
+        "--listen", type=parse_listen, default=("127.0.0.1", 8302), metavar="HOST:PORT"
+    )
     p.add_argument("--period-s", type=float, default=300.0)
     p.set_defaults(func=cmd_serve_redirect)
 

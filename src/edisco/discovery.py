@@ -7,20 +7,19 @@ wire-format stub.
 """
 from __future__ import annotations
 
-import ipaddress
 import logging
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Protocol
 
 from . import dnswire
 from .errors import MalformedFixtureError, NoServersError, WhoisUnreachableError
-from .topology import AggregationTree, _typed, group_subnet, parse_subnets
-from .zonefile import ARecord, PtrRecord, SrvRecord, Transport
+from .probing import map_in_slices
+from .topology import AggregationTree, _typed, address_int, group_subnet, parse_subnets
+from .zonefile import ARecord, PtrRecord, SrvRecord, Transport, reverse_pointer_name
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +73,7 @@ class EdgeServer:
             -self.weight,
             self.zone,
             self.protocol.value,
-            ipaddress.IPv4Address(self.address),
+            address_int(self.address),
             self.port,
         )
 
@@ -164,7 +163,7 @@ class StubResolver:
         return []
 
     def lookup_ptr(self, address: str) -> PtrRecord | None:
-        qname = ipaddress.IPv4Address(address).reverse_pointer
+        qname = reverse_pointer_name(address)
         for answer in self._query(qname, dnswire.TYPE_PTR):
             if answer.rtype == dnswire.TYPE_PTR:
                 return PtrRecord(
@@ -377,13 +376,12 @@ def identify_addresses(
     resolver: Resolver,
     whois: WhoisService | None = None,
 ) -> dict[str, DomainIdentity]:
-    """Concurrent reverse_lookup over many addresses."""
-    unique = sorted(set(addresses), key=ipaddress.IPv4Address)
-    if not unique:
-        return {}
-    with ThreadPoolExecutor(max_workers=min(LOOKUP_CONCURRENCY, len(unique))) as pool:
-        results = pool.map(lambda a: reverse_lookup(a, resolver, whois), unique)
-    return {identity.address: identity for identity in results}
+    """Concurrent reverse_lookup over many addresses, keyed in address order."""
+    unique = sorted(set(addresses), key=address_int)
+    identities = map_in_slices(
+        lambda address: reverse_lookup(address, resolver, whois), unique, LOOKUP_CONCURRENCY
+    )
+    return {identity.address: identity for identity in identities}
 
 
 def query_edge_srv(domain: str, protocol: Transport, resolver: Resolver) -> list[EdgeServer]:

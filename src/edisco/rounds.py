@@ -12,7 +12,6 @@ round runs offline from a scenario bundle.
 """
 from __future__ import annotations
 
-import ipaddress
 import json
 import logging
 import math
@@ -54,6 +53,7 @@ from .placement import (
 from .probing import FixtureProber, ProbeConfig, TracerouteProber, probe_many
 from .topology import (
     AggregationTree,
+    address_int,
     build_tree,
     compute_centrality,
     ingest_recorded_paths,
@@ -243,6 +243,14 @@ def load_json(path):
             raise MalformedFixtureError(f"{path}: not valid JSON: {exc}") from None
 
 
+def parse_listen(value) -> tuple[str, int]:
+    """HOST:PORT text as (host, port); ValueError for anything else."""
+    host, sep, port = value.rpartition(":") if isinstance(value, str) else ("", "", "")
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
+        raise ValueError(f"expected HOST:PORT, got {value!r}")
+    return host, int(port)
+
+
 def read_client_addresses(path) -> list[str]:
     """Client list file: one IPv4 address per line, # comments, duplicates
     collapsed in first-seen order."""
@@ -253,7 +261,7 @@ def read_client_addresses(path) -> list[str]:
             if not line:
                 continue
             try:
-                ipaddress.IPv4Address(line)
+                address_int(line)
             except ValueError as exc:
                 raise MalformedFixtureError(f"{path} line {line_no}: {exc}") from exc
             clients[line] = None
@@ -347,15 +355,31 @@ class RunSetup:
             if key not in doc:
                 raise MalformedFixtureError(f"config is missing {key!r}")
         self.doc = doc
+        period_s = doc.get("period_s", 300)
+        prefix_len = doc.get("prefix_len", 24)
+        # type() rather than isinstance(): JSON true and false are no numbers
+        if type(period_s) not in (int, float) or not 0 < period_s < math.inf:
+            raise MalformedFixtureError(f"config 'period_s': {period_s!r} is not a positive number")
+        if type(prefix_len) is not int or not 0 <= prefix_len <= 32:
+            raise MalformedFixtureError(
+                f"config 'prefix_len': {prefix_len!r} is not an integer from 0 to 32"
+            )
+        try:
+            address_int(doc["root"])
+        except ValueError as exc:
+            raise MalformedFixtureError(f"config 'root': {exc}") from None
+        try:
+            self.listen = parse_listen(doc.get("listen", "127.0.0.1:0"))
+        except ValueError as exc:
+            raise MalformedFixtureError(f"config 'listen': {exc}") from None
         clients = read_client_addresses(self._path(doc["clients"]))
         self.config = RoundConfig(
             root_address=doc["root"],
             clients=tuple(clients),
-            period_s=float(doc.get("period_s", 300)),
-            prefix_len=int(doc.get("prefix_len", 24)),
+            period_s=float(period_s),
+            prefix_len=prefix_len,
         )
         self.services = load_service_profiles(load_json(self._path(doc["services"])))
-        self.listen = doc.get("listen", "127.0.0.1:0")
 
     def _path(self, rel) -> Path:
         return self.base / rel

@@ -15,7 +15,6 @@ import re
 import socket
 from collections import Counter
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address, IPv4Network
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
@@ -26,12 +25,26 @@ if TYPE_CHECKING:
 TREE_FORMAT = "edisco-tree/1"
 
 
-def subnet_sort_key(subnet: str) -> int:
-    return int(IPv4Network(subnet).network_address)
-
-
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"  # no leading zeros
-_PREFIX = re.compile(rf"({_OCTET}(?:\.{_OCTET}){{3}})/(3[0-2]|[12]?[0-9])")
+_ADDRESS = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+_PREFIX = re.compile(rf"({_ADDRESS.pattern})/(3[0-2]|[12]?[0-9])")
+
+
+def address_int(text) -> int:
+    """The 32-bit value of dotted-quad IPv4 text.
+
+    Accepts exactly the strings IPv4Address accepts: four decimal ASCII
+    octets, no leading zeros, nothing around them. Raises ValueError for
+    anything else, including a value that is not a str. The regular
+    expression is the check; inet_aton alone would take 1.2.3 or 010.0.0.1.
+    """
+    if not isinstance(text, str) or _ADDRESS.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an IPv4 address")
+    return int.from_bytes(socket.inet_aton(text), "big")
+
+
+def subnet_sort_key(subnet: str) -> int:
+    return address_int(subnet.partition("/")[0])
 
 
 def parse_subnets(value) -> frozenset[str]:
@@ -41,9 +54,7 @@ def parse_subnets(value) -> frozenset[str]:
         raise TypeError(f"expected a list of IPv4 prefixes, got {value!r}")
     for text in value:
         match = _PREFIX.fullmatch(text) if isinstance(text, str) else None
-        if match is None or int.from_bytes(socket.inet_aton(match[1]), "big") & (
-            (1 << (32 - int(match[2]))) - 1
-        ):
+        if match is None or address_int(match[1]) & ((1 << (32 - int(match[2]))) - 1):
             raise ValueError(f"{text!r} is not a canonical IPv4 prefix")
     return frozenset(value)
 
@@ -56,8 +67,8 @@ def group_subnet(address: str, prefix_len: int = 24) -> str:
     """
     if not 0 <= prefix_len <= 32:
         raise ValueError(f"prefix length out of range: {prefix_len}")
-    addr = IPv4Address(address)
-    return str(IPv4Network((addr, prefix_len), strict=False))
+    network = address_int(address) & (-1 << (32 - prefix_len))
+    return f"{socket.inet_ntoa(network.to_bytes(4, 'big'))}/{prefix_len}"
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,7 @@ class Hop:
         if self.address is None and self.rtt_ms is not None:
             raise ValueError(f"hop {self.index}: rtt without address")
         if self.address is not None:
-            IPv4Address(self.address)
+            address_int(self.address)
 
     @property
     def known(self) -> bool:
@@ -97,7 +108,7 @@ class ProbedPath:
     truncated: bool = field(init=False)
 
     def __post_init__(self):
-        IPv4Address(self.client)
+        address_int(self.client)
         if not self.hops:
             raise ValueError("path has no hops")
         for position, hop in enumerate(self.hops, start=1):
@@ -216,7 +227,7 @@ class AggregationTree:
             nodes.append(
                 {
                     "subnet": node.subnet,
-                    "members": sorted(node.member_addresses, key=IPv4Address),
+                    "members": sorted(node.member_addresses, key=address_int),
                     "domains": sorted(node.domains),
                     "centrality": node.centrality,
                     "is_client": node.is_client,
@@ -312,11 +323,17 @@ def build_tree(
     edges: set[tuple[str, str]] = set()
     client_paths: dict[str, tuple[str, ...]] = {}
     seen_hop_sets: dict[str, tuple[str, ...]] = {}
+    subnet_of: dict[str, str] = {}  # each distinct address is grouped once
 
     def node_for(subnet: str) -> SubnetNode:
         if subnet not in nodes:
             nodes[subnet] = SubnetNode(subnet=subnet)
         return nodes[subnet]
+
+    def group(address: str) -> str:
+        if address not in subnet_of:
+            subnet_of[address] = group_subnet(address, prefix_len)
+        return subnet_of[address]
 
     for path in paths:
         addresses = tuple(path.known_addresses)
@@ -329,14 +346,14 @@ def build_tree(
         seen_hop_sets[path.client] = addresses
         sequence = [root_subnet]
         for address in addresses:
-            subnet = group_subnet(address, prefix_len)
+            subnet = group(address)
             node_for(subnet).member_addresses.add(address)
             if subnet != sequence[-1]:
                 sequence.append(subnet)
         for parent, child in zip(sequence, sequence[1:]):
             edges.add((parent, child))
         if not path.truncated:
-            client_node = node_for(group_subnet(path.client, prefix_len))
+            client_node = node_for(group(path.client))
             client_node.is_client = True
             client_node.member_addresses.add(path.client)
             client_paths[path.client] = tuple(sequence)

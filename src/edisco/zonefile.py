@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from ipaddress import IPv4Address
 
 from .errors import MalformedSrvError, MalformedZoneError
+from .topology import address_int
 
 # Canonical SRV field positions, used in malformed-srv diagnostics:
 # 1=_service 2=_protocol.name 3=TTL 4=class 5=SRV 6=priority 7=weight
@@ -197,17 +197,22 @@ def render_ptr_line(record: PtrRecord) -> str:
 
 
 def reverse_pointer_name(address: str) -> str:
-    return IPv4Address(address).reverse_pointer
+    """d.c.b.a.in-addr.arpa for a.b.c.d; ValueError if it is no address."""
+    address_int(address)
+    return ".".join(reversed(address.split("."))) + ".in-addr.arpa"
 
 
 def _address_from_reverse_name(owner: str) -> str:
     labels = _strip_dot(owner).lower().split(".")
-    if len(labels) != 6 or labels[-2:] != ["in-addr", "arpa"]:
-        raise MalformedZoneError(f"PTR owner is not a /32 in-addr.arpa name: {owner!r}")
-    quad = list(reversed(labels[:4]))
-    address = ".".join(quad)
-    IPv4Address(address)
-    return address
+    address = ".".join(reversed(labels[:4]))
+    if len(labels) == 6 and labels[-2:] == ["in-addr", "arpa"]:
+        try:
+            address_int(address)
+        except ValueError:
+            pass
+        else:
+            return address
+    raise MalformedZoneError(f"PTR owner is not a /32 in-addr.arpa name: {owner!r}")
 
 
 @dataclass
@@ -334,7 +339,7 @@ def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
             raise MalformedZoneError(f"A rdata must be one address, got {rest}")
         address = rest[0]
         try:
-            IPv4Address(address)
+            address_int(address)
         except ValueError:
             raise MalformedZoneError(f"bad A address {address!r}") from None
         return ARecord(

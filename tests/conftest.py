@@ -1,7 +1,11 @@
-"""Shared test helpers: path builders and the reference zone fixture."""
+"""Shared test helpers: path builders, the reference zone fixture and a
+gauge for slow fake providers."""
 from __future__ import annotations
 
 import random
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -56,3 +60,36 @@ def random_paths(seed: int, n_clients: int = 20) -> list[ProbedPath]:
         ]
         paths.append(make_path(client, *chain, complete=rng.random() > 0.1))
     return paths
+
+
+class OverlapGauge:
+    """Stands in for the wait of a slow live provider.
+
+    The first `parties` calls wait on a barrier until all of them are in
+    flight at once, so a pool narrower than `parties` breaks the barrier
+    (after five seconds) instead of passing. Every call then holds on
+    briefly, and the gauge records the most calls ever in flight together.
+    """
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self._lock = threading.Lock()
+        self._calls = 0
+        self._in_flight = 0
+        self.most_in_flight = 0
+
+    @contextmanager
+    def call(self):
+        with self._lock:
+            self._calls += 1
+            first_wave = self._calls <= self.barrier.parties
+            self._in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self._in_flight)
+        try:
+            if first_wave:
+                self.barrier.wait()
+            time.sleep(0.002)
+            yield
+        finally:
+            with self._lock:
+                self._in_flight -= 1

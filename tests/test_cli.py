@@ -352,6 +352,27 @@ def test_run_rejects_unknown_probe_setting(bundle_dir, capsys):
     assert_one_error_line(capsys.readouterr(), "'probe'", "bogus")
 
 
+@pytest.mark.parametrize(
+    "key, value, words",
+    [
+        ("period_s", "abc", ("'period_s'", "'abc'")),
+        ("period_s", True, ("'period_s'", "True")),
+        ("root", "x", ("'root'", "'x' is not an IPv4 address")),
+        ("prefix_len", "x", ("'prefix_len'", "'x'")),
+        ("prefix_len", 40, ("'prefix_len'", "40")),
+        ("listen", "nope", ("'listen'", "'nope'")),
+        ("listen", "127.0.0.1:70000", ("'listen'", "70000")),
+    ],
+)
+def test_run_rejects_bad_config_value(bundle_dir, capsys, key, value, words):
+    directory, _ = bundle_dir
+    config = json.loads((directory / "config.json").read_text())
+    config[key] = value
+    (directory / "bad.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(directory / "bad.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), *words)
+
+
 def test_run_once_is_deterministic(bundle_dir, capsys):
     directory, bundle = bundle_dir
     digests = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from edisco import dnswire
 from edisco.discovery import (
     CachingResolver,
+    LOOKUP_CONCURRENCY,
     DomainIdentity,
     EdgeServer,
     FixtureWhois,
@@ -28,9 +29,9 @@ from edisco.discovery import (
 )
 from edisco.errors import MalformedFixtureError, NoServersError
 from edisco.topology import build_tree, compute_centrality
-from edisco.zonefile import Transport, parse_zone
+from edisco.zonefile import PtrRecord, Transport, parse_zone
 
-from conftest import make_path
+from conftest import OverlapGauge, make_path
 
 
 @pytest.fixture
@@ -171,6 +172,38 @@ def test_identify_addresses_covers_all_inputs(resolver):
     assert set(identities) == {"192.168.121.30", "192.168.121.31", "203.0.113.9"}
     assert identities["192.168.121.30"].domain == "domainA.com"
     assert identities["203.0.113.9"].provenance is Provenance.UNKNOWN
+
+
+class GaugedResolver:
+    """A slow PTR resolver that knows every address except those in `missing`."""
+
+    def __init__(self, gauge, missing):
+        self.gauge = gauge
+        self.missing = set(missing)
+
+    def lookup_ptr(self, address):
+        with self.gauge.call():
+            if address in self.missing:
+                return None
+            return PtrRecord(address=address, ttl=60, dns_class="IN", target=f"r.{address}.net")
+
+
+@pytest.mark.parametrize("n", [19, 3])
+def test_identify_addresses_fills_its_width_and_keeps_address_order(n):
+    addresses = [f"10.0.{i}.{(37 * i) % 250 + 1}" for i in range(n)]
+    ordered = sorted(addresses, key=lambda a: tuple(int(o) for o in a.split(".")))
+    missing = ordered[1::3]
+    random.Random(n).shuffle(addresses)
+    gauge = OverlapGauge(min(LOOKUP_CONCURRENCY, n))
+    identities = identify_addresses(addresses, GaugedResolver(gauge, missing))
+    assert gauge.most_in_flight == min(LOOKUP_CONCURRENCY, n)
+    assert list(identities) == ordered
+    for address, identity in identities.items():
+        assert identity.address == address
+        if address in missing:
+            assert identity.provenance is Provenance.UNKNOWN
+        else:
+            assert identity.domain == f"{address.split('.')[-1]}.net"
 
 
 # --- SRV queries ---

@@ -1,5 +1,7 @@
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -14,10 +16,11 @@ from edisco.probing import (
     TracerouteProber,
     build_echo_request,
     checksum,
+    map_in_slices,
     parse_icmp,
     probe_many,
 )
-from conftest import make_path
+from conftest import OverlapGauge, make_path
 
 
 def scripted_prober(script, **config_kwargs):
@@ -206,3 +209,44 @@ def test_probe_many_preserves_order_of_successes():
     clients = [p.client for p in paths]
     results = probe_many(clients, prober, concurrency=3)
     assert [p.client for p in results] == clients
+
+
+class GaugedProber:
+    """A slow prober; clients in `failing` time out."""
+
+    def __init__(self, gauge, failing=()):
+        self.gauge = gauge
+        self.failing = set(failing)
+
+    def probe(self, client):
+        with self.gauge.call():
+            if client in self.failing:
+                raise ProbeTimeoutError(f"{client}: no hop answered any probe")
+            return make_path(client, "10.0.0.1")
+
+
+@pytest.mark.parametrize("width, n", [(4, 10), (8, 19), (8, 3)])
+def test_probe_many_fills_its_width_and_keeps_input_order(width, n):
+    clients = [f"172.16.{i}.9" for i in reversed(range(n))]
+    failing = set(clients[1::3])
+    gauge = OverlapGauge(min(width, n))
+    results = probe_many(clients, GaugedProber(gauge, failing), concurrency=width)
+    assert gauge.most_in_flight == min(width, n)
+    assert [p.client for p in results] == [c for c in clients if c not in failing]
+
+
+def test_map_in_slices_stops_after_the_first_failure():
+    barrier = threading.Barrier(2, timeout=5)
+    called = []
+
+    def fn(item):
+        called.append(item)
+        barrier.wait()
+        if item == 0:
+            raise RuntimeError("boom")
+        time.sleep(0.2)  # thread 0 has raised by the time this returns
+        return item
+
+    with pytest.raises(RuntimeError, match="boom"):
+        map_in_slices(fn, list(range(10)), 2)
+    assert sorted(called) == [0, 1]

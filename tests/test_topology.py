@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from ipaddress import IPv4Network
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +12,7 @@ from edisco.topology import (
     AggregationTree,
     Hop,
     ProbedPath,
+    address_int,
     build_tree,
     compute_centrality,
     export_dot,
@@ -19,6 +20,7 @@ from edisco.topology import (
     ingest_recorded_paths,
     parse_subnets,
     paths_to_document,
+    subnet_sort_key,
 )
 
 from conftest import make_path, random_paths
@@ -420,6 +422,63 @@ def test_parse_subnets_accepts_exactly_ipv4network_text(octets, length):
     except ValueError:
         accepted = False
     assert accepted == canonical
+
+
+# --- address and prefix arithmetic, with ipaddress as the oracle ---
+
+ADDRESS_TEXT = st.integers(0, 2**32 - 1).map(lambda packed: str(IPv4Address(packed)))
+NEAR_MISS_ADDRESS = st.builds(
+    lambda octets, around: around[0] + ".".join(octets) + around[1],
+    st.lists(
+        OCTET_TEXT | st.sampled_from(["256", "00", "010", "\uff11", "\uff12\uff15\uff15"]),
+        min_size=3,
+        max_size=5,
+    ),
+    st.sampled_from([("", ""), (" ", ""), ("", " "), ("", "\n"), ("\t", "")]),
+)
+
+
+@given(st.one_of(st.text(), ADDRESS_TEXT, NEAR_MISS_ADDRESS))
+@example("1.2.3")
+@example("010.0.0.1")
+@example("1.2.3.4\n")
+@example(" 1.2.3.4")
+@example("1.2.3.\uff14")
+@example("255.255.255.255")
+def test_address_int_accepts_exactly_what_ipv4address_accepts(text):
+    try:
+        expected = int(IPv4Address(text))
+    except ValueError:
+        with pytest.raises(ValueError):
+            address_int(text)
+    else:
+        assert address_int(text) == expected
+
+
+@given(st.one_of(st.integers(), st.binary(), st.none(), st.floats(), st.lists(st.integers())))
+@example(3232266526)
+@example(b"\xc0\xa8y\x1e")
+def test_address_int_rejects_what_is_not_a_str(value):
+    with pytest.raises(ValueError):
+        address_int(value)
+
+
+@given(ADDRESS_TEXT)
+@example("0.0.0.0")
+@example("255.255.255.255")
+def test_group_subnet_matches_ipv4network_at_every_length(address):
+    for length in range(33):
+        expected = str(IPv4Network((address, length), strict=False))
+        assert group_subnet(address, length) == expected
+    for length in (-1, 33):
+        with pytest.raises(ValueError):
+            group_subnet(address, length)
+
+
+@given(ADDRESS_TEXT, st.integers(0, 32))
+def test_subnet_sort_key_matches_ipv4network(address, length):
+    subnet = str(IPv4Network((address, length), strict=False))
+    assert subnet_sort_key(subnet) == int(IPv4Network(subnet).network_address)
 
 
 # --- export_dot ---

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from ipaddress import IPv4Address
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -309,9 +311,21 @@ def test_reverse_pointer_name():
     assert reverse_pointer_name("192.168.121.30") == "30.121.168.192.in-addr.arpa"
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_reverse_pointer_name_matches_ipaddress(packed):
+    address = IPv4Address(packed)
+    assert reverse_pointer_name(str(address)) == address.reverse_pointer
+
+
 def test_ptr_with_forward_owner_rejected():
     with pytest.raises(MalformedZoneError):
         parse_zone("serverA.domainA.com. 86400 IN PTR 192.168.121.30.")
+
+
+@pytest.mark.parametrize("owner", ["30.121.168.999", "30.121.168.0192", "x.121.168.192"])
+def test_ptr_owner_that_is_no_address_rejected(owner):
+    with pytest.raises(MalformedZoneError, match="line 1: PTR owner"):
+        parse_zone(f"{owner}.in-addr.arpa. 86400 IN PTR serverA.domainA.com.")
 
 
 def test_unsupported_record_type_cites_line():
