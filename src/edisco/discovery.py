@@ -17,8 +17,14 @@ from typing import Iterable, Protocol
 
 from . import dnswire
 from .errors import MalformedFixtureError, NoServersError, WhoisUnreachableError
-from .probing import map_in_slices
-from .topology import AggregationTree, _typed, address_int, group_subnet, parse_subnets
+from .topology import (
+    AggregationTree,
+    _typed,
+    address_int,
+    group_subnet,
+    map_in_threads,
+    parse_subnets,
+)
 from .zonefile import ARecord, PtrRecord, SrvRecord, Transport, reverse_pointer_name
 
 logger = logging.getLogger(__name__)
@@ -378,7 +384,7 @@ def identify_addresses(
 ) -> dict[str, DomainIdentity]:
     """Concurrent reverse_lookup over many addresses, keyed in address order."""
     unique = sorted(set(addresses), key=address_int)
-    identities = map_in_slices(
+    identities = map_in_threads(
         lambda address: reverse_lookup(address, resolver, whois), unique, LOOKUP_CONCURRENCY
     )
     return {identity.address: identity for identity in identities}

@@ -13,11 +13,10 @@ import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ProbePermissionError, ProbeTimeoutError
-from .topology import Hop, ProbedPath
+from .topology import Hop, ProbedPath, map_in_threads
 
 logger = logging.getLogger(__name__)
 
@@ -178,36 +177,6 @@ class FixtureProber:
         return path
 
 
-def map_in_slices(fn, items: list, width: int) -> list:
-    """[fn(item) for item in items] on min(width, len(items)) threads, one
-    task per thread: thread i takes items[i::threads]. Results keep input
-    order. The first exception stops every thread before its next item and
-    is raised here."""
-    threads = min(width, len(items))
-    if not threads:
-        return []
-    failed = threading.Event()
-
-    def run(start: int) -> list:
-        results = []
-        try:
-            for item in items[start::threads]:
-                if failed.is_set():
-                    break
-                results.append(fn(item))
-        except BaseException:
-            failed.set()
-            raise
-        return results
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        slices = list(pool.map(run, range(threads)))
-    ordered = [None] * len(items)
-    for start, results in enumerate(slices):
-        ordered[start::threads] = results
-    return ordered
-
-
 def probe_many(clients, prober, concurrency: int = 8) -> list[ProbedPath]:
     """Fan probes out over a bounded pool. Clients whose probe fails are
     logged and skipped; the round decides what zero paths means."""
@@ -219,5 +188,5 @@ def probe_many(clients, prober, concurrency: int = 8) -> list[ProbedPath]:
             logger.warning("probe failed: %s", exc)
             return None
 
-    results = map_in_slices(one, list(clients), concurrency)
+    results = map_in_threads(one, list(clients), concurrency)
     return [path for path in results if path is not None]

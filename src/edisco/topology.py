@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import queue
 import re
 import socket
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -132,6 +134,36 @@ def _typed(doc, key: str, kind: type, where: str):
     if not isinstance(value, kind):
         raise MalformedFixtureError(f"{where}: {key!r} is missing or not of type {kind.__name__}")
     return value
+
+
+def map_in_threads(fn, items: list, width: int) -> list:
+    """[fn(item) for item in items] on min(width, len(items)) threads, one
+    task per thread. Each thread takes the next unclaimed item, so a slow
+    item holds up only its own thread. Results keep input order. A thread
+    stops at the first exception it meets while the others go on; once all
+    have finished, that exception is raised here."""
+    threads = min(width, len(items))
+    if not threads:
+        return []
+    results = [None] * len(items)
+    # SimpleQueue is thread-safe without a Python-level lock; with a Lock
+    # around next(), a thread preempted inside it stalls all the others.
+    unclaimed = queue.SimpleQueue()
+    for claim in enumerate(items):
+        unclaimed.put(claim)
+
+    def run() -> None:
+        while True:
+            try:
+                index, item = unclaimed.get_nowait()
+            except queue.Empty:
+                return
+            results[index] = fn(item)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for task in [pool.submit(run) for _ in range(threads)]:
+            task.result()
+    return results
 
 
 def ingest_recorded_paths(document) -> list[ProbedPath]:

@@ -204,15 +204,15 @@ def reverse_pointer_name(address: str) -> str:
 
 def _address_from_reverse_name(owner: str) -> str:
     labels = _strip_dot(owner).lower().split(".")
+    message = f"PTR owner is not a /32 in-addr.arpa name: {owner!r}"
+    if len(labels) != 6 or labels[-2:] != ["in-addr", "arpa"]:
+        raise MalformedZoneError(message)
     address = ".".join(reversed(labels[:4]))
-    if len(labels) == 6 and labels[-2:] == ["in-addr", "arpa"]:
-        try:
-            address_int(address)
-        except ValueError:
-            pass
-        else:
-            return address
-    raise MalformedZoneError(f"PTR owner is not a /32 in-addr.arpa name: {owner!r}")
+    try:
+        address_int(address)
+    except ValueError:
+        raise MalformedZoneError(message) from None
+    return address
 
 
 @dataclass

@@ -1,7 +1,5 @@
 import socket
 import struct
-import threading
-import time
 
 import pytest
 
@@ -16,7 +14,6 @@ from edisco.probing import (
     TracerouteProber,
     build_echo_request,
     checksum,
-    map_in_slices,
     parse_icmp,
     probe_many,
 )
@@ -233,20 +230,3 @@ def test_probe_many_fills_its_width_and_keeps_input_order(width, n):
     results = probe_many(clients, GaugedProber(gauge, failing), concurrency=width)
     assert gauge.most_in_flight == min(width, n)
     assert [p.client for p in results] == [c for c in clients if c not in failing]
-
-
-def test_map_in_slices_stops_after_the_first_failure():
-    barrier = threading.Barrier(2, timeout=5)
-    called = []
-
-    def fn(item):
-        called.append(item)
-        barrier.wait()
-        if item == 0:
-            raise RuntimeError("boom")
-        time.sleep(0.2)  # thread 0 has raised by the time this returns
-        return item
-
-    with pytest.raises(RuntimeError, match="boom"):
-        map_in_slices(fn, list(range(10)), 2)
-    assert sorted(called) == [0, 1]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -18,6 +20,7 @@ from edisco.topology import (
     export_dot,
     group_subnet,
     ingest_recorded_paths,
+    map_in_threads,
     parse_subnets,
     paths_to_document,
     subnet_sort_key,
@@ -479,6 +482,65 @@ def test_group_subnet_matches_ipv4network_at_every_length(address):
 def test_subnet_sort_key_matches_ipv4network(address, length):
     subnet = str(IPv4Network((address, length), strict=False))
     assert subnet_sort_key(subnet) == int(IPv4Network(subnet).network_address)
+
+
+# --- map_in_threads ---
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_map_in_threads_hands_out_items_as_threads_free_up(width):
+    # Items 0 and `width` are slow. A fixed share per thread (items[i::width])
+    # would run both on thread 0, back to back; here an idle thread takes
+    # item `width` while item 0 is still running.
+    slow_s = 0.4
+
+    def fn(item):
+        time.sleep(slow_s if item in (0, width) else 0.001)
+        return item * item
+
+    items = list(range(3 * width))
+    started = time.perf_counter()
+    results = map_in_threads(fn, items, width)
+    elapsed = time.perf_counter() - started
+    assert results == [item * item for item in items]
+    assert slow_s <= elapsed < 1.5 * slow_s
+
+
+def test_map_in_threads_raises_after_the_other_threads_finish():
+    called = []
+
+    def fn(item):
+        called.append(item)
+        if item == 3:
+            raise RuntimeError("boom")
+        return item
+
+    with pytest.raises(RuntimeError, match="boom"):
+        map_in_threads(fn, list(range(10)), 2)
+    assert sorted(called) == list(range(10))
+
+
+def test_map_in_threads_runs_each_item_once_under_fast_switching():
+    items = list(range(20_000))
+    seen = []
+
+    def fn(item):
+        seen.append(item)
+        return 3 * item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = map_in_threads(fn, items, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == items
+    assert results == [3 * item for item in items]
+
+
+@pytest.mark.parametrize("items, width", [([], 4), ([7], 4), ([1, 2, 3], 1)])
+def test_map_in_threads_small_inputs(items, width):
+    assert map_in_threads(lambda item: -item, items, width) == [-item for item in items]
 
 
 # --- export_dot ---
