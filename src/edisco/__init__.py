@@ -17,7 +17,13 @@ from .discovery import (
     select_server,
 )
 from .errors import EdiscoError
-from .placement import PlacementPlan, ServiceProfile, plan_round, score_candidates
+from .placement import (
+    PlacementPlan,
+    ServiceProfile,
+    fold_client_paths,
+    plan_round,
+    score_candidates,
+)
 from .probing import ProbeConfig
 from .redirect import RedirectService
 from .rounds import RoundConfig, RoundProviders, RoundRecord, Scheduler, run_round
@@ -58,6 +64,7 @@ __all__ = [
     "compute_centrality",
     "discover_local_edges",
     "export_dot",
+    "fold_client_paths",
     "generate_scenario",
     "group_subnet",
     "parse_srv_line",

@@ -95,10 +95,10 @@ class EdgeServer:
 
     @classmethod
     def from_document(cls, doc: dict) -> "EdgeServer":
-        """Raises MalformedFixtureError for a missing or mistyped key, and
-        ValueError for an unknown protocol."""
+        """Raises MalformedFixtureError for a missing or mistyped key or an
+        address that is not IPv4, and ValueError for an unknown protocol."""
         where = "edge server"
-        return cls(
+        server = cls(
             zone=_typed(doc, "zone", str, where),
             protocol=Transport(_typed(doc, "protocol", str, where)),
             priority=_typed(doc, "priority", int, where),
@@ -106,6 +106,11 @@ class EdgeServer:
             address=_typed(doc, "address", str, where),
             port=_typed(doc, "port", int, where),
         )
+        try:
+            address_int(server.address)
+        except ValueError as exc:
+            raise MalformedFixtureError(f"{where}: {exc}") from None
+        return server
 
 
 class Resolver(Protocol):

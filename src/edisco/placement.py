@@ -237,32 +237,67 @@ def rank_services(profiles: Iterable[ServiceProfile]) -> list[ServiceProfile]:
     )
 
 
-def score_candidates(
-    tree: AggregationTree, service: ServiceProfile
-) -> list[PlacementCandidate]:
+@dataclass(frozen=True)
+class PathFold:
+    """One round's client paths, folded once for every service's scoring.
+
+    `reach[prefix][subnet]` is ``[paths, distance_sum]`` over the paths of
+    the clients in `prefix` that pass an edge-equipped `subnet`, where a
+    subnet's distance on a path counts from its last occurrence to the
+    path's end. `order[subnet]` is the integer sort key of every subnet in
+    `reach`, as prefix or as equipped node. Built from the tree as it
+    stands; rebuild it once the tree's edge servers change."""
+
+    tree: AggregationTree
+    reach: dict[str, dict[str, list[int]]]
+    order: dict[str, int]
+
+
+def fold_client_paths(tree: AggregationTree) -> PathFold:
+    """Fold every client path into its client prefix's reach: one pass over
+    the paths, whatever the number of services."""
+    equipped = {subnet for subnet, node in tree.nodes.items() if node.edge_servers}
+    reach: dict[str, dict[str, list[int]]] = {}
+    for path in tree.client_paths.values():
+        end = len(path) - 1
+        last = {subnet: end - i for i, subnet in enumerate(path) if subnet in equipped}
+        prefix_reach = reach.setdefault(path[-1], {})  # ends at its client's subnet
+        for subnet, distance in last.items():
+            entry = prefix_reach.get(subnet)
+            if entry is None:
+                prefix_reach[subnet] = [1, distance]
+            else:
+                entry[0] += 1
+                entry[1] += distance
+    order = {subnet: subnet_sort_key(subnet) for subnet in (*reach, *equipped)}
+    return PathFold(tree=tree, reach=reach, order=order)
+
+
+def score_candidates(fold: PathFold, service: ServiceProfile) -> list[PlacementCandidate]:
     """All deployable (node, server) pairs for one service, best first.
 
-    One pass over the paths of the service's own clients gives each node its
-    restricted centrality, its mean distance to those clients and the
-    prefixes it covers. The sort is centrality descending, mean distance
-    ascending, then subnet, then server identity."""
+    Summing the round's fold over the service's own client prefixes gives
+    each node its restricted centrality, its mean distance to those clients
+    and the prefixes it covers, all from exact integer sums. The sort is
+    centrality descending, mean distance ascending, then subnet, then
+    server identity."""
     reach: dict[str, list] = {}  # subnet -> [count, distance_sum, prefixes]
-    for path in tree.client_paths.values():
-        prefix = path[-1]  # a client path ends at its client's own subnet
-        if prefix not in service.client_subnets:
-            continue
-        last = {subnet: len(path) - 1 - i for i, subnet in enumerate(path)}
-        for subnet, distance in last.items():
-            entry = reach.setdefault(subnet, [0, 0, set()])
-            entry[0] += 1
-            entry[1] += distance
-            entry[2].add(prefix)
+    for prefix in service.client_subnets:
+        for subnet, (count, distance_sum) in fold.reach.get(prefix, {}).items():
+            entry = reach.get(subnet)
+            if entry is None:
+                reach[subnet] = [count, distance_sum, [prefix]]
+            else:
+                entry[0] += count
+                entry[1] += distance_sum
+                entry[2].append(prefix)
+    order = fold.order
     candidates = []
     for subnet, (count, distance_sum, prefixes) in reach.items():
-        node = tree.nodes[subnet]
+        node = fold.tree.nodes[subnet]
         servers = [s for s in node.edge_servers if s.protocol is service.transport]
         if servers:
-            covered = tuple(sorted(prefixes, key=subnet_sort_key))
+            covered = tuple(sorted(prefixes, key=order.__getitem__))
             candidates.extend(
                 PlacementCandidate(
                     node=node,
@@ -281,7 +316,7 @@ def score_candidates(
         key=lambda c: (
             -c.centrality,
             c.client_distance,
-            subnet_sort_key(c.node.subnet),
+            order[c.node.subnet],
             c.server.sort_key,
         )
     )
@@ -317,11 +352,16 @@ def plan_round(
 ) -> PlacementPlan:
     """Greedy deployment: per ranked service, walk candidates until a server
     accepts. Rejections and unplaceable services are recorded, never raised.
+
+    The client paths are folded once per call (`fold_client_paths`), and
+    every service is scored from that fold.
     """
     plan = PlacementPlan(round_id=round_id)
-    for service in rank_services(list(profiles)):
+    ranked = rank_services(list(profiles))
+    fold = fold_client_paths(tree) if ranked else None
+    for service in ranked:
         try:
-            candidates = score_candidates(tree, service)
+            candidates = score_candidates(fold, service)
         except NoCandidatesError as exc:
             logger.info("%s", exc)
             plan.unplaced.append(service.service_id)

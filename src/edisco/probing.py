@@ -178,13 +178,14 @@ class FixtureProber:
 
 
 def probe_many(clients, prober, concurrency: int = 8) -> list[ProbedPath]:
-    """Fan probes out over a bounded pool. Clients whose probe fails are
+    """Fan probes out over a bounded pool. Clients whose probe times out or
+    fails at the socket (an OSError such as ENETUNREACH from sendto) are
     logged and skipped; the round decides what zero paths means."""
 
     def one(client: str) -> ProbedPath | None:
         try:
             return prober.probe(client)
-        except ProbeTimeoutError as exc:
+        except (ProbeTimeoutError, OSError) as exc:
             logger.warning("probe failed: %s", exc)
             return None
 

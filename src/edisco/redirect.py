@@ -15,7 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import MalformedFixtureError
 from .placement import PlacementPlan
-from .topology import group_subnet
+from .topology import address_int
 
 logger = logging.getLogger(__name__)
 
@@ -61,18 +61,28 @@ def _prefix_len(table: RuleTable) -> int:
     return lengths.pop() if lengths else 24
 
 
+def _network(prefix: str) -> int:
+    """The integer network address of a coverage prefix."""
+    try:
+        return address_int(prefix.partition("/")[0])
+    except ValueError:
+        raise MalformedFixtureError(f"coverage prefix {prefix!r} is not IPv4") from None
+
+
 class RedirectService:
-    """Rule table plus resolution. Reads are lock-free against an immutable
-    (table, prefix length) pair; installs swap the whole pair at once."""
+    """Rule table plus resolution. The table resolve reads is keyed by
+    (service_id, integer network address), computed once at install, so a
+    request costs one address_int and one mask. Reads are lock-free against
+    an immutable (table, mask) pair; installs swap the whole pair at once."""
 
     def __init__(self, clock=time.time):
         self.clock = clock
-        self._rules: tuple[RuleTable, int] = ({}, 24)
+        self._rules: tuple[dict[tuple[str, int], RedirectRule], int] = ({}, -1 << 8)
         self._install_lock = threading.Lock()
 
     def install_rules(self, plan: PlacementPlan, round_deadline: float = 0.0) -> RuleTable:
         """Build round N's table from the plan's coverage and swap it in
-        atomically."""
+        atomically. Returns the table keyed by (service_id, prefix)."""
         table: RuleTable = {}
         for assignment in plan.assignments:
             for prefix in assignment.covered_prefixes:
@@ -82,9 +92,10 @@ class RedirectService:
                     target_url=_target_url(assignment.server),
                     expires_at=round_deadline,
                 )
-        rules = (table, _prefix_len(table))
+        mask = -1 << (32 - _prefix_len(table))
+        keyed = {(service_id, _network(prefix)): rule for (service_id, prefix), rule in table.items()}
         with self._install_lock:
-            self._rules = rules
+            self._rules = (keyed, mask)
         return table
 
     @property
@@ -95,8 +106,8 @@ class RedirectService:
         """Covered and unexpired -> redirect with remaining TTL, otherwise
         pass through. At now = expires_at exactly the rule is already dead.
         """
-        table, prefix_len = self._rules  # one read; never mutated in place
-        rule = table.get((service_id, group_subnet(client, prefix_len)))
+        table, mask = self._rules  # one read; never mutated in place
+        rule = table.get((service_id, address_int(client) & mask))
         if rule is None:
             return Decision.pass_through()
         if now is None:

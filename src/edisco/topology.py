@@ -73,6 +73,20 @@ def group_subnet(address: str, prefix_len: int = 24) -> str:
     return f"{socket.inet_ntoa(network.to_bytes(4, 'big'))}/{prefix_len}"
 
 
+def _check_hop_index(index) -> None:
+    if index < 1:
+        raise ValueError(f"hop index must be >= 1, got {index}")
+
+
+def _assemble(cls, **values):
+    """An instance of the frozen dataclass `cls` holding `values`, built
+    without __init__ and so without __post_init__. For callers that have
+    already run every check but the address regex themselves."""
+    made = object.__new__(cls)
+    made.__dict__.update(values)
+    return made
+
+
 @dataclass(frozen=True)
 class Hop:
     """One TTL step on a probed path.
@@ -85,8 +99,7 @@ class Hop:
     rtt_ms: float | None = None
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"hop index must be >= 1, got {self.index}")
+        _check_hop_index(self.index)
         if self.address is None and self.rtt_ms is not None:
             raise ValueError(f"hop {self.index}: rtt without address")
         if self.address is not None:
@@ -111,6 +124,10 @@ class ProbedPath:
 
     def __post_init__(self):
         address_int(self.client)
+        self._check_hops()
+
+    def _check_hops(self):
+        """Every check but the client's address; sets `truncated`."""
         if not self.hops:
             raise ValueError("path has no hops")
         for position, hop in enumerate(self.hops, start=1):
@@ -119,9 +136,8 @@ class ProbedPath:
                     f"hop indices must be 1..n without gaps; "
                     f"position {position} has index {hop.index}"
                 )
-        last_known = next((h for h in reversed(self.hops) if h.known), None)
-        truncated = last_known is None or last_known.address != self.client
-        object.__setattr__(self, "truncated", truncated)
+        last_known = next((h.address for h in reversed(self.hops) if h.address is not None), None)
+        object.__setattr__(self, "truncated", last_known != self.client)
 
     @property
     def known_addresses(self) -> list[str]:
@@ -172,12 +188,17 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
     The document is the already-loaded JSON value: a list of
     ``{"client": str, "hops": [{"index", "address", "rtt_ms"}, ...]}``.
     Parsing is strict; the first malformed entry fails the whole ingest with
-    its location cited.
+    its location cited. Each distinct address string is checked once per
+    call: the first Hop or ProbedPath that carries it runs every check, the
+    later ones every check but the address regex. So an entry fails exactly
+    when building its Hops and ProbedPath directly would fail, with the
+    same message.
     """
     if not isinstance(document, list):
         raise MalformedFixtureError("trace fixture must be a top-level list")
     if not document:
         raise EmptyFixtureError("trace fixture contains no entries")
+    passed: set[str] = set()  # addresses that passed address_int in this call
     paths = []
     for i, entry in enumerate(document):
         where = f"entry {i}"
@@ -187,19 +208,26 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
             if not isinstance(raw, dict):
                 raise MalformedFixtureError(f"{where}, hop {j}: not an object")
             try:
-                hops.append(
-                    Hop(
-                        index=raw["index"],
-                        address=raw.get("address"),
-                        rtt_ms=raw.get("rtt_ms"),
-                    )
-                )
+                index, address, rtt_ms = raw["index"], raw.get("address"), raw.get("rtt_ms")
+                if isinstance(address, str) and address in passed:
+                    _check_hop_index(index)
+                    hops.append(_assemble(Hop, index=index, address=address, rtt_ms=rtt_ms))
+                else:
+                    hops.append(Hop(index=index, address=address, rtt_ms=rtt_ms))
+                    if address is not None:
+                        passed.add(address)
             except (KeyError, ValueError, TypeError) as exc:
                 raise MalformedFixtureError(f"{where}, hop {j}: {exc}") from None
         try:
-            paths.append(ProbedPath(client=client, hops=tuple(hops)))
+            if client in passed:
+                path = _assemble(ProbedPath, client=client, hops=tuple(hops))
+                path._check_hops()
+            else:
+                path = ProbedPath(client=client, hops=tuple(hops))
+                passed.add(client)
         except (ValueError, TypeError) as exc:
             raise MalformedFixtureError(f"{where}: {exc}") from None
+        paths.append(path)
     return paths
 
 
@@ -280,8 +308,10 @@ class AggregationTree:
 
     @classmethod
     def from_document(cls, doc: dict) -> "AggregationTree":
-        """Load a tree document. Every client path must start at the root,
-        name only subnets in `nodes`, and end at its client's own subnet."""
+        """Load a tree document. Every node subnet must be a canonical IPv4
+        prefix and every member an IPv4 address. Every client path must start
+        at the root, name only subnets in `nodes`, and end at its client's
+        own subnet."""
         from .discovery import EdgeServer
 
         fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -294,9 +324,16 @@ class AggregationTree:
             for i, raw in enumerate(_typed(doc, "nodes", list, "tree")):
                 where = f"tree node {i}"
                 subnet = _typed(raw, "subnet", str, where)
+                members = _typed(raw, "members", list, where)
+                try:
+                    parse_subnets([subnet])
+                    for member in members:
+                        address_int(member)
+                except ValueError as exc:
+                    raise MalformedFixtureError(f"{where}: {exc}") from None
                 nodes[subnet] = SubnetNode(
                     subnet=subnet,
-                    member_addresses=set(_typed(raw, "members", list, where)),
+                    member_addresses=set(members),
                     domains=set(_typed(raw, "domains", list, where)),
                     centrality=_typed(raw, "centrality", int, where),
                     is_client=_typed(raw, "is_client", bool, where),
@@ -354,40 +391,37 @@ def build_tree(
     }
     edges: set[tuple[str, str]] = set()
     client_paths: dict[str, tuple[str, ...]] = {}
-    seen_hop_sets: dict[str, tuple[str, ...]] = {}
+    first_path: dict[str, ProbedPath] = {}
     subnet_of: dict[str, str] = {}  # each distinct address is grouped once
 
-    def node_for(subnet: str) -> SubnetNode:
-        if subnet not in nodes:
-            nodes[subnet] = SubnetNode(subnet=subnet)
-        return nodes[subnet]
-
     def group(address: str) -> str:
-        if address not in subnet_of:
-            subnet_of[address] = group_subnet(address, prefix_len)
-        return subnet_of[address]
+        """The address's subnet; on first sight it also joins that node."""
+        subnet = subnet_of.get(address)
+        if subnet is None:
+            subnet = subnet_of[address] = group_subnet(address, prefix_len)
+            if subnet not in nodes:
+                nodes[subnet] = SubnetNode(subnet=subnet)
+            nodes[subnet].member_addresses.add(address)
+        return subnet
 
     for path in paths:
-        addresses = tuple(path.known_addresses)
-        if path.client in seen_hop_sets:
-            if seen_hop_sets[path.client] != addresses:
+        first = first_path.setdefault(path.client, path)
+        if first is not path:
+            if first.known_addresses != path.known_addresses:
                 raise ValueError(
                     f"conflicting duplicate paths for client {path.client}"
                 )
             continue
-        seen_hop_sets[path.client] = addresses
         sequence = [root_subnet]
-        for address in addresses:
-            subnet = group(address)
-            node_for(subnet).member_addresses.add(address)
-            if subnet != sequence[-1]:
-                sequence.append(subnet)
+        for hop in path.hops:
+            if hop.address is not None:
+                subnet = group(hop.address)
+                if subnet != sequence[-1]:
+                    sequence.append(subnet)
         for parent, child in zip(sequence, sequence[1:]):
             edges.add((parent, child))
         if not path.truncated:
-            client_node = node_for(group(path.client))
-            client_node.is_client = True
-            client_node.member_addresses.add(path.client)
+            nodes[group(path.client)].is_client = True
             client_paths[path.client] = tuple(sequence)
     return AggregationTree(
         root_address=root_address,

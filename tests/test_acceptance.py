@@ -25,6 +25,7 @@ from edisco.discovery import (
 from edisco.placement import (
     FixtureCapacityService,
     ServiceProfile,
+    fold_client_paths,
     load_service_profiles,
     plan_round,
     score_candidates,
@@ -271,8 +272,8 @@ def test_criterion_05_distance_tie_break_prefers_downstream_nodes():
         cpu_demand=1.0,
         client_subnets=frozenset({"172.16.2.0/24", "172.16.3.0/24"}),
     )
-    west_order = [c.node.subnet for c in score_candidates(tree, west)][:2]
-    east_order = [c.node.subnet for c in score_candidates(tree, east)][:2]
+    west_order = [c.node.subnet for c in score_candidates(fold_client_paths(tree), west)][:2]
+    east_order = [c.node.subnet for c in score_candidates(fold_client_paths(tree), east)][:2]
     assert west_order == ["10.2.0.0/24", "10.1.0.0/24"]  # D above C
     assert east_order == ["10.4.0.0/24", "10.3.0.0/24"]  # F above E
     _passed(5, "equal centrality resolves by client distance: D over C, F over E")

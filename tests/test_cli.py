@@ -239,6 +239,26 @@ def test_plan_rejects_malformed_tree_document(bundle_dir, tmp_path, capsys):
     assert_one_error_line(capsys.readouterr(), "is missing")
 
 
+def test_plan_rejects_tree_edge_server_that_is_no_address(bundle_dir, tmp_path, capsys):
+    directory, bundle = bundle_dir
+    tree_file = tmp_path / "tree.json"
+    args = ["tree", "--traces", str(directory / "traces.json"), "--root", bundle.root_address]
+    assert main(args + ["--out", str(tree_file)]) == 0
+    capsys.readouterr()
+    doc = json.loads(tree_file.read_text())
+    root = next(n for n in doc["nodes"] if n["subnet"] == doc["root_subnet"])
+    root["edge_servers"] = [
+        {"zone": "edgeco.test", "protocol": "tcp", "priority": 10, "weight": 10,
+         "address": address, "port": 8080}
+        for address in ("x", "y")
+    ]
+    tree_file.write_text(json.dumps(doc))
+    args = plan_args(directory, bundle)
+    del args[1 : args.index("--services")]
+    assert main(args[:1] + ["--tree", str(tree_file)] + args[1:]) == 1
+    assert_one_error_line(capsys.readouterr(), "edge server", "'x' is not an IPv4 address")
+
+
 def test_broken_services_json_is_operational_error(bundle_dir, capsys):
     directory, bundle = bundle_dir
     services = directory / "services.json"

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edisco.discovery import EdgeServer
 from edisco.errors import MalformedFixtureError, NoCandidatesError, ServerUnreachableError
@@ -12,6 +14,7 @@ from edisco.placement import (
     PlacementCandidate,
     PlacementPlan,
     ServiceProfile,
+    fold_client_paths,
     load_service_profiles,
     negotiate,
     plan_round,
@@ -100,7 +103,7 @@ def test_negative_demand_rejected():
 
 def test_deeper_node_beats_equal_centrality():
     tree = two_branch_tree()
-    ranked = score_candidates(tree, service(subnets=ALL_FOUR))
+    ranked = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))
     assert [c.node.subnet for c in ranked] == [
         "10.2.0.0/24",  # deep, branch one
         "10.4.0.0/24",  # deep, branch two
@@ -116,7 +119,7 @@ def test_single_equipped_node_is_singleton():
     tree = two_branch_tree()
     for subnet in ("10.1.0.0/24", "10.3.0.0/24", "10.4.0.0/24"):
         tree.nodes[subnet].edge_servers = []
-    ranked = score_candidates(tree, service(subnets=ALL_FOUR))
+    ranked = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))
     assert len(ranked) == 1
     assert ranked[0].node.subnet == "10.2.0.0/24"
 
@@ -124,13 +127,13 @@ def test_single_equipped_node_is_singleton():
 def test_no_reachable_server_raises():
     tree = two_branch_tree()
     with pytest.raises(NoCandidatesError):
-        score_candidates(tree, service(subnets=ALL_FOUR, proto=Transport.UDP))
+        score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, proto=Transport.UDP))
 
 
 def test_transport_filter():
     tree = two_branch_tree()
     equip(tree, "10.2.0.0/24", edge("10.2.0.31", proto=Transport.UDP))
-    ranked = score_candidates(tree, service(subnets=ALL_FOUR, proto=Transport.UDP))
+    ranked = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, proto=Transport.UDP))
     assert [c.server.address for c in ranked] == ["10.2.0.31"]
 
 
@@ -200,7 +203,7 @@ def test_ordering_matches_comparator_oracle():
         subnets = sorted({group_subnet(c) for c in tree.client_paths})
         svc = service(subnets=rng.sample(subnets, rng.randint(1, len(subnets))))
         try:
-            ranked = score_candidates(tree, svc)
+            ranked = score_candidates(fold_client_paths(tree), svc)
         except NoCandidatesError:
             continue
         keys = [oracle_key(tree, svc, c) for c in ranked]
@@ -216,11 +219,84 @@ def test_ordering_matches_comparator_oracle():
 
 def test_restricting_clients_never_raises_centrality():
     tree = two_branch_tree()
-    full = score_candidates(tree, service(subnets=ALL_FOUR))
-    half = score_candidates(tree, service(subnets=ALL_FOUR[:2]))
+    full = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))
+    half = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR[:2]))
     full_by_node = {c.node.subnet: c.centrality for c in full}
     for candidate in half:
         assert candidate.centrality <= full_by_node[candidate.node.subnet]
+
+
+def per_service_fold_oracle(tree, svc):
+    """score_candidates as it was before the per-round fold: one pass over
+    the paths of the service's own clients, for each service."""
+    reach = {}
+    for path in tree.client_paths.values():
+        prefix = path[-1]
+        if prefix not in svc.client_subnets:
+            continue
+        last = {subnet: len(path) - 1 - i for i, subnet in enumerate(path)}
+        for subnet, distance in last.items():
+            entry = reach.setdefault(subnet, [0, 0, set()])
+            entry[0] += 1
+            entry[1] += distance
+            entry[2].add(prefix)
+    candidates = [
+        (subnet, server, count, distance_sum / count, tuple(sorted(prefixes, key=subnet_sort_key)))
+        for subnet, (count, distance_sum, prefixes) in reach.items()
+        for server in tree.nodes[subnet].edge_servers
+        if server.protocol is svc.transport
+    ]
+    candidates.sort(key=lambda c: (-c[2], c[3], subnet_sort_key(c[0]), c[1].sort_key))
+    return candidates
+
+
+@st.composite
+def equipped_trees(draw):
+    """A random tree: several clients per prefix, paths that revisit a
+    subnet or pass through another client's prefix, and about half of the
+    nodes equipped with one or two servers of either transport."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    routers = [f"10.{i}.{rng.randint(0, 1)}.{rng.randint(1, 254)}" for i in range(1, rng.randint(2, 9))]
+    routers += [f"172.16.{rng.randint(0, 5)}.200" for _ in range(rng.randint(0, 2))]
+    paths = []
+    for k in range(rng.randint(1, 24)):
+        chain = [rng.choice(routers) if rng.random() > 0.15 else None for _ in range(rng.randint(1, 6))]
+        paths.append(make_path(f"172.16.{rng.randint(0, 5)}.{k + 1}", *chain, complete=rng.random() > 0.1))
+    tree = compute_centrality(build_tree(paths, ROOT))
+    for subnet in tree.sorted_subnets():
+        if rng.random() < 0.5:
+            base = subnet.split("/")[0].rsplit(".", 1)[0]
+            equip(tree, subnet, *(
+                edge(
+                    f"{base}.{30 + k}",
+                    priority=rng.choice([10, 20]),
+                    weight=rng.choice([0, 10, 30]),
+                    proto=rng.choice(list(Transport)),
+                )
+                for k in range(rng.randint(1, 2))
+            ))
+    return tree
+
+
+@given(equipped_trees(), st.data())
+def test_per_round_fold_scores_like_the_per_service_fold(tree, data):
+    prefixes = sorted({path[-1] for path in tree.client_paths.values()}) + ["172.16.9.0/24"]
+    fold = fold_client_paths(tree)
+    for _ in range(3):  # several services scored from one fold
+        svc = service(
+            subnets=data.draw(st.sets(st.sampled_from(prefixes), min_size=1)),
+            proto=data.draw(st.sampled_from(list(Transport))),
+        )
+        expected = per_service_fold_oracle(tree, svc)
+        try:
+            ranked = score_candidates(fold, svc)
+        except NoCandidatesError:
+            assert expected == []
+            continue
+        assert [
+            (c.node.subnet, c.server, c.centrality, c.client_distance, c.covered_prefixes)
+            for c in ranked
+        ] == expected
 
 
 # --- negotiate / capacity fixture ---
@@ -229,7 +305,7 @@ def test_restricting_clients_never_raises_centrality():
 def test_negotiate_accepts_when_capacity_dominates():
     capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 10}})
     tree = two_branch_tree()
-    candidate = score_candidates(tree, service(subnets=ALL_FOUR, bw=5.0, cpu=2.0))[0]
+    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, bw=5.0, cpu=2.0))[0]
     response = negotiate(candidate, service(subnets=ALL_FOUR, bw=5.0, cpu=2.0), capacity)
     assert response.accepted
     assert response.available_cpu == 4
@@ -239,7 +315,7 @@ def test_negotiate_rejects_on_insufficient_cpu():
     capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 10}})
     tree = two_branch_tree()
     svc = service(subnets=ALL_FOUR, bw=5.0, cpu=6.0)
-    response = negotiate(score_candidates(tree, svc)[0], svc, capacity)
+    response = negotiate(score_candidates(fold_client_paths(tree), svc)[0], svc, capacity)
     assert not response.accepted
     assert response.reason == "insufficient-capacity"
 
@@ -248,7 +324,7 @@ def test_negotiate_turns_unreachable_into_reject():
     capacity = FixtureCapacityService({})
     tree = two_branch_tree()
     svc = service(subnets=ALL_FOUR)
-    response = negotiate(score_candidates(tree, svc)[0], svc, capacity)
+    response = negotiate(score_candidates(fold_client_paths(tree), svc)[0], svc, capacity)
     assert not response.accepted
     assert response.reason.startswith("unreachable")
 

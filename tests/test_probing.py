@@ -1,3 +1,4 @@
+import errno
 import socket
 import struct
 
@@ -194,6 +195,27 @@ def test_probe_many_skips_failures(caplog):
         results = probe_many(clients, prober, concurrency=2)
     assert sorted(p.client for p in results) == ["172.16.0.9", "172.16.1.9"]
     assert any("172.16.9.9" in rec.message for rec in caplog.records)
+
+
+class UnreachableProber:
+    """A prober whose sendto fails with ENETUNREACH for the clients in
+    `unreachable`."""
+
+    def __init__(self, unreachable):
+        self.unreachable = set(unreachable)
+
+    def probe(self, client):
+        if client in self.unreachable:
+            raise OSError(errno.ENETUNREACH, "Network is unreachable")
+        return make_path(client, "10.0.0.1")
+
+
+def test_probe_many_skips_a_client_whose_probe_raises_oserror(caplog):
+    clients = ["172.16.0.9", "172.16.9.9", "172.16.1.9"]
+    with caplog.at_level("WARNING", logger="edisco.probing"):
+        results = probe_many(clients, UnreachableProber({"172.16.9.9"}), concurrency=2)
+    assert [p.client for p in results] == ["172.16.0.9", "172.16.1.9"]
+    assert any("unreachable" in rec.getMessage() for rec in caplog.records)
 
 
 def test_probe_many_empty_clients():

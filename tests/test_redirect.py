@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import http.client
+import math
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from edisco.discovery import EdgeServer
 from edisco.errors import MalformedFixtureError
@@ -15,6 +19,7 @@ from edisco.redirect import (
     make_http_server,
     rules_from_plan_document,
 )
+from edisco.topology import group_subnet
 from edisco.zonefile import Transport
 
 
@@ -155,6 +160,57 @@ def test_coverage_must_share_one_prefix_length(prefixes):
     with pytest.raises(MalformedFixtureError):
         service.install_rules(plan_with(assignment(prefixes=prefixes)), round_deadline=300.0)
     assert service.rule_count == 2  # the old table stays
+
+
+def string_keyed_resolve(table, client, service_id, now):
+    """RedirectService.resolve as it was with (service_id, prefix text)
+    keys, over the table install_rules returns."""
+    lengths = {int(prefix.partition("/")[2]) for _, prefix in table}
+    rule = table.get((service_id, group_subnet(client, lengths.pop() if lengths else 24)))
+    if rule is None:
+        return Decision.pass_through()
+    remaining = rule.expires_at - now
+    if remaining <= 0:
+        return Decision.pass_through()
+    return Decision.redirect(rule.target_url, math.ceil(remaining))
+
+
+def int_to_address(packed: int) -> str:
+    return socket.inet_ntoa(packed.to_bytes(4, "big"))
+
+
+SERVICE_IDS = st.sampled_from(["svc-a", "svc-b", "svc-c"])
+
+
+@given(
+    length=st.sampled_from([23, 24]) | st.integers(0, 32),
+    covered=st.lists(st.tuples(SERVICE_IDS, st.integers(0, 2**32 - 1)), max_size=6),
+    requests=st.lists(
+        st.tuples(SERVICE_IDS, st.integers(0, 5), st.integers(0, 2**32 - 1), st.integers(0, 1023)),
+        min_size=1,
+        max_size=10,
+    ),
+    deadline=st.floats(0, 1e6),
+    left=st.sampled_from([300.0, 1.0, 0.4, 0.0, -1.0]) | st.floats(-1e3, 1e3),
+)
+@example(length=23, covered=[("svc-a", 0xAC100100)], requests=[("svc-a", 0, 0, 0x1FF)], deadline=300.0, left=0.0)
+def test_integer_keys_resolve_like_prefix_text_keys(length, covered, requests, deadline, left):
+    """Requests come from random addresses and from near the covered ones
+    (low bits flipped), `left` seconds before the rules expire: before, at
+    and after expiry."""
+    by_service = {}
+    for service_id, packed in covered:
+        by_service.setdefault(service_id, []).append(group_subnet(int_to_address(packed), length))
+    plan = plan_with(*(assignment(sid, prefixes) for sid, prefixes in sorted(by_service.items())))
+    service = RedirectService()
+    table = service.install_rules(plan, round_deadline=deadline)
+    now = deadline - left
+    for service_id, pick, packed, flip in requests:
+        if covered and pick < 4:  # near a covered address
+            packed = covered[pick % len(covered)][1] ^ flip
+        client = int_to_address(packed)
+        expected = string_keyed_resolve(table, client, service_id, now)
+        assert service.resolve(client, service_id, now=now) == expected
 
 
 # --- live HTTP round trip ---

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections import Counter
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import edisco.topology as topology
 from edisco.errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
 from edisco.topology import (
     AggregationTree,
@@ -163,6 +165,82 @@ def test_ingest_error_cites_location():
     for entry in ("x", {"hops": []}, {**doc[0], "client": 5}, {**doc[0], "hops": {}}):
         with pytest.raises(MalformedFixtureError, match="entry 1"):
             ingest_recorded_paths([doc[0], entry])
+
+
+TRACE_TEXT = st.sampled_from(["10.1.0.1", "172.16.0.9"] * 4 + ["010.1.0.1", "x", None, 7, ["10.1.0.1"]])
+
+
+@st.composite
+def trace_documents(draw):
+    """Trace entries whose hops are mostly well formed. Addresses come from
+    a pool of one to three values, so the same text recurs within and
+    across entries."""
+    pool = draw(st.lists(TRACE_TEXT, min_size=1, max_size=3)) + [None]
+    document = []
+    for _ in range(draw(st.integers(1, 4))):
+        hops = []
+        for position in range(1, draw(st.sampled_from([1, 2, 3, 4] * 4 + [0])) + 1):
+            address = draw(st.sampled_from(pool))
+            hop = {
+                "index": draw(st.sampled_from([position] * 12 + [0, -1, position + 1, float(position), str(position)])),
+                "address": address,
+                "rtt_ms": draw(st.sampled_from([None] * 9 + [1.5])) if address is None else 1.5,
+            }
+            if draw(st.integers(0, 19)) == 0:
+                del hop["index"]
+            hops.append(hop)
+        document.append({"client": draw(st.sampled_from(["172.16.0.9", "10.1.0.1", "x"])), "hops": hops})
+    return document
+
+
+def build_directly(document):
+    """Each entry's Hops and ProbedPath built one by one: the paths, or the
+    message ingest must give for the first failure."""
+    paths = []
+    for i, entry in enumerate(document):
+        hops = []
+        for j, raw in enumerate(entry["hops"]):
+            try:
+                hops.append(Hop(index=raw["index"], address=raw.get("address"), rtt_ms=raw.get("rtt_ms")))
+            except (KeyError, ValueError, TypeError) as exc:
+                return f"entry {i}, hop {j}: {exc}"
+        try:
+            paths.append(ProbedPath(client=entry["client"], hops=tuple(hops)))
+        except (ValueError, TypeError) as exc:
+            return f"entry {i}: {exc}"
+    return paths
+
+
+@given(trace_documents())
+@example([{"client": "172.16.0.9", "hops": [
+    {"index": 1, "address": "10.1.0.1", "rtt_ms": None},
+    {"index": 0, "address": "10.1.0.1", "rtt_ms": 1.5},
+]}])
+def test_ingest_fails_exactly_when_direct_construction_fails(document):
+    expected = build_directly(document)
+    if isinstance(expected, str):
+        with pytest.raises(MalformedFixtureError) as err:
+            ingest_recorded_paths(document)
+        assert str(err.value) == expected
+    else:
+        assert ingest_recorded_paths(document) == expected
+
+
+def test_ingest_checks_each_distinct_address_once(monkeypatch):
+    document = paths_to_document(random_paths(seed=3, n_clients=40))
+    known = [h["address"] for e in document for h in e["hops"] if h["address"] is not None]
+    distinct = set(known) | {e["client"] for e in document}
+    assert len(known) > 2 * len(distinct)  # hops repeat addresses
+    calls = Counter()
+
+    def counted(text):
+        calls[text] += 1
+        return real(text)
+
+    real = topology.address_int
+    monkeypatch.setattr(topology, "address_int", counted)
+    ingest_recorded_paths(document)
+    assert calls == Counter(distinct)
 
 
 def test_paths_round_trip_through_document():
@@ -377,6 +455,21 @@ def _path_ends_elsewhere(doc):
     doc["client_paths"]["172.16.0.9"].append("10.1.0.0/24")
 
 
+def _member_is_no_address(doc):
+    doc["nodes"][0]["members"].append("10.0.0.256")
+
+
+def _subnet_is_no_prefix(doc):
+    doc["nodes"][1]["subnet"] = "10.1.0.1/24"
+
+
+def _edge_server_is_no_address(doc):
+    doc["nodes"][1]["edge_servers"] = [
+        {"zone": "edgeco.test", "protocol": "tcp", "priority": 10, "weight": 10,
+         "address": "x", "port": 8080}
+    ]
+
+
 MALFORMED_TREES = [
     (_keep_only_format, "is missing"),
     (_drop_nodes, "'nodes' is missing"),
@@ -385,6 +478,9 @@ MALFORMED_TREES = [
     (_path_off_root, "does not start at 10.0.0.0/24"),
     (_path_through_unknown_subnet, "10.9.9.0/24 is not a node"),
     (_path_ends_elsewhere, "does not end at the client's subnet"),
+    (_member_is_no_address, "tree node 0: '10.0.0.256' is not an IPv4 address"),
+    (_subnet_is_no_prefix, "tree node 1: '10.1.0.1/24' is not a canonical IPv4 prefix"),
+    (_edge_server_is_no_address, "edge server: 'x' is not an IPv4 address"),
 ]
 
 
