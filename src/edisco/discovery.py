@@ -8,6 +8,7 @@ wire-format stub.
 from __future__ import annotations
 
 import logging
+import secrets
 import socket
 import threading
 import time
@@ -36,6 +37,8 @@ MULTI_LABEL_SUFFIXES = frozenset(
 )
 EDGE_SERVICE = "edge"  # the SRV service label: _edge._tcp.<domain>
 LOOKUP_CONCURRENCY = 8
+NEGATIVE_TTL_S = 30  # how long the stub caches an answer with no records
+WHOIS_MAX_BYTES = 256 * 1024  # a longer registry reply is a failed lookup
 
 
 class Provenance(str, Enum):
@@ -122,10 +125,15 @@ class Resolver(Protocol):
 
 
 def _srv_from_wire(qname: str, answer: dnswire.WireAnswer) -> SrvRecord | None:
+    """None for a name that is not _service._proto.zone, an unknown
+    transport, or target "." (service decidedly not available, RFC 2782)."""
     labels = qname.split(".")
     if len(labels) < 3 or not labels[0].startswith("_") or not labels[1].startswith("_"):
         return None
     priority, weight, port, target = answer.data  # type: ignore[misc]
+    target = target.rstrip(".")
+    if not target:
+        return None
     try:
         protocol = Transport(labels[1][1:].lower())
     except ValueError:
@@ -139,39 +147,45 @@ def _srv_from_wire(qname: str, answer: dnswire.WireAnswer) -> SrvRecord | None:
         priority=priority,
         weight=weight,
         port=port,
-        target=target.rstrip("."),
+        target=target,
     )
 
 
 class StubResolver:
-    """Wire-format stub pointed at one or more recursive servers."""
+    """Wire-format stub that asks its recursive servers in order, with
+    random transaction ids (RFC 5452). It caches answers by case-folded
+    (name, type) for their smallest TTL, or NEGATIVE_TTL_S when there are
+    none, and never caches a failure. Build one per round; thread-safe."""
 
-    def __init__(self, servers: list[str] | None = None, timeout: float = 2.0):
+    def __init__(
+        self, servers: list[str] | None = None, timeout: float = 2.0, clock=time.monotonic
+    ):
         self.servers = servers or dnswire.resolv_nameservers()
         self.timeout = timeout
-        self._txid = iter(range(1, 0xFFFF))
+        self.clock = clock
         self._lock = threading.Lock()
-
-    def _next_txid(self) -> int:
-        with self._lock:
-            try:
-                return next(self._txid)
-            except StopIteration:
-                self._txid = iter(range(1, 0xFFFF))
-                return next(self._txid)
+        self._cache: dict[tuple[str, int], tuple[float, list[dnswire.WireAnswer]]] = {}
 
     def _query(self, qname: str, qtype: int) -> list[dnswire.WireAnswer]:
-        last_error: Exception | None = None
+        key = (qname.lower(), qtype)
+        with self._lock:
+            hit = self._cache.get(key)
+            if hit is not None and self.clock() < hit[0]:
+                return hit[1]
+        error: Exception | None = None
         for server in self.servers:
             try:
-                return dnswire.query(
-                    server, qname, qtype, timeout=self.timeout, txid=self._next_txid()
+                answers = dnswire.query(
+                    server, qname, qtype, timeout=self.timeout, txid=secrets.randbelow(0x10000)
                 )
             except Exception as exc:  # noqa: BLE001 - try the next server
-                last_error = exc
-        if last_error is not None:
-            raise last_error
-        return []
+                error = exc
+                continue
+            ttl = min((answer.ttl for answer in answers), default=NEGATIVE_TTL_S)
+            with self._lock:
+                self._cache[key] = (self.clock() + ttl, answers)
+            return answers
+        raise error  # type: ignore[misc]  # servers is never empty
 
     def lookup_ptr(self, address: str) -> PtrRecord | None:
         qname = reverse_pointer_name(address)
@@ -201,68 +215,6 @@ class StubResolver:
             if record is not None:
                 records.append(record)
         return records
-
-
-class LookupWrapper:
-    """Base for wrappers around a resolver or a whois service.
-
-    The resolver and whois methods all funnel into lookup(kind, key), so a
-    wrapper that changes how lookups are made overrides that one method.
-    """
-
-    _METHODS = {
-        "ptr": "lookup_ptr",
-        "a": "lookup_a",
-        "srv": "lookup_srv",
-        "whois": "domains_for",
-    }
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def lookup(self, kind: str, key: str):
-        return getattr(self.inner, self._METHODS[kind])(key)
-
-    def lookup_ptr(self, address: str) -> PtrRecord | None:
-        return self.lookup("ptr", address)
-
-    def lookup_a(self, name: str) -> list[ARecord]:
-        return self.lookup("a", name)
-
-    def lookup_srv(self, qname: str) -> list[SrvRecord]:
-        return self.lookup("srv", qname)
-
-    def domains_for(self, address: str) -> list[str]:
-        return self.lookup("whois", address)
-
-
-class CachingResolver(LookupWrapper):
-    """TTL-honoring cache in front of another resolver.
-
-    Scoped to a single round: build one per round, drop it at the end.
-    Safe for concurrent lookups.
-    """
-
-    def __init__(self, inner: Resolver, clock=time.monotonic):
-        super().__init__(inner)
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._cache: dict[tuple[str, str], tuple[float, object]] = {}
-
-    def lookup(self, kind: str, key: str):
-        # names are case-insensitive; PTR keys are addresses
-        cache_key = (kind, key if kind == "ptr" else key.lower())
-        with self._lock:
-            hit = self._cache.get(cache_key)
-            if hit is not None and self.clock() < hit[0]:
-                return hit[1]
-        value = super().lookup(kind, key)
-        records = value if isinstance(value, list) else [value] if value else []
-        # negative answers get a short fixed TTL
-        ttl = min((r.ttl for r in records), default=30)
-        with self._lock:
-            self._cache[cache_key] = (self.clock() + ttl, value)
-        return value
 
 
 def registrable_domain(name: str) -> str:
@@ -320,18 +272,21 @@ class LiveWhois:
         self.timeout = timeout
 
     def _raw_query(self, address: str) -> str:
+        """The reply text; raises WhoisUnreachableError when the server
+        cannot be reached or sends more than WHOIS_MAX_BYTES."""
+        chunks = []
+        size = 0
         try:
             with socket.create_connection((self.server, 43), timeout=self.timeout) as sock:
                 sock.sendall(address.encode() + b"\r\n")
-                chunks = b""
-                while True:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    chunks += chunk
+                while chunk := sock.recv(4096):
+                    size += len(chunk)
+                    if size > WHOIS_MAX_BYTES:
+                        raise WhoisUnreachableError(f"{self.server}: reply too long")
+                    chunks.append(chunk)
         except OSError as exc:
             raise WhoisUnreachableError(f"{self.server}: {exc}") from None
-        return chunks.decode(errors="replace")
+        return b"".join(chunks).decode(errors="replace")
 
     def domains_for(self, address: str) -> list[str]:
         domains = set()

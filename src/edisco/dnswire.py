@@ -157,7 +157,8 @@ def query(
     server: str, qname: str, qtype: int, timeout: float = 2.0, txid: int = 0x1234
 ) -> list[WireAnswer]:
     """One question against one server. NXDOMAIN and empty answers both come
-    back as []; transport failures and server failures raise."""
+    back as []; transport failures, undecodable replies and server failures
+    raise ResolverUnreachableError."""
     request = build_query(qname, qtype, txid)
     try:
         packet = _query_udp(server, request, timeout)
@@ -165,7 +166,10 @@ def query(
             packet = _query_tcp(server, request, timeout)
     except OSError as exc:
         raise ResolverUnreachableError(f"{server}: {exc}") from None
-    got_txid, rcode, answers = parse_response(packet)
+    try:
+        got_txid, rcode, answers = parse_response(packet)
+    except (ValueError, struct.error) as exc:
+        raise ResolverUnreachableError(f"{server}: malformed reply: {exc}") from None
     if got_txid != txid:
         raise ResolverUnreachableError(f"{server}: transaction id mismatch")
     if rcode == RCODE_NXDOMAIN:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,17 +17,6 @@ from .placement import PlacementPlan
 from .topology import address_int
 
 logger = logging.getLogger(__name__)
-
-RuleTable = dict[tuple[str, str], "RedirectRule"]
-
-
-@dataclass(frozen=True)
-class RedirectRule:
-    service_id: str
-    client_prefix: str
-    target_url: str
-    expires_at: float
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -42,60 +30,49 @@ class Decision:
 
     @classmethod
     def pass_through(cls) -> "Decision":
-        return cls(action="pass_through")
+        return _PASS_THROUGH
+
+
+_PASS_THROUGH = Decision(action="pass_through")  # frozen, so one serves every request
 
 
 def _target_url(server) -> str:
     return f"http://{server.address}:{server.port}"
 
 
-def _prefix_len(table: RuleTable) -> int:
-    """The one prefix length the rule keys use; the round's tree picked it.
-    An empty table matches nothing, so any length will do."""
-    try:
-        lengths = {int(prefix.partition("/")[2]) for _, prefix in table}
-    except ValueError:
-        raise MalformedFixtureError("coverage prefix without a length") from None
-    if len(lengths) > 1:
-        raise MalformedFixtureError(f"coverage mixes prefix lengths {sorted(lengths)}")
-    return lengths.pop() if lengths else 24
-
-
-def _network(prefix: str) -> int:
-    """The integer network address of a coverage prefix."""
-    try:
-        return address_int(prefix.partition("/")[0])
-    except ValueError:
-        raise MalformedFixtureError(f"coverage prefix {prefix!r} is not IPv4") from None
-
-
 class RedirectService:
-    """Rule table plus resolution. The table resolve reads is keyed by
-    (service_id, integer network address), computed once at install, so a
-    request costs one address_int and one mask. Reads are lock-free against
-    an immutable (table, mask) pair; installs swap the whole pair at once."""
+    """The round's rules, {(service_id, integer network): target URL}, and
+    resolution: one address_int and one mask per request. Every rule expires
+    at the round deadline. Reads are lock-free against the immutable
+    (table, mask, deadline) tuple, which an install swaps in whole."""
 
     def __init__(self, clock=time.time):
         self.clock = clock
-        self._rules: tuple[dict[tuple[str, int], RedirectRule], int] = ({}, -1 << 8)
-        self._install_lock = threading.Lock()
+        self._rules: tuple[dict[tuple[str, int], str], int, float] = ({}, -1 << 8, 0.0)
 
-    def install_rules(self, plan: PlacementPlan, round_deadline: float = 0.0) -> RuleTable:
-        """Build round N's table from the plan's coverage and swap it in
-        atomically. Returns the table keyed by (service_id, prefix)."""
-        table: RuleTable = {}
+    def install_rules(
+        self, plan: PlacementPlan, round_deadline: float = 0.0
+    ) -> dict[tuple[str, int], str]:
+        """Build round N's table, one entry per (service, prefix), from the
+        plan's coverage, swap it in and return it. All prefixes share the
+        length the round's tree picked; an empty table may use any."""
+        table = {}
+        lengths = set()
         for assignment in plan.assignments:
+            url = _target_url(assignment.server)
             for prefix in assignment.covered_prefixes:
-                table[(assignment.service_id, prefix)] = RedirectRule(
-                    service_id=assignment.service_id,
-                    client_prefix=prefix,
-                    target_url=_target_url(assignment.server),
-                    expires_at=round_deadline,
-                )
-        mask = -1 << (32 - _prefix_len(table))
-        keyed = {(service_id, _network(prefix)): rule for (service_id, prefix), rule in table.items()}
-        with self._install_lock:
-            self._rules = (keyed, mask)
+                address, _, length = prefix.partition("/")
+                try:
+                    lengths.add(int(length))
+                except ValueError:
+                    raise MalformedFixtureError("coverage prefix without a length") from None
+                try:
+                    table[(assignment.service_id, address_int(address))] = url
+                except ValueError:
+                    raise MalformedFixtureError(f"coverage prefix {prefix!r} is not IPv4") from None
+        if len(lengths) > 1:
+            raise MalformedFixtureError(f"coverage mixes prefix lengths {sorted(lengths)}")
+        self._rules = (table, -1 << (32 - (lengths.pop() if lengths else 24)), round_deadline)
         return table
 
     @property
@@ -106,16 +83,16 @@ class RedirectService:
         """Covered and unexpired -> redirect with remaining TTL, otherwise
         pass through. At now = expires_at exactly the rule is already dead.
         """
-        table, mask = self._rules  # one read; never mutated in place
-        rule = table.get((service_id, address_int(client) & mask))
-        if rule is None:
-            return Decision.pass_through()
+        table, mask, expires_at = self._rules  # one read; never mutated in place
+        url = table.get((service_id, address_int(client) & mask))
+        if url is None:
+            return _PASS_THROUGH
         if now is None:
             now = self.clock()
-        remaining = rule.expires_at - now
+        remaining = expires_at - now
         if remaining <= 0:
-            return Decision.pass_through()
-        return Decision.redirect(rule.target_url, math.ceil(remaining))
+            return _PASS_THROUGH
+        return Decision.redirect(url, math.ceil(remaining))
 
 
 def rules_from_plan_document(

@@ -23,10 +23,8 @@ from pathlib import Path
 from typing import Callable
 
 from .discovery import (
-    CachingResolver,
     FixtureWhois,
     LiveWhois,
-    LookupWrapper,
     Resolver,
     StubResolver,
     WhoisService,
@@ -112,19 +110,36 @@ class RoundRecord:
         }
 
 
-class _Degrading(LookupWrapper):
-    """Turns transport failures into empty answers.
+class _Degrading:
+    """Turns lookup failures into empty answers around a resolver or a
+    whois service, whichever methods of the four it has.
 
     A dead resolver or registry must not abort a round; the affected nodes
     simply stay unknown and carry no edge servers.
     """
 
-    def lookup(self, kind: str, key: str):
+    def __init__(self, inner):
+        self.inner = inner
+
+    @staticmethod
+    def _try(kind: str, lookup, key: str, empty):
         try:
-            return super().lookup(kind, key)
+            return lookup(key)
         except (ResolverUnreachableError, WhoisUnreachableError, OSError) as exc:
             logger.warning("%s lookup failed for %s: %s", kind, key, exc)
-            return None if kind == "ptr" else []
+            return empty
+
+    def lookup_ptr(self, address: str):
+        return self._try("ptr", self.inner.lookup_ptr, address, None)
+
+    def lookup_a(self, name: str):
+        return self._try("a", self.inner.lookup_a, name, [])
+
+    def lookup_srv(self, qname: str):
+        return self._try("srv", self.inner.lookup_srv, qname, [])
+
+    def domains_for(self, address: str):
+        return self._try("whois", self.inner.domains_for, address, [])
 
 
 @contextmanager
@@ -137,10 +152,11 @@ def _timed(durations: dict[str, float], phase: str):
 
 def make_resolver(zone=None, nameservers: list[str] | None = None) -> Resolver:
     """The parsed zone fixture in file `zone`, which answers lookups
-    itself; without one, live DNS through a per-round TTL cache
-    (nameservers default to /etc/resolv.conf)."""
+    itself; without one, a live DNS stub that caches answers for the life
+    of the resolver, so one per round (nameservers default to
+    /etc/resolv.conf)."""
     if zone is None:
-        return CachingResolver(StubResolver(nameservers))
+        return StubResolver(nameservers)
     with open(zone, encoding="utf-8") as fh:
         return parse_zone(fh.read())
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import ipaddress
 import logging
 import random
+import socket
+import sys
 from collections import Counter
 
 import pytest
@@ -11,11 +13,12 @@ from hypothesis import strategies as st
 
 from edisco import dnswire
 from edisco.discovery import (
-    CachingResolver,
     LOOKUP_CONCURRENCY,
+    WHOIS_MAX_BYTES,
     DomainIdentity,
     EdgeServer,
     FixtureWhois,
+    LiveWhois,
     Provenance,
     StubResolver,
     annotate_tree,
@@ -27,9 +30,15 @@ from edisco.discovery import (
     select_server,
     whois_fallback,
 )
-from edisco.errors import MalformedFixtureError, NoServersError
-from edisco.topology import build_tree, compute_centrality
-from edisco.zonefile import PtrRecord, Transport, parse_zone
+from edisco.errors import (
+    MalformedFixtureError,
+    NoServersError,
+    ResolverUnreachableError,
+    WhoisUnreachableError,
+)
+from edisco.rounds import discover_phase
+from edisco.topology import build_tree, compute_centrality, map_in_threads
+from edisco.zonefile import PtrRecord, Transport, parse_zone, reverse_pointer_name
 
 from conftest import OverlapGauge, make_path
 
@@ -162,6 +171,46 @@ def test_fixture_whois_matches_network_scan(table):
 def test_fixture_whois_rejects_malformed_table(table):
     with pytest.raises(MalformedFixtureError):
         FixtureWhois(table)
+
+
+class FakeWhoisSocket:
+    """A connected port-43 socket that sends `reply` in 4 KiB chunks."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.sent = b""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def sendall(self, data):
+        self.sent += data
+
+    def recv(self, size):
+        chunk, self.reply = self.reply[:size], self.reply[size:]
+        return chunk
+
+
+def test_live_whois_reads_mail_and_domain_attributes(monkeypatch):
+    reply = b"OrgName: Example\r\n" + b"% padding\r\n" * 500
+    reply += b"OrgAbuseEmail: abuse@noc.example.net\r\ndomain: Example.ORG\r\n"
+    sock = FakeWhoisSocket(reply)
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: sock)
+    assert LiveWhois(server="whois.example").domains_for("198.51.100.7") == [
+        "Example.ORG",
+        "example.net",
+    ]
+    assert sock.sent == b"198.51.100.7\r\n"
+
+
+def test_live_whois_rejects_an_oversized_reply(monkeypatch):
+    reply = b"domain: example.net\r\n" * (WHOIS_MAX_BYTES // 10)
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: FakeWhoisSocket(reply))
+    with pytest.raises(WhoisUnreachableError, match="whois.example"):
+        LiveWhois(server="whois.example").domains_for("198.51.100.7")
 
 
 def test_identify_addresses_covers_all_inputs(resolver):
@@ -323,60 +372,161 @@ def test_select_deterministic_per_seed():
     assert picks_a == picks_b
 
 
-# --- caching ---
+# --- the stub resolver's cache ---
 
 
-class CountingResolver:
-    def __init__(self, inner):
-        self.inner = inner
+def wire(qname, rtype, ttl, data):
+    return dnswire.WireAnswer(name=qname, rtype=rtype, ttl=ttl, data=data)
+
+
+REFERENCE_WIRE = {
+    ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [
+        wire(
+            "_edge._tcp.domainA.com", dnswire.TYPE_SRV, 3600, (10, 30, 5060, "serverA.domainA.com.")
+        )
+    ],
+    ("servera.domaina.com", dnswire.TYPE_A): [
+        wire("serverA.domainA.com", dnswire.TYPE_A, 90000, "192.168.121.30"),
+        wire("serverA.domainA.com", dnswire.TYPE_A, 86400, "192.168.121.31"),
+    ],
+}
+
+
+class FakeDns:
+    """Stands in for dnswire.query: answers from a table keyed by
+    (lower-case name, type), counts the questions per type and records
+    their transaction ids. The first `failures` questions time out."""
+
+    def __init__(self, answers=REFERENCE_WIRE, failures=0):
+        self.answers = answers
+        self.failures = failures
         self.calls = Counter()
+        self.txids = []
 
-    def lookup_ptr(self, address):
-        self.calls["ptr"] += 1
-        return self.inner.lookup_ptr(address)
-
-    def lookup_a(self, name):
-        self.calls["a"] += 1
-        return self.inner.lookup_a(name)
-
-    def lookup_srv(self, qname):
-        self.calls["srv"] += 1
-        return self.inner.lookup_srv(qname)
+    def __call__(self, server, qname, qtype, timeout=2.0, txid=0):
+        dnswire.build_query(qname, qtype, txid)  # as the real query does first
+        self.calls[qtype] += 1
+        self.txids.append(txid)
+        if self.failures:
+            self.failures -= 1
+            raise ResolverUnreachableError(f"{server}: timed out")
+        return self.answers.get((qname.lower(), qtype), [])
 
 
-def test_cache_suppresses_repeat_lookups(resolver):
-    counting = CountingResolver(resolver)
-    cached = CachingResolver(counting)
+def fake_stub(monkeypatch, dns, clock=lambda: 0.0) -> StubResolver:
+    monkeypatch.setattr(dnswire, "query", dns)
+    return StubResolver(servers=["203.0.113.1"], clock=clock)
+
+
+def test_cache_suppresses_repeat_lookups(monkeypatch):
+    dns = FakeDns()
+    stub = fake_stub(monkeypatch, dns)
     for _ in range(4):
-        cached.lookup_srv("_edge._tcp.domainA.com")
-        cached.lookup_a("serverA.domainA.com")
-    assert counting.calls["srv"] == 1
-    assert counting.calls["a"] == 1
+        assert stub.lookup_srv("_edge._tcp.domainA.com")[0].target == "serverA.domainA.com"
+        assert len(stub.lookup_a("serverA.domainA.com")) == 2
+    assert dns.calls[dnswire.TYPE_SRV] == 1
+    assert dns.calls[dnswire.TYPE_A] == 1
 
 
-def test_cache_honors_ttl(resolver):
-    counting = CountingResolver(resolver)
+def test_cache_honors_ttl(monkeypatch):
+    """An entry lives for the smallest TTL among its answers."""
+    dns = FakeDns()
     now = [0.0]
-    cached = CachingResolver(counting, clock=lambda: now[0])
-    cached.lookup_a("serverA.domainA.com")
+    stub = fake_stub(monkeypatch, dns, clock=lambda: now[0])
+    stub.lookup_a("serverA.domainA.com")
     now[0] = 86399.0
-    cached.lookup_a("serverA.domainA.com")
-    assert counting.calls["a"] == 1
+    stub.lookup_a("serverA.domainA.com")
+    assert dns.calls[dnswire.TYPE_A] == 1
     now[0] = 86400.0
-    cached.lookup_a("serverA.domainA.com")
-    assert counting.calls["a"] == 2
+    stub.lookup_a("serverA.domainA.com")
+    assert dns.calls[dnswire.TYPE_A] == 2
 
 
-def test_cache_negative_answers_expire(resolver):
-    counting = CountingResolver(resolver)
+def test_cache_negative_answers_expire(monkeypatch):
+    dns = FakeDns()
     now = [0.0]
-    cached = CachingResolver(counting, clock=lambda: now[0])
-    assert cached.lookup_ptr("203.0.113.9") is None
-    assert cached.lookup_ptr("203.0.113.9") is None
-    assert counting.calls["ptr"] == 1
-    now[0] = 31.0
-    cached.lookup_ptr("203.0.113.9")
-    assert counting.calls["ptr"] == 2
+    stub = fake_stub(monkeypatch, dns, clock=lambda: now[0])
+    assert stub.lookup_ptr("203.0.113.9") is None
+    now[0] = 29.9
+    assert stub.lookup_ptr("203.0.113.9") is None
+    assert dns.calls[dnswire.TYPE_PTR] == 1
+    now[0] = 30.0
+    stub.lookup_ptr("203.0.113.9")
+    assert dns.calls[dnswire.TYPE_PTR] == 2
+
+
+def test_cache_matches_names_without_regard_to_case(monkeypatch):
+    dns = FakeDns()
+    stub = fake_stub(monkeypatch, dns)
+    stub.lookup_a("serverA.domainA.com")
+    records = stub.lookup_a("SERVERA.DOMAINA.COM")
+    assert dns.calls[dnswire.TYPE_A] == 1
+    assert [r.address for r in records] == ["192.168.121.30", "192.168.121.31"]
+    assert records[0].name == "SERVERA.DOMAINA.COM"
+
+
+def test_cache_retries_a_failed_query(monkeypatch):
+    dns = FakeDns(failures=1)
+    stub = fake_stub(monkeypatch, dns)
+    with pytest.raises(ResolverUnreachableError):
+        stub.lookup_a("serverA.domainA.com")
+    assert len(stub.lookup_a("serverA.domainA.com")) == 2
+    assert len(stub.lookup_a("serverA.domainA.com")) == 2
+    assert dns.calls[dnswire.TYPE_A] == 2
+
+
+def test_cache_is_consistent_under_concurrent_lookups(monkeypatch):
+    """Eight workers, more than the cores, share one stub under fast
+    switching: every lookup gets its own name's answer, each name ends with
+    one cache entry, and a name is asked at most once per worker."""
+    answers = {
+        (f"host{i}.domaina.com", dnswire.TYPE_A): [
+            wire(f"host{i}.domainA.com", dnswire.TYPE_A, 60, f"10.0.0.{i}")
+        ]
+        for i in range(20)
+    }
+    dns = FakeDns(answers)
+    stub = fake_stub(monkeypatch, dns)
+    names = [f"host{i % 20}.domainA.com" for i in range(4000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = map_in_threads(stub.lookup_a, names, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [records[0].address for records in results] == [f"10.0.0.{i % 20}" for i in range(4000)]
+    assert len(stub._cache) == 20
+    assert 20 <= len(dns.txids) <= 20 * 8
+
+
+def test_stub_draws_random_transaction_ids(monkeypatch):
+    dns = FakeDns()
+    stub = fake_stub(monkeypatch, dns)
+    for i in range(64):
+        stub.lookup_a(f"host{i}.domainA.com")
+    assert len(dns.txids) == 64
+    assert all(0 <= txid <= 0xFFFF for txid in dns.txids)
+    assert dns.txids != list(range(1, 65))
+
+
+def test_srv_target_root_means_not_available(monkeypatch):
+    """RFC 2782: target "." says the service is decidedly not available.
+    The round completes and the node carries no edge servers."""
+    answers = {
+        (reverse_pointer_name("192.168.121.30").lower(), dnswire.TYPE_PTR): [
+            wire("", dnswire.TYPE_PTR, 3600, "r1.domainA.com.")
+        ],
+        ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [
+            wire("_edge._tcp.domainA.com", dnswire.TYPE_SRV, 3600, (0, 0, 0, ""))
+        ],
+    }
+    stub = fake_stub(monkeypatch, FakeDns(answers))
+    tree = compute_centrality(build_tree([make_path("172.16.0.9", "192.168.121.30")], "10.0.0.1"))
+    discover_phase(tree, stub)
+    hop = next(n for n in tree.nodes.values() if "192.168.121.30" in n.member_addresses)
+    assert hop.domains == {"domainA.com"}
+    assert all(node.edge_servers == [] for node in tree.nodes.values())
+    assert stub.lookup_srv("_edge._tcp.domainA.com") == []
 
 
 # --- stub resolver adapter ---

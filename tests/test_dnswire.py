@@ -147,6 +147,19 @@ def test_query_rejects_txid_mismatch(monkeypatch):
         dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A)
 
 
+def test_query_turns_a_malformed_reply_into_unreachable(monkeypatch):
+    """A reply cut right after its answer's owner name fails to decode; the
+    stub then tries the next server, and a round degrades."""
+    packet = response_packet(0x1234, 0, [a_answer(bytes([203, 0, 113, 9]))[:2]])
+    with pytest.raises(struct.error):
+        dnswire.parse_response(packet)
+    monkeypatch.setattr(dnswire, "_query_udp", lambda *a, **k: packet)
+    from edisco.errors import ResolverUnreachableError
+
+    with pytest.raises(ResolverUnreachableError, match="203.0.113.1"):
+        dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A)
+
+
 def test_resolv_conf_parsing(tmp_path):
     conf = tmp_path / "resolv.conf"
     conf.write_text("# local\nnameserver 10.0.0.2\nsearch lan\nnameserver 10.0.0.3\n")

@@ -19,7 +19,7 @@ from edisco.redirect import (
     make_http_server,
     rules_from_plan_document,
 )
-from edisco.topology import group_subnet
+from edisco.topology import address_int, group_subnet
 from edisco.zonefile import Transport
 
 
@@ -51,13 +51,21 @@ def test_one_rule_per_assignment_prefix_pair():
     service = RedirectService(clock=lambda: 0.0)
     table = service.install_rules(plan_with(assignment()), round_deadline=300.0)
     assert len(table) == 2
-    assert {k[1] for k in table} == {"172.16.0.0/24", "172.16.1.0/24"}
+    assert {k[1] for k in table} == {address_int("172.16.0.0"), address_int("172.16.1.0")}
+    assert set(table.values()) == {"http://10.2.0.30:8080"}
 
 
 def test_empty_plan_all_pass_through():
     service = RedirectService(clock=lambda: 0.0)
     service.install_rules(plan_with(), round_deadline=300.0)
     assert service.resolve("172.16.0.9", "svc-video") == Decision.pass_through()
+
+
+def test_pass_through_is_one_shared_decision():
+    service = RedirectService()
+    service.install_rules(plan_with(assignment()), round_deadline=300.0)
+    assert service.resolve("172.16.9.9", "svc-video", now=0.0) is Decision.pass_through()
+    assert service.resolve("172.16.0.9", "svc-video", now=300.0) is Decision.pass_through()
 
 
 def test_reinstall_same_plan_identical_table():
@@ -162,17 +170,22 @@ def test_coverage_must_share_one_prefix_length(prefixes):
     assert service.rule_count == 2  # the old table stays
 
 
-def string_keyed_resolve(table, client, service_id, now):
+def string_keyed_resolve(plan, deadline, client, service_id, now):
     """RedirectService.resolve as it was with (service_id, prefix text)
-    keys, over the table install_rules returns."""
+    keys, over a table built from the plan itself."""
+    table = {
+        (a.service_id, prefix): f"http://{a.server.address}:{a.server.port}"
+        for a in plan.assignments
+        for prefix in a.covered_prefixes
+    }
     lengths = {int(prefix.partition("/")[2]) for _, prefix in table}
-    rule = table.get((service_id, group_subnet(client, lengths.pop() if lengths else 24)))
-    if rule is None:
+    url = table.get((service_id, group_subnet(client, lengths.pop() if lengths else 24)))
+    if url is None:
         return Decision.pass_through()
-    remaining = rule.expires_at - now
+    remaining = deadline - now
     if remaining <= 0:
         return Decision.pass_through()
-    return Decision.redirect(rule.target_url, math.ceil(remaining))
+    return Decision.redirect(url, math.ceil(remaining))
 
 
 def int_to_address(packed: int) -> str:
@@ -203,13 +216,13 @@ def test_integer_keys_resolve_like_prefix_text_keys(length, covered, requests, d
         by_service.setdefault(service_id, []).append(group_subnet(int_to_address(packed), length))
     plan = plan_with(*(assignment(sid, prefixes) for sid, prefixes in sorted(by_service.items())))
     service = RedirectService()
-    table = service.install_rules(plan, round_deadline=deadline)
+    service.install_rules(plan, round_deadline=deadline)
     now = deadline - left
     for service_id, pick, packed, flip in requests:
         if covered and pick < 4:  # near a covered address
             packed = covered[pick % len(covered)][1] ^ flip
         client = int_to_address(packed)
-        expected = string_keyed_resolve(table, client, service_id, now)
+        expected = string_keyed_resolve(plan, deadline, client, service_id, now)
         assert service.resolve(client, service_id, now=now) == expected
 
 

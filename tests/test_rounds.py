@@ -8,7 +8,7 @@ import pytest
 
 import edisco.rounds
 from edisco.cli import main
-from edisco.discovery import FixtureWhois
+from edisco.discovery import FixtureWhois, StubResolver
 from edisco.errors import (
     EmptyInputError,
     InvalidPeriodError,
@@ -494,6 +494,17 @@ def test_config_missing_required_key(tmp_path):
     path.write_text(json.dumps({"clients": "clients.txt"}))
     with pytest.raises(MalformedFixtureError, match="root"):
         load_run_config(path)
+
+
+def test_live_dns_round_resolves_through_the_stub_alone(tmp_path):
+    config_path = write_bundle(tmp_path)
+    doc = json.loads(config_path.read_text())
+    del doc["zone"]
+    doc.update(live_dns=True, nameservers=["203.0.113.1"])
+    config_path.write_text(json.dumps(doc))
+    resolver = load_run_config(config_path).make_providers().resolver
+    assert type(resolver) is StubResolver
+    assert resolver.servers == ["203.0.113.1"]
 
 
 def test_config_needs_traces_or_live_flag(tmp_path):
