@@ -22,9 +22,9 @@ from .topology import (
     AggregationTree,
     _typed,
     address_int,
-    group_subnet,
     map_in_threads,
     parse_subnets,
+    subnet_sort_key,
 )
 from .zonefile import ARecord, PtrRecord, SrvRecord, Transport, reverse_pointer_name
 
@@ -47,7 +47,7 @@ class Provenance(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainIdentity:
     """What we learned about one address. No domain means unknown, always."""
 
@@ -63,7 +63,7 @@ class DomainIdentity:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeServer:
     """One advertised edge server, address already resolved."""
 
@@ -238,8 +238,8 @@ class WhoisService(Protocol):
 class FixtureWhois:
     """Registry fixture: JSON map of IPv4 prefix to registrant domain.
 
-    A lookup tries the address's enclosing prefix once per prefix length
-    present in the table."""
+    Keyed by (prefix length, network value); a lookup masks the address's
+    value once per prefix length present in the table."""
 
     def __init__(self, prefixes: dict[str, str]):
         if not isinstance(prefixes, dict):
@@ -248,14 +248,16 @@ class FixtureWhois:
             parse_subnets(list(prefixes))
         except ValueError as exc:
             raise MalformedFixtureError(f"whois fixture: {exc}") from None
+        self.networks: dict[tuple[int, int], str] = {}
         for prefix, domain in prefixes.items():
             if not isinstance(domain, str):
                 raise MalformedFixtureError(f"whois fixture: {prefix!r}: domain is not a string")
-        self.prefixes = prefixes
-        self.lengths = sorted({int(prefix.partition("/")[2]) for prefix in prefixes})
+            self.networks[int(prefix.partition("/")[2]), subnet_sort_key(prefix)] = domain
+        self.masks = [(n, -1 << (32 - n)) for n in {n for n, _ in self.networks}]
 
     def domains_for(self, address: str) -> list[str]:
-        found = (self.prefixes.get(group_subnet(address, n)) for n in self.lengths)
+        value = address_int(address)
+        found = (self.networks.get((n, value & mask)) for n, mask in self.masks)
         return sorted({domain for domain in found if domain is not None})
 
 

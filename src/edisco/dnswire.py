@@ -122,6 +122,15 @@ def parse_response(packet: bytes) -> tuple[int, int, list[WireAnswer]]:
     return txid, rcode, answers
 
 
+def _echoed_question(packet: bytes) -> tuple[str, int, int] | None:
+    """(lower-case qname, qtype, qclass) of a reply's only question, else None."""
+    if struct.unpack_from(">H", packet, 4)[0] != 1:
+        return None
+    name, offset = decode_name(packet, 12)
+    qtype, qclass = struct.unpack_from(">HH", packet, offset)
+    return name.lower(), qtype, qclass
+
+
 def is_truncated(packet: bytes) -> bool:
     if len(packet) < 4:
         return False
@@ -130,9 +139,11 @@ def is_truncated(packet: bytes) -> bool:
 
 
 def _query_udp(server: str, request: bytes, timeout: float) -> bytes:
+    """Connected, so the kernel drops replies from any other address or port."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.settimeout(timeout)
-        sock.sendto(request, (server, 53))
+        sock.connect((server, 53))
+        sock.send(request)
         return sock.recv(MAX_PACKET)
 
 
@@ -157,8 +168,9 @@ def query(
     server: str, qname: str, qtype: int, timeout: float = 2.0, txid: int = 0x1234
 ) -> list[WireAnswer]:
     """One question against one server. NXDOMAIN and empty answers both come
-    back as []; transport failures, undecodable replies and server failures
-    raise ResolverUnreachableError."""
+    back as []; transport failures, undecodable replies, replies to another
+    transaction id or question, and server failures raise
+    ResolverUnreachableError. Names compare without case (RFC 5452)."""
     request = build_query(qname, qtype, txid)
     try:
         packet = _query_udp(server, request, timeout)
@@ -168,10 +180,13 @@ def query(
         raise ResolverUnreachableError(f"{server}: {exc}") from None
     try:
         got_txid, rcode, answers = parse_response(packet)
+        question = _echoed_question(packet)
     except (ValueError, struct.error) as exc:
         raise ResolverUnreachableError(f"{server}: malformed reply: {exc}") from None
     if got_txid != txid:
         raise ResolverUnreachableError(f"{server}: transaction id mismatch")
+    if question != (qname.rstrip(".").lower(), qtype, CLASS_IN):
+        raise ResolverUnreachableError(f"{server}: reply is for another question")
     if rcode == RCODE_NXDOMAIN:
         return []
     if rcode != RCODE_NOERROR:

@@ -18,7 +18,7 @@ from .topology import address_int
 
 logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     action: str  # "redirect" | "pass_through"
     url: str | None = None

@@ -33,12 +33,11 @@ from .discovery import (
     identify_addresses,
 )
 from .errors import (
+    EdiscoError,
     EmptyInputError,
     InvalidPeriodError,
     MalformedFixtureError,
-    ResolverUnreachableError,
     RoundAbortedError,
-    WhoisUnreachableError,
 )
 from .placement import (
     CapacityService,
@@ -115,7 +114,8 @@ class _Degrading:
     whois service, whichever methods of the four it has.
 
     A dead resolver or registry must not abort a round; the affected nodes
-    simply stay unknown and carry no edge servers.
+    simply stay unknown and carry no edge servers. Any EdiscoError or
+    OSError counts as a failure; anything else propagates.
     """
 
     def __init__(self, inner):
@@ -125,7 +125,7 @@ class _Degrading:
     def _try(kind: str, lookup, key: str, empty):
         try:
             return lookup(key)
-        except (ResolverUnreachableError, WhoisUnreachableError, OSError) as exc:
+        except (EdiscoError, OSError) as exc:
             logger.warning("%s lookup failed for %s: %s", kind, key, exc)
             return empty
 

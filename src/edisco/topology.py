@@ -6,6 +6,11 @@ rooted aggregation structure used for placement decisions: nodes keyed by
 subnet, parent->child edges from hop succession, and per-client node
 sequences. Centrality of a node is the number of client paths that pass
 through it, counting only paths that originate at the root.
+
+Address text is checked by `address_int` once, where it enters the program:
+trace ingest and Hop/ProbedPath construction, tree and plan documents, zone
+and whois fixtures, and the client list. Downstream code trusts it and reads
+it with `socket.inet_aton`, which alone would also take 1.2.3 or 010.0.0.1.
 """
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ def address_int(text) -> int:
 
 
 def subnet_sort_key(subnet: str) -> int:
-    return address_int(subnet.partition("/")[0])
+    """The network's 32-bit value, for a prefix that was checked on entry."""
+    return int.from_bytes(socket.inet_aton(subnet.partition("/")[0]), "big")
 
 
 def parse_subnets(value) -> frozenset[str]:
@@ -69,25 +75,31 @@ def group_subnet(address: str, prefix_len: int = 24) -> str:
     """
     if not 0 <= prefix_len <= 32:
         raise ValueError(f"prefix length out of range: {prefix_len}")
-    network = address_int(address) & (-1 << (32 - prefix_len))
+    return _prefix_text(address_int(address) & (-1 << (32 - prefix_len)), prefix_len)
+
+
+def _prefix_text(network: int, prefix_len: int) -> str:
     return f"{socket.inet_ntoa(network.to_bytes(4, 'big'))}/{prefix_len}"
 
 
-def _check_hop_index(index) -> None:
-    if index < 1:
-        raise ValueError(f"hop index must be >= 1, got {index}")
-
-
-def _assemble(cls, **values):
-    """An instance of the frozen dataclass `cls` holding `values`, built
-    without __init__ and so without __post_init__. For callers that have
-    already run every check but the address regex themselves."""
+def _assemble(cls, first, second, third):
+    """An instance of the frozen dataclass `cls`, whose three slots take these
+    values in order, built without __init__ and so without __post_init__,
+    for callers that have run every check. A loop over the slots is slower."""
     made = object.__new__(cls)
-    made.__dict__.update(values)
+    a, b, c = cls.__slots__
+    object.__setattr__(made, a, first)
+    object.__setattr__(made, b, second)
+    object.__setattr__(made, c, third)
     return made
 
 
-@dataclass(frozen=True)
+def _truncated(client: str, hops) -> bool:
+    """True unless the final known hop is the client itself."""
+    return next((h.address for h in reversed(hops) if h.address is not None), None) != client
+
+
+@dataclass(frozen=True, slots=True)
 class Hop:
     """One TTL step on a probed path.
 
@@ -99,7 +111,8 @@ class Hop:
     rtt_ms: float | None = None
 
     def __post_init__(self):
-        _check_hop_index(self.index)
+        if self.index < 1:
+            raise ValueError(f"hop index must be >= 1, got {self.index}")
         if self.address is None and self.rtt_ms is not None:
             raise ValueError(f"hop {self.index}: rtt without address")
         if self.address is not None:
@@ -110,7 +123,7 @@ class Hop:
         return self.address is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbedPath:
     """Ordered hops from the orchestrator toward one client.
 
@@ -124,10 +137,6 @@ class ProbedPath:
 
     def __post_init__(self):
         address_int(self.client)
-        self._check_hops()
-
-    def _check_hops(self):
-        """Every check but the client's address; sets `truncated`."""
         if not self.hops:
             raise ValueError("path has no hops")
         for position, hop in enumerate(self.hops, start=1):
@@ -136,8 +145,7 @@ class ProbedPath:
                     f"hop indices must be 1..n without gaps; "
                     f"position {position} has index {hop.index}"
                 )
-        last_known = next((h.address for h in reversed(self.hops) if h.address is not None), None)
-        object.__setattr__(self, "truncated", last_known != self.client)
+        object.__setattr__(self, "truncated", _truncated(self.client, self.hops))
 
     @property
     def known_addresses(self) -> list[str]:
@@ -189,10 +197,11 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
     ``{"client": str, "hops": [{"index", "address", "rtt_ms"}, ...]}``.
     Parsing is strict; the first malformed entry fails the whole ingest with
     its location cited. Each distinct address string is checked once per
-    call: the first Hop or ProbedPath that carries it runs every check, the
-    later ones every check but the address regex. So an entry fails exactly
-    when building its Hops and ProbedPath directly would fail, with the
-    same message.
+    call. A hop whose address has already passed and whose index equals its
+    position is built without __init__, and so is a path whose client has
+    passed and whose hops all sit at their positions. Every other Hop and
+    ProbedPath is constructed, so an entry fails exactly when building its
+    Hops and ProbedPath directly would fail, with the same message.
     """
     if not isinstance(document, list):
         raise MalformedFixtureError("trace fixture must be a top-level list")
@@ -204,24 +213,24 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
         where = f"entry {i}"
         client = _typed(entry, "client", str, where)
         hops = []
-        for j, raw in enumerate(_typed(entry, "hops", list, where)):
+        in_order = True  # every hop's index equals its position
+        for position, raw in enumerate(_typed(entry, "hops", list, where), start=1):
             if not isinstance(raw, dict):
-                raise MalformedFixtureError(f"{where}, hop {j}: not an object")
+                raise MalformedFixtureError(f"{where}, hop {position - 1}: not an object")
             try:
                 index, address, rtt_ms = raw["index"], raw.get("address"), raw.get("rtt_ms")
-                if isinstance(address, str) and address in passed:
-                    _check_hop_index(index)
-                    hops.append(_assemble(Hop, index=index, address=address, rtt_ms=rtt_ms))
+                if index == position and isinstance(address, str) and address in passed:
+                    hops.append(_assemble(Hop, index, address, rtt_ms))
                 else:
                     hops.append(Hop(index=index, address=address, rtt_ms=rtt_ms))
+                    in_order = in_order and index == position
                     if address is not None:
                         passed.add(address)
             except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedFixtureError(f"{where}, hop {j}: {exc}") from None
+                raise MalformedFixtureError(f"{where}, hop {position - 1}: {exc}") from None
         try:
-            if client in passed:
-                path = _assemble(ProbedPath, client=client, hops=tuple(hops))
-                path._check_hops()
+            if in_order and hops and client in passed:
+                path = _assemble(ProbedPath, client, tuple(hops), _truncated(client, hops))
             else:
                 path = ProbedPath(client=client, hops=tuple(hops))
                 passed.add(client)
@@ -287,7 +296,7 @@ class AggregationTree:
             nodes.append(
                 {
                     "subnet": node.subnet,
-                    "members": sorted(node.member_addresses, key=address_int),
+                    "members": sorted(node.member_addresses, key=socket.inet_aton),
                     "domains": sorted(node.domains),
                     "centrality": node.centrality,
                     "is_client": node.is_client,
@@ -365,8 +374,8 @@ class AggregationTree:
             raise MalformedFixtureError(f"tree document: {exc}") from None
 
     def digest(self) -> str:
-        canonical = json.dumps(
-            self.to_document(), sort_keys=True, separators=(",", ":")
+        canonical = json.dumps(  # the document is acyclic by construction
+            self.to_document(), sort_keys=True, separators=(",", ":"), check_circular=False
         )
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -385,7 +394,8 @@ def build_tree(
     paths = list(paths)
     if not paths:
         raise EmptyInputError("build_tree needs at least one path")
-    root_subnet = group_subnet(root_address, prefix_len)
+    root_subnet = group_subnet(root_address, prefix_len)  # checks both arguments
+    mask = -1 << (32 - prefix_len)
     nodes: dict[str, SubnetNode] = {
         root_subnet: SubnetNode(subnet=root_subnet, member_addresses={root_address})
     }
@@ -393,14 +403,18 @@ def build_tree(
     client_paths: dict[str, tuple[str, ...]] = {}
     first_path: dict[str, ProbedPath] = {}
     subnet_of: dict[str, str] = {}  # each distinct address is grouped once
+    subnet_at = {subnet_sort_key(root_subnet): root_subnet}  # one text per network
 
     def group(address: str) -> str:
         """The address's subnet; on first sight it also joins that node."""
         subnet = subnet_of.get(address)
         if subnet is None:
-            subnet = subnet_of[address] = group_subnet(address, prefix_len)
-            if subnet not in nodes:
+            network = int.from_bytes(socket.inet_aton(address), "big") & mask
+            subnet = subnet_at.get(network)
+            if subnet is None:
+                subnet = subnet_at[network] = _prefix_text(network, prefix_len)
                 nodes[subnet] = SubnetNode(subnet=subnet)
+            subnet_of[address] = subnet
             nodes[subnet].member_addresses.add(address)
         return subnet
 

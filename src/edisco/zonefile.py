@@ -37,7 +37,7 @@ def _strip_dot(name: str) -> str:
     return name[:-1] if name.endswith(".") else name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrvRecord:
     """One SRV line. Service and protocol are stored bare; the leading
     underscores exist only in text form."""
@@ -57,7 +57,7 @@ class SrvRecord:
         return f"_{self.service}._{self.protocol.value}.{self.zone}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ARecord:
     name: str
     ttl: int
@@ -65,7 +65,7 @@ class ARecord:
     address: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PtrRecord:
     address: str
     ttl: int
@@ -204,15 +204,14 @@ def reverse_pointer_name(address: str) -> str:
 
 def _address_from_reverse_name(owner: str) -> str:
     labels = _strip_dot(owner).lower().split(".")
-    message = f"PTR owner is not a /32 in-addr.arpa name: {owner!r}"
-    if len(labels) != 6 or labels[-2:] != ["in-addr", "arpa"]:
-        raise MalformedZoneError(message)
-    address = ".".join(reversed(labels[:4]))
-    try:
-        address_int(address)
-    except ValueError:
-        raise MalformedZoneError(message) from None
-    return address
+    if len(labels) == 6 and labels[-2:] == ["in-addr", "arpa"]:
+        address = ".".join(reversed(labels[:4]))
+        try:
+            address_int(address)
+            return address
+        except ValueError:
+            pass
+    raise MalformedZoneError(f"PTR owner is not a /32 in-addr.arpa name: {owner!r}")
 
 
 @dataclass

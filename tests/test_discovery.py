@@ -37,7 +37,7 @@ from edisco.errors import (
     WhoisUnreachableError,
 )
 from edisco.rounds import discover_phase
-from edisco.topology import build_tree, compute_centrality, map_in_threads
+from edisco.topology import build_tree, compute_centrality, group_subnet, map_in_threads
 from edisco.zonefile import PtrRecord, Transport, parse_zone, reverse_pointer_name
 
 from conftest import OverlapGauge, make_path
@@ -155,6 +155,55 @@ def test_fixture_whois_matches_network_scan(table):
     whois = FixtureWhois(table)
     for address in WHOIS_ADDRESSES + ["12.0.0.1"]:
         assert whois.domains_for(address) == oracle_domains(table, address)
+
+
+def text_keyed_domains(table, address):
+    """The lookup the integer keys replaced: the address's enclosing prefix
+    formatted as text once per prefix length in the table."""
+    lengths = sorted({int(prefix.partition("/")[2]) for prefix in table})
+    found = (table.get(group_subnet(address, n)) for n in lengths)
+    return sorted({domain for domain in found if domain is not None})
+
+
+def text_of(packed: int) -> str:
+    return socket.inet_ntoa((packed % 2**32).to_bytes(4, "big"))
+
+
+@st.composite
+def whois_tables_and_probes(draw):
+    """A table with prefixes of any length /0-/32, and the addresses on
+    and just past each prefix's bounds plus a few anywhere."""
+    table, probes = {}, []
+    for packed, length in draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 32)), min_size=1, max_size=8)):
+        prefix = group_subnet(text_of(packed), length)
+        table[prefix] = draw(st.sampled_from(["a.net", "b.net", "c.org"]))
+        first = int(ipaddress.IPv4Network(prefix).network_address)
+        last = first + 2 ** (32 - length) - 1
+        probes += [text_of(v) for v in (first - 1, first, packed, last, last + 1)]
+    probes += [text_of(v) for v in draw(st.lists(st.integers(0, 2**32 - 1), max_size=3))]
+    return table, probes
+
+
+@given(whois_tables_and_probes())
+def test_fixture_whois_matches_text_keyed_lookup(table_and_probes):
+    table, probes = table_and_probes
+    whois = FixtureWhois(table)
+    for address in probes:
+        assert whois.domains_for(address) == text_keyed_domains(table, address)
+    for text in ("10.0.0", "010.0.0.1", " 10.0.0.1", "x", ""):
+        with pytest.raises(ValueError) as old:
+            text_keyed_domains(table, text)
+        with pytest.raises(ValueError) as new:
+            whois.domains_for(text)
+        assert str(new.value) == str(old.value)
+
+
+def test_empty_fixture_whois_still_checks_the_address():
+    # The text-keyed lookup formatted no prefix for an empty table and so
+    # never read the address; the integer-keyed one always does.
+    assert FixtureWhois({}).domains_for("10.0.0.1") == []
+    with pytest.raises(ValueError):
+        FixtureWhois({}).domains_for("10.0.0")
 
 
 @pytest.mark.parametrize(

@@ -56,10 +56,13 @@ def test_build_query_header():
     assert packet.endswith(struct.pack(">HH", dnswire.TYPE_SRV, dnswire.CLASS_IN))
 
 
-def response_packet(txid: int, rcode: int, answers: list[bytes], tc: bool = False) -> bytes:
+def response_packet(
+    txid: int, rcode: int, answers: list[bytes], tc: bool = False,
+    qname: str = "domainA.com", qtype: int = dnswire.TYPE_A, qclass: int = 1,
+) -> bytes:
     flags = 0x8000 | rcode | (dnswire.FLAG_TC if tc else 0)
     header = struct.pack(">HHHHHH", txid, flags, 1, len(answers), 0, 0)
-    question = hand_name("domainA", "com") + struct.pack(">HH", dnswire.TYPE_A, 1)
+    question = hand_name(*qname.split(".")) + struct.pack(">HH", qtype, qclass)
     return header + question + b"".join(answers)
 
 
@@ -115,13 +118,13 @@ def test_truncation_flag():
 
 
 def test_query_returns_empty_on_nxdomain(monkeypatch):
-    packet = response_packet(0x1234, dnswire.RCODE_NXDOMAIN, [])
+    packet = response_packet(0x1234, dnswire.RCODE_NXDOMAIN, [], qname="nope.example")
     monkeypatch.setattr(dnswire, "_query_udp", lambda *a, **k: packet)
     assert dnswire.query("203.0.113.1", "nope.example", dnswire.TYPE_A) == []
 
 
 def test_query_raises_on_servfail(monkeypatch):
-    packet = response_packet(0x1234, 2, [])
+    packet = response_packet(0x1234, 2, [], qname="broken.example")
     monkeypatch.setattr(dnswire, "_query_udp", lambda *a, **k: packet)
     from edisco.errors import ResolverUnreachableError
 
@@ -158,6 +161,87 @@ def test_query_turns_a_malformed_reply_into_unreachable(monkeypatch):
 
     with pytest.raises(ResolverUnreachableError, match="203.0.113.1"):
         dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A)
+
+
+class FakeUdpSocket:
+    """Records what _query_udp does with its socket and answers one reply."""
+
+    def __init__(self, family, kind):
+        self.calls = [("socket", family, kind)]
+        FakeUdpSocket.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.calls.append(("close",))
+
+    def settimeout(self, timeout):
+        self.calls.append(("settimeout", timeout))
+
+    def connect(self, address):
+        self.calls.append(("connect", address))
+
+    def send(self, data):
+        self.calls.append(("send", data))
+        return len(data)
+
+    def recv(self, size):
+        self.calls.append(("recv", size))
+        return b"reply"
+
+
+def test_udp_query_takes_replies_only_from_the_server(monkeypatch):
+    FakeUdpSocket.made = []
+    monkeypatch.setattr(dnswire.socket, "socket", FakeUdpSocket)
+    assert dnswire._query_udp("203.0.113.1", b"request", 1.5) == b"reply"
+    (sock,) = FakeUdpSocket.made
+    assert sock.calls == [
+        ("socket", dnswire.socket.AF_INET, dnswire.socket.SOCK_DGRAM),
+        ("settimeout", 1.5),
+        ("connect", ("203.0.113.1", 53)),
+        ("send", b"request"),
+        ("recv", dnswire.MAX_PACKET),
+        ("close",),
+    ]
+
+
+@pytest.mark.parametrize(
+    "question",
+    [
+        {"qname": "domainB.com"},
+        {"qname": "sub.domainA.com"},
+        {"qtype": dnswire.TYPE_SRV},
+        {"qclass": 3},
+    ],
+    ids=["other-name", "longer-name", "other-type", "other-class"],
+)
+def test_query_rejects_a_reply_to_another_question(monkeypatch, question):
+    from edisco.errors import ResolverUnreachableError
+
+    packet = response_packet(0x1234, 0, [a_answer(bytes([203, 0, 113, 9]))], **question)
+    monkeypatch.setattr(dnswire, "_query_udp", lambda *a, **k: packet)
+    with pytest.raises(ResolverUnreachableError, match="another question"):
+        dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A)
+
+
+def test_query_rejects_a_reply_without_exactly_one_question(monkeypatch):
+    from edisco.errors import ResolverUnreachableError
+
+    bare = struct.pack(">HHHHHH", 0x1234, 0x8000, 0, 0, 0, 0)
+    packet = response_packet(0x1234, 0, [])
+    doubled = struct.pack(">HHHHHH", 0x1234, 0x8000, 2, 0, 0, 0) + packet[12:] * 2
+    for reply in (bare, doubled):
+        monkeypatch.setattr(dnswire, "_query_udp", lambda *a, **k: reply)
+        with pytest.raises(ResolverUnreachableError, match="another question"):
+            dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A)
+
+
+def test_query_matches_the_echoed_name_without_case(monkeypatch):
+    packet = response_packet(0x1234, 0, [a_answer(bytes([203, 0, 113, 9]))], qname="DOMAINa.cOm")
+    monkeypatch.setattr(dnswire, "_query_udp", lambda *a, **k: packet)
+    answers = dnswire.query("203.0.113.1", "domainA.com.", dnswire.TYPE_A)
+    assert [a.data for a in answers] == ["203.0.113.9"]
 
 
 def test_resolv_conf_parsing(tmp_path):

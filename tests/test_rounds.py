@@ -13,6 +13,8 @@ from edisco.errors import (
     EmptyInputError,
     InvalidPeriodError,
     MalformedFixtureError,
+    MalformedZoneError,
+    ProbeTimeoutError,
     ResolverUnreachableError,
     RoundAbortedError,
     WhoisUnreachableError,
@@ -30,7 +32,7 @@ from edisco.rounds import (
     read_client_addresses,
     run_round,
 )
-from edisco.topology import paths_to_document
+from edisco.topology import build_tree, compute_centrality, paths_to_document
 from edisco.zonefile import parse_zone
 
 from conftest import REFERENCE_ZONE, make_path
@@ -218,6 +220,47 @@ def test_dead_resolver_degrades_to_unplaced():
     record = run_round(make_config(), [video_service()], providers)
     assert record.plan.unplaced == ["svc-video"]
     assert record.plan.assignments == []
+
+
+class PtrFails:
+    """The reference zone with the gateway's PTR, except that every PTR
+    lookup raises `error`."""
+
+    def __init__(self, error: Exception):
+        self.zone = parse_zone(ZONE_WITH_PTR)
+        self.error = error
+
+    def lookup_ptr(self, address):
+        raise self.error
+
+    def lookup_a(self, name):
+        return self.zone.lookup_a(name)
+
+    def lookup_srv(self, qname):
+        return self.zone.lookup_srv(qname)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MalformedZoneError("PTR answer unreadable"), ProbeTimeoutError("odd provider")],
+    ids=lambda e: type(e).__name__,
+)
+def test_declared_lookup_error_leaves_the_node_anonymous(error):
+    tree = compute_centrality(build_tree(world_paths(), ROOT))
+    edisco.rounds.discover_phase(tree, PtrFails(error))
+    gateway = tree.nodes["192.168.121.0/24"]
+    assert (gateway.domains, gateway.edge_servers) == (set(), [])
+    providers = make_providers()
+    providers.resolver = PtrFails(error)
+    record = run_round(make_config(), [video_service()], providers)
+    assert record.plan.unplaced == ["svc-video"]
+
+
+def test_undeclared_lookup_error_is_not_swallowed():
+    providers = make_providers()
+    providers.resolver = PtrFails(KeyError("a bug, not a failed lookup"))
+    with pytest.raises(KeyError):
+        run_round(make_config(), [video_service()], providers)
 
 
 class DeadWhois:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import edisco.topology as topology
 from edisco.errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
+from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import (
     AggregationTree,
     Hop,
@@ -182,7 +183,7 @@ def trace_documents(draw):
         for position in range(1, draw(st.sampled_from([1, 2, 3, 4] * 4 + [0])) + 1):
             address = draw(st.sampled_from(pool))
             hop = {
-                "index": draw(st.sampled_from([position] * 12 + [0, -1, position + 1, float(position), str(position)])),
+                "index": draw(st.sampled_from([position] * 12 + [0, -1, position + 1, float(position), str(position), True])),
                 "address": address,
                 "rtt_ms": draw(st.sampled_from([None] * 9 + [1.5])) if address is None else 1.5,
             }
@@ -226,6 +227,28 @@ def test_ingest_fails_exactly_when_direct_construction_fails(document):
         assert ingest_recorded_paths(document) == expected
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=12,
+)
+JSON_OR_ADDRESS = JSON_VALUES | st.sampled_from(["10.1.0.1", "172.16.0.9"])
+JSON_HOP = st.fixed_dictionaries(
+    {"index": JSON_VALUES | st.integers(1, 3), "address": JSON_OR_ADDRESS, "rtt_ms": JSON_VALUES}
+)
+JSON_ENTRY = JSON_VALUES | st.fixed_dictionaries(
+    {"client": JSON_OR_ADDRESS, "hops": st.lists(JSON_HOP | JSON_VALUES, max_size=4) | JSON_VALUES}
+)
+
+
+@given(JSON_VALUES | st.lists(JSON_ENTRY, max_size=4))
+def test_ingest_raises_only_declared_errors(document):
+    try:
+        ingest_recorded_paths(document)
+    except (MalformedFixtureError, EmptyFixtureError):
+        pass
+
+
 def test_ingest_checks_each_distinct_address_once(monkeypatch):
     document = paths_to_document(random_paths(seed=3, n_clients=40))
     known = [h["address"] for e in document for h in e["hops"] if h["address"] is not None]
@@ -250,6 +273,26 @@ def test_paths_round_trip_through_document():
 
 
 # --- build_tree ---
+
+
+def test_tree_and_digest_trust_the_checked_addresses(monkeypatch):
+    """Hop and ProbedPath checked every address they carry, so grouping,
+    centrality and the digest read them without address_int. The root is
+    the one address build_tree takes unchecked from its caller."""
+    bundle = generate_scenario(ScenarioSpec(clients=100, seed=42))
+    paths = ingest_recorded_paths(bundle.traces)
+    expected = compute_centrality(build_tree(paths, bundle.root_address)).digest()
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    real = topology.address_int
+    monkeypatch.setattr(topology, "address_int", counted)
+    tree = compute_centrality(build_tree(paths, bundle.root_address))
+    assert tree.digest() == expected
+    assert calls == [bundle.root_address]
 
 
 def test_minimal_tree():
