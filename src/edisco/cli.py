@@ -11,8 +11,8 @@ import itertools
 import json
 import logging
 import os
+import signal
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -141,25 +141,36 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_serve_redirect(args) -> int:
-    doc = load_json(args.plan)
-    deadline = time.time() + args.period_s
-    service = rules_from_plan_document(doc, deadline)
-    host, port = args.listen
-    httpd = make_http_server(service, host, port)
-    bound = httpd.server_address
-    print(
-        f"serving {service.rule_count} rules on http://{bound[0]}:{bound[1]}"
-        f" until +{args.period_s:.0f}s",
-        file=sys.stderr,
-    )
+def _serve(service: RedirectService, listen, banner, scheduler: Scheduler | None = None) -> int:
+    """Bind the front end, start the scheduler, print banner(url) to stderr
+    (last, so that a signal sent once it shows cannot cut into the start)
+    and serve on this thread until Ctrl-C or SIGTERM. Then stop the
+    scheduler, which lets the round in progress finish, and close the server."""
+    httpd = make_http_server(service, *listen)
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        if scheduler is not None:
+            scheduler.start()
+        host, port = httpd.server_address[:2]
+        print(banner(f"http://{host}:{port}"), file=sys.stderr)
         httpd.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        if scheduler is not None:
+            scheduler.stop()
         httpd.server_close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def cmd_serve_redirect(args) -> int:
+    service = rules_from_plan_document(load_json(args.plan), time.time() + args.period_s)
+    return _serve(
+        service,
+        args.listen,
+        lambda url: f"serving {service.rule_count} rules on {url} until +{args.period_s:.0f}s",
+    )
 
 
 def cmd_run(args) -> int:
@@ -173,56 +184,34 @@ def cmd_run(args) -> int:
     setup = load_run_config(config_path)
     redirect = RedirectService()
 
-    def journaled_round(round_id: int):
+    round_ids = itertools.count(1)
+
+    def journaled_round():
         record = run_round(
             setup.config,
             setup.services,
             setup.make_providers(),
             redirect=redirect,
-            round_id=round_id,
+            round_id=next(round_ids),
         )
         if args.journal:
             append_journal(args.journal, record)
         return record
 
     if args.once:
-        _emit_document(args, journaled_round(1).to_document())
+        _emit_document(args, journaled_round().to_document())
         return 0
 
-    host, port = setup.listen
-    httpd = make_http_server(redirect, host, port)
-    bound = httpd.server_address
-    print(f"redirect service on http://{bound[0]}:{bound[1]}", file=sys.stderr)
-    server_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    server_thread.start()
-
-    round_ids = itertools.count(1)
-
     def one_round():
-        record = journaled_round(next(round_ids))
+        record = journaled_round()
         print(
             f"round {record.round_id}: digest {record.tree_digest[:12]}, "
             f"{len(record.plan.assignments)} assignments",
             file=sys.stderr,
         )
 
-    try:
-        scheduler = Scheduler(setup.config.period_s, one_round)
-    except EdiscoError:
-        httpd.shutdown()
-        httpd.server_close()
-        raise
-    scheduler.start()
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        scheduler.stop()
-        httpd.shutdown()
-        httpd.server_close()
-    return 0
+    scheduler = Scheduler(setup.config.period_s, one_round)
+    return _serve(redirect, setup.listen, lambda url: f"redirect service on {url}", scheduler)
 
 
 def cmd_gen(args) -> int:

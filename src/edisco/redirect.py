@@ -3,13 +3,14 @@
 Requests for an onloaded service get a 302 pointing at the assigned edge
 server, with the remaining round time carried as Cache-Control max-age.
 Anything else passes through to the origin (here: a placeholder response).
+`RedirectService.resolve` returns the redirect as a plain
+``(target_url, ttl_seconds)`` tuple, or None for a pass-through.
 """
 from __future__ import annotations
 
 import logging
 import math
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import MalformedFixtureError
@@ -17,27 +18,6 @@ from .placement import PlacementPlan
 from .topology import address_int
 
 logger = logging.getLogger(__name__)
-
-@dataclass(frozen=True, slots=True)
-class Decision:
-    action: str  # "redirect" | "pass_through"
-    url: str | None = None
-    ttl_seconds: int | None = None
-
-    @classmethod
-    def redirect(cls, url: str, ttl_seconds: int) -> "Decision":
-        return cls(action="redirect", url=url, ttl_seconds=ttl_seconds)
-
-    @classmethod
-    def pass_through(cls) -> "Decision":
-        return _PASS_THROUGH
-
-
-_PASS_THROUGH = Decision(action="pass_through")  # frozen, so one serves every request
-
-
-def _target_url(server) -> str:
-    return f"http://{server.address}:{server.port}"
 
 
 class RedirectService:
@@ -59,7 +39,7 @@ class RedirectService:
         table = {}
         lengths = set()
         for assignment in plan.assignments:
-            url = _target_url(assignment.server)
+            url = f"http://{assignment.server.address}:{assignment.server.port}"
             for prefix in assignment.covered_prefixes:
                 address, _, length = prefix.partition("/")
                 try:
@@ -79,20 +59,22 @@ class RedirectService:
     def rule_count(self) -> int:
         return len(self._rules[0])
 
-    def resolve(self, client: str, service_id: str, now: float | None = None) -> Decision:
-        """Covered and unexpired -> redirect with remaining TTL, otherwise
-        pass through. At now = expires_at exactly the rule is already dead.
-        """
+    def resolve(
+        self, client: str, service_id: str, now: float | None = None
+    ) -> tuple[str, int] | None:
+        """Covered and unexpired -> (target URL, remaining TTL rounded up to
+        whole seconds), otherwise None: pass through. At now = expires_at
+        exactly the rule is already dead."""
         table, mask, expires_at = self._rules  # one read; never mutated in place
         url = table.get((service_id, address_int(client) & mask))
         if url is None:
-            return _PASS_THROUGH
+            return None
         if now is None:
             now = self.clock()
         remaining = expires_at - now
         if remaining <= 0:
-            return _PASS_THROUGH
-        return Decision.redirect(url, math.ceil(remaining))
+            return None
+        return url, math.ceil(remaining)
 
 
 def rules_from_plan_document(
@@ -105,8 +87,6 @@ def rules_from_plan_document(
 
 
 class _Handler(BaseHTTPRequestHandler):
-    redirect_service: RedirectService = None  # type: ignore[assignment]
-
     def do_GET(self):  # noqa: N802 - http.server API
         parts = self.path.split("/", 3)
         if len(parts) < 3 or parts[1] != "svc" or not parts[2]:
@@ -114,11 +94,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         service_id = parts[2]
         suffix = parts[3] if len(parts) > 3 else ""
-        decision = self.redirect_service.resolve(self.client_address[0], service_id)
-        if decision.action == "redirect":
+        redirect = self.server.redirect_service.resolve(self.client_address[0], service_id)
+        if redirect is not None:
+            url, ttl_seconds = redirect
             self.send_response(302)
-            self.send_header("Location", f"{decision.url}/{suffix}")
-            self.send_header("Cache-Control", f"max-age={decision.ttl_seconds}")
+            self.send_header("Location", f"{url}/{suffix}")
+            self.send_header("Cache-Control", f"max-age={ttl_seconds}")
             self.end_headers()
         else:
             body = b"origin placeholder\n"
@@ -135,7 +116,7 @@ class _Handler(BaseHTTPRequestHandler):
 def make_http_server(
     service: RedirectService, listen: str = "127.0.0.1", port: int = 0
 ) -> ThreadingHTTPServer:
-    """Bound but not yet serving; call serve_forever() (typically on a
-    thread) and shutdown() when done."""
-    handler = type("BoundHandler", (_Handler,), {"redirect_service": service})
-    return ThreadingHTTPServer((listen, port), handler)
+    """Bound but not yet serving: call serve_forever(), then server_close()."""
+    server = ThreadingHTTPServer((listen, port), _Handler)
+    server.redirect_service = service
+    return server

@@ -37,6 +37,7 @@ from .errors import (
     EmptyInputError,
     InvalidPeriodError,
     MalformedFixtureError,
+    MalformedZoneError,
     RoundAbortedError,
 )
 from .placement import (
@@ -158,7 +159,11 @@ def make_resolver(zone=None, nameservers: list[str] | None = None) -> Resolver:
     if zone is None:
         return StubResolver(nameservers)
     with open(zone, encoding="utf-8") as fh:
-        return parse_zone(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedZoneError(f"{zone}: not UTF-8 text: {exc}") from None
+    return parse_zone(text)
 
 
 def discover_phase(
@@ -272,15 +277,19 @@ def read_client_addresses(path) -> list[str]:
     collapsed in first-seen order."""
     clients: dict[str, None] = {}  # a dict keeps first-seen order
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                address_int(line)
-            except ValueError as exc:
-                raise MalformedFixtureError(f"{path} line {line_no}: {exc}") from exc
-            clients[line] = None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise MalformedFixtureError(f"{path}: not UTF-8 text: {exc}") from None
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            address_int(line)
+        except ValueError as exc:
+            raise MalformedFixtureError(f"{path} line {line_no}: {exc}") from exc
+        clients[line] = None
     return list(clients)
 
 

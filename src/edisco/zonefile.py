@@ -301,6 +301,11 @@ def parse_zone(text: str) -> ZoneData:
     return ZoneData(srv_records=tuple(srv), a_records=tuple(a), ptr_records=tuple(ptr))
 
 
+def _is_ttl(token: str) -> bool:
+    """ASCII digits only: str.isdigit alone also takes '²', which int() refuses."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
     if len(tokens) < 4:
         raise MalformedZoneError(f"too few fields: {' '.join(tokens)!r}")
@@ -309,9 +314,9 @@ def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
     # TTL and class may appear in either order.
     ttl: int | None = None
     dns_class: str | None = None
-    while rest and (rest[0].isdigit() or rest[0].upper() in ("IN",)):
+    while rest and (_is_ttl(rest[0]) or rest[0].upper() in ("IN",)):
         token = rest.pop(0)
-        if token.isdigit():
+        if _is_ttl(token):
             if ttl is not None:
                 raise MalformedZoneError("duplicate TTL")
             ttl = int(token)

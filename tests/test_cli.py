@@ -1,4 +1,9 @@
 import json
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -269,6 +274,37 @@ def test_broken_services_json_is_operational_error(bundle_dir, capsys):
     assert_one_error_line(capsys.readouterr(), str(services), "not valid JSON")
 
 
+def test_non_ascii_ttl_in_zone_is_operational_error(bundle_dir, capsys):
+    directory, _ = bundle_dir
+    zone = directory / "zone.txt"
+    lines = zone.read_text().splitlines() + ["x.test. \u00b2 IN A 10.0.0.1"]
+    zone.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(directory / "config.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), f"line {len(lines)}:", "missing TTL")
+
+
+def test_non_utf8_client_list_is_operational_error(bundle_dir, capsys):
+    directory, _ = bundle_dir
+    clients = directory / "clients.txt"
+    clients.write_bytes(clients.read_bytes() + b"\xff\n")
+    assert main(["run", "--config", str(directory / "config.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), str(clients), "not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["run", "plan", "discover"])
+def test_non_utf8_zone_is_operational_error(bundle_dir, capsys, command):
+    directory, bundle = bundle_dir
+    zone = directory / "zone.txt"
+    zone.write_bytes(zone.read_bytes() + b"; \xff\n")
+    args = {
+        "run": ["run", "--config", str(directory / "config.json"), "--once"],
+        "plan": plan_args(directory, bundle),
+        "discover": ["discover", "--domain", "domainA.com", "--zone", str(zone)],
+    }[command]
+    assert main(args) == 1
+    assert_one_error_line(capsys.readouterr(), str(zone), "not UTF-8")
+
+
 # -- serve-redirect -------------------------------------------------------------------
 
 
@@ -292,6 +328,35 @@ def test_serve_redirect_starts_and_stops(bundle_dir, tmp_path, capsys, monkeypat
     )
     assert code == 0
     assert "serving" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["serve-redirect", "run"])
+def test_serving_commands_stop_cleanly_on_sigterm(bundle_dir, tmp_path, command):
+    directory, bundle = bundle_dir
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(bundle.expected["plan"]))
+    journal = tmp_path / "journal.jsonl"
+    argv = [sys.executable, "-m", "edisco"] + {
+        "serve-redirect": ["serve-redirect", "--plan", str(plan_file), "--listen", "127.0.0.1:0"],
+        "run": ["run", "--config", str(directory / "config.json"), "--journal", str(journal)],
+    }[command]
+    with subprocess.Popen(
+        argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    ) as proc:
+        watchdog = threading.Timer(30, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stderr.readline()
+            assert b" on http://127.0.0.1:" in banner, banner
+            proc.send_signal(signal.SIGTERM)
+            rest = proc.stderr.read()
+            code = proc.wait()
+        finally:
+            watchdog.cancel()
+    assert code == 0
+    assert b"Traceback" not in rest
+    if command == "run":  # the round in progress finished before the exit
+        assert len(journal.read_text().splitlines()) == 1
 
 
 def test_serve_redirect_bad_listen_is_usage_error(capsys):
@@ -422,6 +487,42 @@ def test_run_loop_rejects_short_period(bundle_dir, capsys):
     (directory / "short.json").write_text(json.dumps(config))
     assert main(["run", "--config", str(directory / "short.json")]) == 1
     assert "minimum" in capsys.readouterr().err
+
+
+class JournalWatchingServer(DummyServer):
+    """Serves until the first round's journal line is complete, then stops
+    as Ctrl-C would."""
+
+    def __init__(self, journal):
+        self.journal = journal
+        self.closed = False
+
+    def serve_forever(self):
+        deadline = time.monotonic() + 30
+        while not (self.journal.exists() and self.journal.read_text().endswith("\n")):
+            assert time.monotonic() < deadline, "no round was journaled"
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    def server_close(self):
+        self.closed = True
+
+
+def test_run_loop_serves_rounds_until_interrupted(bundle_dir, tmp_path, capsys, monkeypatch):
+    directory, bundle = bundle_dir
+    journal = tmp_path / "journal.jsonl"
+    server = JournalWatchingServer(journal)
+    monkeypatch.setattr("edisco.cli.make_http_server", lambda *a, **k: server)
+    sigterm_handler = signal.getsignal(signal.SIGTERM)
+    code = main(["run", "--config", str(directory / "config.json"), "--journal", str(journal)])
+    assert code == 0
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["tree_digest"] == bundle.expected["tree_digest"]
+    assert not [t for t in threading.enumerate() if t.name == "edisco-scheduler"]
+    assert server.closed
+    assert signal.getsignal(signal.SIGTERM) is sigterm_handler
+    assert "redirect service on http://127.0.0.1:12345" in capsys.readouterr().err
 
 
 # -- gen ---------------------------------------------------------------------------------

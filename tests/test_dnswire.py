@@ -3,6 +3,8 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from edisco import dnswire
 
@@ -110,6 +112,41 @@ def test_parse_ptr_answer():
 def test_parse_rejects_short_packet():
     with pytest.raises(ValueError):
         dnswire.parse_response(b"\x00" * 4)
+
+
+def record(rtype: int, rdata: bytes) -> bytes:
+    return struct.pack(">H", 0xC000 | 12) + struct.pack(">HHIH", rtype, 1, 3600, len(rdata)) + rdata
+
+
+FUZZ_SEEDS = [
+    response_packet(7, 0, [a_answer(bytes([192, 168, 121, 30]))]),
+    response_packet(1, 0, [record(dnswire.TYPE_SRV, struct.pack(">HHH", 10, 30, 5060) + hand_name("s", "d"))]),
+    response_packet(1, 0, [record(dnswire.TYPE_PTR, hand_name("serverA", "domainA", "com"))]),
+]
+
+
+def mutate(packet: bytes, edits: list[tuple[int, int]], cut: int) -> bytes:
+    data = bytearray(packet)
+    for position, value in edits:
+        data[position % len(data)] = value
+    return bytes(data[:cut])
+
+
+@given(
+    st.binary(max_size=96)
+    | st.builds(
+        mutate,
+        st.sampled_from(FUZZ_SEEDS),
+        st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=4),
+        st.integers(0, 128),
+    )
+)
+@example(FUZZ_SEEDS[0][: len(FUZZ_SEEDS[0]) - 12])  # cut after the answer's owner name
+def test_parse_response_raises_only_what_query_wraps(packet):
+    try:
+        dnswire.parse_response(packet)
+    except (ValueError, struct.error):
+        pass
 
 
 def test_truncation_flag():

@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from edisco.discovery import DomainIdentity, EdgeServer, Provenance
-from edisco.redirect import Decision
 from edisco.topology import Hop, ProbedPath
 from edisco.zonefile import ARecord, PtrRecord, SrvRecord, Transport
 
@@ -18,7 +17,6 @@ RECORDS = [
     lambda: SrvRecord("edge", Transport.TCP, "domainA.com", 60, "IN", 10, 30, 5060, "serverA.domainA.com"),
     lambda: ARecord("serverA.domainA.com", 60, "IN", "192.168.121.30"),
     lambda: PtrRecord("192.168.121.30", 60, "IN", "serverA.domainA.com"),
-    lambda: Decision.redirect("http://192.168.121.30:5060", 30),
 ]
 
 

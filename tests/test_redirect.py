@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 from edisco.discovery import EdgeServer
 from edisco.errors import MalformedFixtureError
 from edisco.placement import Assignment, PlacementPlan
-from edisco.redirect import (
-    Decision,
-    RedirectService,
-    make_http_server,
-    rules_from_plan_document,
-)
+from edisco.redirect import RedirectService, make_http_server, rules_from_plan_document
 from edisco.topology import address_int, group_subnet
 from edisco.zonefile import Transport
 
@@ -58,14 +53,14 @@ def test_one_rule_per_assignment_prefix_pair():
 def test_empty_plan_all_pass_through():
     service = RedirectService(clock=lambda: 0.0)
     service.install_rules(plan_with(), round_deadline=300.0)
-    assert service.resolve("172.16.0.9", "svc-video") == Decision.pass_through()
+    assert service.resolve("172.16.0.9", "svc-video") is None
 
 
 def test_pass_through_is_one_shared_decision():
     service = RedirectService()
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.9.9", "svc-video", now=0.0) is Decision.pass_through()
-    assert service.resolve("172.16.0.9", "svc-video", now=300.0) is Decision.pass_through()
+    assert service.resolve("172.16.9.9", "svc-video", now=0.0) is None
+    assert service.resolve("172.16.0.9", "svc-video", now=300.0) is None
 
 
 def test_reinstall_same_plan_identical_table():
@@ -78,37 +73,38 @@ def test_reinstall_same_plan_identical_table():
 def test_covered_client_gets_redirect_with_remaining_ttl():
     service = RedirectService()
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    decision = service.resolve("172.16.0.9", "svc-video", now=120.0)
-    assert decision.action == "redirect"
-    assert decision.url == "http://10.2.0.30:8080"
-    assert decision.ttl_seconds == 180
+    redirect = service.resolve("172.16.0.9", "svc-video", now=120.0)
+    assert redirect is not None
+    url, ttl_seconds = redirect
+    assert url == "http://10.2.0.30:8080"
+    assert ttl_seconds == 180
 
 
 def test_uncovered_subnet_passes_through():
     service = RedirectService()
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.9.9", "svc-video", now=0.0).action == "pass_through"
+    assert service.resolve("172.16.9.9", "svc-video", now=0.0) is None
 
 
 def test_unknown_service_passes_through():
     service = RedirectService()
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.0.9", "svc-other", now=0.0).action == "pass_through"
+    assert service.resolve("172.16.0.9", "svc-other", now=0.0) is None
 
 
 def test_expiry_boundary_is_pass_through():
     service = RedirectService()
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.0.9", "svc-video", now=300.0).action == "pass_through"
-    assert service.resolve("172.16.0.9", "svc-video", now=301.0).action == "pass_through"
+    assert service.resolve("172.16.0.9", "svc-video", now=300.0) is None
+    assert service.resolve("172.16.0.9", "svc-video", now=301.0) is None
 
 
 def test_ttl_never_nonpositive():
     service = RedirectService()
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
     # just inside the deadline: ceil keeps the ttl at 1, never 0
-    decision = service.resolve("172.16.0.9", "svc-video", now=299.6)
-    assert decision.ttl_seconds == 1
+    _, ttl_seconds = service.resolve("172.16.0.9", "svc-video", now=299.6)
+    assert ttl_seconds == 1
 
 
 def test_new_table_replaces_old_completely():
@@ -117,8 +113,8 @@ def test_new_table_replaces_old_completely():
     service.install_rules(
         plan_with(assignment("svc-b", prefixes=("172.16.5.0/24",))), round_deadline=600.0
     )
-    assert service.resolve("172.16.0.9", "svc-a", now=0.0).action == "pass_through"
-    assert service.resolve("172.16.5.9", "svc-b", now=0.0).action == "redirect"
+    assert service.resolve("172.16.0.9", "svc-a", now=0.0) is None
+    assert service.resolve("172.16.5.9", "svc-b", now=0.0) is not None
 
 
 def test_concurrent_resolves_see_whole_tables_only():
@@ -135,9 +131,9 @@ def test_concurrent_resolves_see_whole_tables_only():
 
     def reader():
         while not stop.is_set():
-            decision = service.resolve("172.16.0.5", "svc-x", now=0.0)
-            if decision.action == "redirect":
-                seen.add(decision.url)
+            redirect = service.resolve("172.16.0.5", "svc-x", now=0.0)
+            if redirect is not None:
+                seen.add(redirect[0])
 
     threads = [threading.Thread(target=reader) for _ in range(4)]
     for t in threads:
@@ -158,7 +154,7 @@ def test_concurrent_resolves_see_whole_tables_only():
 def test_rules_from_plan_document_round_trip():
     plan = plan_with(assignment())
     service = rules_from_plan_document(plan.to_document(), round_deadline=300.0)
-    assert service.resolve("172.16.1.7", "svc-video", now=10.0).action == "redirect"
+    assert service.resolve("172.16.1.7", "svc-video", now=10.0) is not None
 
 
 @pytest.mark.parametrize("prefixes", [("172.16.0.0/24", "172.16.2.0/23"), ("172.16.0.0",)])
@@ -181,11 +177,11 @@ def string_keyed_resolve(plan, deadline, client, service_id, now):
     lengths = {int(prefix.partition("/")[2]) for _, prefix in table}
     url = table.get((service_id, group_subnet(client, lengths.pop() if lengths else 24)))
     if url is None:
-        return Decision.pass_through()
+        return None
     remaining = deadline - now
     if remaining <= 0:
-        return Decision.pass_through()
-    return Decision.redirect(url, math.ceil(remaining))
+        return None
+    return url, math.ceil(remaining)
 
 
 def int_to_address(packed: int) -> str:

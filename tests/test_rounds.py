@@ -140,11 +140,10 @@ def test_redirect_rules_expire_at_start_plus_period():
     assert "install" in record.phase_durations
     assert redirect.rule_count == 2
     now["t"] = 1299.0
-    decision = redirect.resolve("172.16.0.9", "svc-video")
-    assert decision.action == "redirect"
-    assert decision.url == "http://192.168.121.30:5060"
+    url, _ = redirect.resolve("172.16.0.9", "svc-video")
+    assert url == "http://192.168.121.30:5060"
     now["t"] = 1300.0
-    assert redirect.resolve("172.16.0.9", "svc-video").action == "pass_through"
+    assert redirect.resolve("172.16.0.9", "svc-video") is None
 
 
 def test_front_end_follows_the_round_prefix_length():
@@ -164,7 +163,7 @@ def test_front_end_follows_the_round_prefix_length():
     )
     assert record.plan.assignments[0].covered_prefixes == ("172.16.0.0/23",)
     for client in CLIENTS:
-        assert redirect.resolve(client, "svc-video").action == "redirect"
+        assert redirect.resolve(client, "svc-video") is not None
 
 
 def test_zero_paths_aborts():
@@ -297,7 +296,7 @@ def test_next_round_replaces_rules():
     run_round(
         make_config(), [video_service()], make_providers(clock=clock), redirect=redirect
     )
-    assert redirect.resolve("172.16.0.9", "svc-video").action == "redirect"
+    assert redirect.resolve("172.16.0.9", "svc-video") is not None
 
     # round 2: all capacity refused, so the new table must be empty
     providers = make_providers(clock=clock)
@@ -312,7 +311,7 @@ def test_next_round_replaces_rules():
     )
     assert record.plan.unplaced == ["svc-video"]
     assert redirect.rule_count == 0
-    assert redirect.resolve("172.16.0.9", "svc-video").action == "pass_through"
+    assert redirect.resolve("172.16.0.9", "svc-video") is None
 
 
 # -- journal -------------------------------------------------------------------

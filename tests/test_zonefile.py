@@ -3,7 +3,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edisco.errors import MalformedSrvError, MalformedZoneError
@@ -257,6 +257,26 @@ def test_indexed_lookups_match_linear_scans(lines, queries):
         assert zone.lookup_a(name) == oracle_a(zone, name)
     for address in ZONE_ADDRESSES + ["240.9.9.9"]:
         assert zone.lookup_ptr(address) is oracle_ptr(zone, address)
+
+
+FUZZ_TOKENS = [
+    "$ORIGIN", "$TTL", "@", "IN", "in", "CH", "A", "PTR", "SRV", "MX", "300", "0", "65536",
+    "-1", "+1", "1_0", "\u00b2", "\u0663", "_edge", "_edge._tcp.example.", "_tcp.example",
+    "_x._sctp.e.", "host", "host.", ".", "..", "240.0.0.1", "999.1.1.1", "1.0.0.240.in-addr.arpa.",
+    "x.in-addr.arpa.", ";",
+]
+fuzz_line = zone_line | st.lists(
+    st.sampled_from(FUZZ_TOKENS) | st.text(max_size=6), max_size=10
+).map(" ".join)
+
+
+@given(st.lists(fuzz_line, max_size=8))
+@example(["x.test. \u00b2 IN A 10.0.0.1"])
+def test_parse_zone_raises_only_malformed_zone_error(lines):
+    try:
+        parse_zone("\n".join(lines))
+    except MalformedZoneError:
+        pass
 
 
 def test_comments_and_blank_lines_skipped(reference_zone):
