@@ -7,11 +7,13 @@ stderr. Exit codes: 0 success, 1 operational error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import itertools
 import json
 import logging
 import os
 import signal
+import socket
 import sys
 import time
 from pathlib import Path
@@ -20,7 +22,7 @@ from .discovery import FixtureWhois, discover_local_edges
 from .errors import EdiscoError
 from .placement import FixtureCapacityService, load_service_profiles, plan_round
 from .probing import ProbeConfig, TracerouteProber
-from .redirect import RedirectService, make_http_server, rules_from_plan_document
+from .redirect import FrontEnd, RedirectService, rules_from_plan_document
 from .rounds import (
     Scheduler,
     append_journal,
@@ -141,36 +143,41 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _serve(service: RedirectService, listen, banner, scheduler: Scheduler | None = None) -> int:
+async def _serve(service: RedirectService, listen, banner, scheduler: Scheduler | None = None) -> int:
     """Bind the front end, start the scheduler, print banner(url) to stderr
-    (last, so that a signal sent once it shows cannot cut into the start)
-    and serve on this thread until Ctrl-C or SIGTERM. Then stop the
-    scheduler, which lets the round in progress finish, and close the server."""
-    httpd = make_http_server(service, *listen)
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    and serve on this asyncio loop until Ctrl-C or SIGTERM. The loop owns
+    both signals, so any number of them only ends the wait. Then close the
+    front end and stop the scheduler, which lets the round in progress
+    finish, before the previous handlers come back."""
+    sock = socket.create_server(listen)
+    front = await FrontEnd(service).start(sock)
+    loop, stopping = asyncio.get_running_loop(), asyncio.Event()
+    previous = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    for sig in previous:
+        loop.add_signal_handler(sig, stopping.set)
     try:
         if scheduler is not None:
             scheduler.start()
-        host, port = httpd.server_address[:2]
+        host, port = sock.getsockname()[:2]
         print(banner(f"http://{host}:{port}"), file=sys.stderr)
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        await stopping.wait()
     finally:
+        await front.close()
         if scheduler is not None:
             scheduler.stop()
-        httpd.server_close()
-        signal.signal(signal.SIGTERM, previous)
+        for sig, handler in previous.items():
+            loop.remove_signal_handler(sig)  # leaves the default, not `previous`
+            signal.signal(sig, handler)
     return 0
 
 
 def cmd_serve_redirect(args) -> int:
     service = rules_from_plan_document(load_json(args.plan), time.time() + args.period_s)
-    return _serve(
+    return asyncio.run(_serve(
         service,
         args.listen,
         lambda url: f"serving {service.rule_count} rules on {url} until +{args.period_s:.0f}s",
-    )
+    ))
 
 
 def cmd_run(args) -> int:
@@ -211,7 +218,9 @@ def cmd_run(args) -> int:
         )
 
     scheduler = Scheduler(setup.config.period_s, one_round)
-    return _serve(redirect, setup.listen, lambda url: f"redirect service on {url}", scheduler)
+    return asyncio.run(
+        _serve(redirect, setup.listen, lambda url: f"redirect service on {url}", scheduler)
+    )
 
 
 def cmd_gen(args) -> int:

@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .errors import ProbePermissionError, ProbeTimeoutError
+from .errors import EdiscoError, ProbePermissionError, ProbeTimeoutError
 from .topology import Hop, ProbedPath, map_in_threads
 
 logger = logging.getLogger(__name__)
@@ -178,14 +178,15 @@ class FixtureProber:
 
 
 def probe_many(clients, prober, concurrency: int = 8) -> list[ProbedPath]:
-    """Fan probes out over a bounded pool. Clients whose probe times out or
-    fails at the socket (an OSError such as ENETUNREACH from sendto) are
-    logged and skipped; the round decides what zero paths means."""
+    """Fan probes out over a bounded pool. Clients whose probe fails with
+    an EdiscoError (a timeout, a refused raw socket) or at the socket (an
+    OSError such as ENETUNREACH from sendto) are logged and skipped; the
+    round decides what zero paths means."""
 
     def one(client: str) -> ProbedPath | None:
         try:
             return prober.probe(client)
-        except (ProbeTimeoutError, OSError) as exc:
+        except (EdiscoError, OSError) as exc:
             logger.warning("probe failed: %s", exc)
             return None
 

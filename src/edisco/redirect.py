@@ -5,19 +5,24 @@ server, with the remaining round time carried as Cache-Control max-age.
 Anything else passes through to the origin (here: a placeholder response).
 `RedirectService.resolve` returns the redirect as a plain
 ``(target_url, ttl_seconds)`` tuple, or None for a pass-through.
+
+`FrontEnd` serves it from one asyncio loop, so an open connection costs
+no thread: per connection it reads one request head, writes the reply
+`respond` builds for it and closes. A malformed request line or a head
+over HEAD_LIMIT gets a 400, a path outside /svc/ a 404, a method other
+than GET a 501; a head not complete within READ_TIMEOUT_S is closed
+unanswered. No keep-alive.
 """
 from __future__ import annotations
 
-import logging
+import asyncio
 import math
+import socket
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import MalformedFixtureError
 from .placement import PlacementPlan
 from .topology import address_int
-
-logger = logging.getLogger(__name__)
 
 
 class RedirectService:
@@ -86,37 +91,80 @@ def rules_from_plan_document(
     return service
 
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_GET(self):  # noqa: N802 - http.server API
-        parts = self.path.split("/", 3)
-        if len(parts) < 3 or parts[1] != "svc" or not parts[2]:
-            self.send_error(404, "unknown path; expected /svc/<service_id>/...")
-            return
-        service_id = parts[2]
-        suffix = parts[3] if len(parts) > 3 else ""
-        redirect = self.server.redirect_service.resolve(self.client_address[0], service_id)
-        if redirect is not None:
-            url, ttl_seconds = redirect
-            self.send_response(302)
-            self.send_header("Location", f"{url}/{suffix}")
-            self.send_header("Cache-Control", f"max-age={ttl_seconds}")
-            self.end_headers()
-        else:
-            body = b"origin placeholder\n"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-    def log_message(self, fmt, *args):
-        logger.debug("http: " + fmt, *args)
+HEAD_LIMIT = 8192  # bytes; a longer request head is answered with a 400
+READ_TIMEOUT_S = 10.0  # a head not complete by then is closed without a reply
 
 
-def make_http_server(
-    service: RedirectService, listen: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """Bound but not yet serving: call serve_forever(), then server_close()."""
-    server = ThreadingHTTPServer((listen, port), _Handler)
-    server.redirect_service = service
-    return server
+def _reply(status: str, body: bytes = b"", headers: str = "") -> bytes:
+    return (
+        f"HTTP/1.0 {status}\r\n{headers}Content-Type: text/plain\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    ).encode("latin-1") + body
+
+
+_ORIGIN = _reply("200 OK", b"origin placeholder\n")
+_BAD_REQUEST = _reply("400 Bad Request", b"malformed or oversized request head\n")
+_NOT_FOUND = _reply("404 Not Found", b"unknown path; expected /svc/<service_id>/...\n")
+_NOT_IMPLEMENTED = _reply("501 Not Implemented", b"only GET is served\n")
+
+
+def respond(service: RedirectService, head: bytes, client: str) -> bytes:
+    """The whole reply to one request head from `client`: a 302 to the edge
+    server a live rule assigns, else the origin's 200; a 404 for any path
+    but /svc/<service_id>/..., a 501 for any method but GET and a 400 for a
+    request line that is not METHOD TARGET HTTP/x."""
+    words = head[: head.find(b"\r\n")].split()
+    if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+        return _BAD_REQUEST
+    if words[0] != b"GET":
+        return _NOT_IMPLEMENTED
+    path = words[1].decode("latin-1")
+    service_id, _, suffix = path[5:].partition("/")
+    if not path.startswith("/svc/") or not service_id:
+        return _NOT_FOUND
+    redirect = service.resolve(client, service_id)
+    if redirect is None:
+        return _ORIGIN
+    url, ttl_seconds = redirect
+    return _reply(
+        "302 Found", headers=f"Location: {url}/{suffix}\r\nCache-Control: max-age={ttl_seconds}\r\n"
+    )
+
+
+class FrontEnd:
+    """Serves one RedirectService on the running asyncio loop; a connection
+    holds a task only until it is answered."""
+
+    def __init__(self, service: RedirectService):
+        self.service = service
+        self._open = set()
+
+    async def start(self, sock: socket.socket) -> "FrontEnd":
+        """Serve connections to the bound socket."""
+        self._server = await asyncio.start_server(self.handle_connection, sock=sock, limit=HEAD_LIMIT)
+        return self
+
+    async def handle_connection(self, reader, writer):
+        """Read one CRLF-terminated request head, write the whole reply, close."""
+        self._open.add(writer)
+        timer = asyncio.get_running_loop().call_later(READ_TIMEOUT_S, writer.close)
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+            writer.write(respond(self.service, head, writer.get_extra_info("peername")[0]))
+        except asyncio.LimitOverrunError:
+            writer.write(_BAD_REQUEST)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the peer left, or the timer or close() closed the connection
+        finally:
+            timer.cancel()
+            writer.close()
+            self._open.discard(writer)
+
+    async def close(self):
+        """Stop listening, close every open connection and wait for its
+        callback to return, so that the loop's shutdown has none to cancel."""
+        self._server.close()
+        while self._open:
+            for writer in self._open:
+                writer.close()
+            await asyncio.sleep(0)

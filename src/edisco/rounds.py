@@ -321,10 +321,9 @@ class Scheduler:
     def start(self) -> "Scheduler":
         if self._thread is not None:
             raise RuntimeError("scheduler already started")
-        self._thread = threading.Thread(
-            target=self._loop, name="edisco-scheduler", daemon=True
-        )
-        self._thread.start()
+        thread = threading.Thread(target=self._loop, name="edisco-scheduler", daemon=True)
+        thread.start()
+        self._thread = thread  # only a started thread, which stop() can join
         return self
 
     def _loop(self):

@@ -1,14 +1,17 @@
-"""Shared test helpers: path builders, the reference zone fixture and a
-gauge for slow fake providers."""
+"""Shared test helpers: path builders, the reference zone fixture, a
+gauge for slow fake providers and the redirect front end on a thread."""
 from __future__ import annotations
 
+import asyncio
 import random
+import socket
 import threading
 import time
 from contextlib import contextmanager
 
 import pytest
 
+from edisco.redirect import FrontEnd
 from edisco.topology import Hop, ProbedPath
 
 # Reference zone: two edge servers in one /24, advertised for both
@@ -93,3 +96,40 @@ class OverlapGauge:
         finally:
             with self._lock:
                 self._in_flight -= 1
+
+
+class FrontEndThread:
+    """The redirect front end on 127.0.0.1 and a free port, served by
+    FrontEnd on an asyncio loop in a thread of its own (the serving
+    commands run that loop on the main thread). server_address is
+    (host, port); close() stops it, also as a context manager."""
+
+    def __init__(self, service):
+        sock = socket.create_server(("127.0.0.1", 0))
+        self.server_address = sock.getsockname()
+        started = threading.Event()
+        self._thread = threading.Thread(
+            target=asyncio.run, args=(self._serve(service, sock, started),), daemon=True
+        )
+        self._thread.start()
+        assert started.wait(5), "front end did not start"
+
+    async def _serve(self, service, sock, started):
+        self._loop, self._stop = asyncio.get_running_loop(), asyncio.Event()
+        front = await FrontEnd(service).start(sock)
+        started.set()
+        try:
+            await self._stop.wait()
+        finally:
+            await front.close()
+
+    def close(self):
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "front end did not stop"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()

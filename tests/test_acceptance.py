@@ -11,7 +11,6 @@ import json
 import random
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 from edisco.discovery import (
@@ -31,7 +30,7 @@ from edisco.placement import (
     score_candidates,
 )
 from edisco.probing import FixtureProber
-from edisco.redirect import RedirectService, make_http_server
+from edisco.redirect import RedirectService
 from edisco.rounds import RoundConfig, RoundProviders, run_round
 from edisco.simharness import (
     ScenarioSpec,
@@ -49,7 +48,7 @@ from edisco.topology import (
 )
 from edisco.zonefile import Transport, parse_srv_line, parse_zone, render_a_line, render_srv_line
 
-from conftest import REFERENCE_ZONE, make_path
+from conftest import REFERENCE_ZONE, FrontEndThread, make_path
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_ROUND = DATA_DIR / "golden_round_seed42.json"
@@ -350,9 +349,7 @@ def test_criterion_07_redirect_contract_over_live_http():
     assert len(record.plan.assignments) == 1
     assigned = record.plan.assignments[0].server
 
-    httpd = make_http_server(redirect, "127.0.0.1", 0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
+    httpd = FrontEndThread(redirect)
     try:
         host, port = httpd.server_address
         clock_now["t"] = 1100.0  # 200 s of the round remain
@@ -377,8 +374,7 @@ def test_criterion_07_redirect_contract_over_live_http():
         assert body == b"origin placeholder\n"
         conn.close()
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        httpd.close()
     _passed(7, "302 with assigned address:port and max-age within 1 s; pass-through after expiry")
 
 

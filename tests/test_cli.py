@@ -1,5 +1,8 @@
 import json
+import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -308,26 +311,51 @@ def test_non_utf8_zone_is_operational_error(bundle_dir, capsys, command):
 # -- serve-redirect -------------------------------------------------------------------
 
 
-class DummyServer:
-    server_address = ("127.0.0.1", 12345)
+def sigterm_once_serving(ready=lambda: True) -> threading.Thread:
+    """A thread that sends SIGTERM to this process, as an operator would,
+    once ready() holds and the serving loop owns the signal. It never sends
+    one while the default handler, which would end the test run, is in
+    place; after 30 s it stops waiting for ready()."""
+    default = signal.getsignal(signal.SIGTERM)
 
-    def serve_forever(self):
-        raise KeyboardInterrupt
+    def send():
+        deadline = time.monotonic() + 30
+        while not ready() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        while signal.getsignal(signal.SIGTERM) is default and time.monotonic() < deadline + 30:
+            time.sleep(0.01)
+        if signal.getsignal(signal.SIGTERM) is not default:
+            os.kill(os.getpid(), signal.SIGTERM)
 
-    def server_close(self):
-        pass
+    thread = threading.Thread(target=send, daemon=True)
+    thread.start()
+    return thread
 
 
-def test_serve_redirect_starts_and_stops(bundle_dir, tmp_path, capsys, monkeypatch):
+def served_port(err: str, banner: str) -> int:
+    match = re.search(banner + r" on http://127\.0\.0\.1:(\d+)", err)
+    assert match, err
+    return int(match.group(1))
+
+
+def assert_refused(port: int):
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
+def test_serve_redirect_starts_and_stops(bundle_dir, tmp_path, capsys):
     directory, bundle = bundle_dir
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(bundle.expected["plan"]))
-    monkeypatch.setattr("edisco.cli.make_http_server", lambda *a, **k: DummyServer())
+    sender = sigterm_once_serving()
     code = main(
         ["serve-redirect", "--plan", str(plan_file), "--listen", "127.0.0.1:0"]
     )
+    sender.join(timeout=5)
     assert code == 0
-    assert "serving" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "serving" in err
+    assert_refused(served_port(err, r"serving \d+ rules"))
 
 
 @pytest.mark.parametrize("command", ["serve-redirect", "run"])
@@ -357,6 +385,64 @@ def test_serving_commands_stop_cleanly_on_sigterm(bundle_dir, tmp_path, command)
     assert b"Traceback" not in rest
     if command == "run":  # the round in progress finished before the exit
         assert len(journal.read_text().splitlines()) == 1
+
+
+# `edisco run` whose rounds each take a second longer, so that a signal sent
+# right after the banner finds the first round still in progress
+SLOW_ROUNDS = """
+import sys, time
+import edisco.cli
+
+run_round = edisco.cli.run_round
+
+def slow_round(*args, **kwargs):
+    time.sleep(1.0)
+    return run_round(*args, **kwargs)
+
+edisco.cli.run_round = slow_round
+sys.exit(edisco.cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_exits_cleanly_on_a_second_sigterm_while_it_stops(bundle_dir, tmp_path):
+    directory, _ = bundle_dir
+    journal = tmp_path / "journal.jsonl"
+    argv = [sys.executable, "-c", SLOW_ROUNDS, "run", "--config", str(directory / "config.json"),
+            "--journal", str(journal)]
+    with subprocess.Popen(
+        argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    ) as proc:
+        watchdog = threading.Timer(30, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stderr.readline()
+            assert b"redirect service on http://127.0.0.1:" in banner, banner
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.1)
+            proc.send_signal(signal.SIGTERM)
+            rest = proc.stderr.read()
+            code = proc.wait()
+        finally:
+            watchdog.cancel()
+    assert code == 0, rest
+    assert b"Traceback" not in rest
+    assert len(journal.read_text().splitlines()) == 1
+
+
+def test_serve_redirect_on_a_port_in_use_is_operational_error(bundle_dir, tmp_path):
+    _, bundle = bundle_dir
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(bundle.expected["plan"]))
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "edisco", "serve-redirect", "--plan", str(plan_file),
+             "--listen", f"127.0.0.1:{port}"],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("edisco: ") and "in use" in lines[0], proc.stderr
 
 
 def test_serve_redirect_bad_listen_is_usage_error(capsys):
@@ -489,40 +575,25 @@ def test_run_loop_rejects_short_period(bundle_dir, capsys):
     assert "minimum" in capsys.readouterr().err
 
 
-class JournalWatchingServer(DummyServer):
-    """Serves until the first round's journal line is complete, then stops
-    as Ctrl-C would."""
-
-    def __init__(self, journal):
-        self.journal = journal
-        self.closed = False
-
-    def serve_forever(self):
-        deadline = time.monotonic() + 30
-        while not (self.journal.exists() and self.journal.read_text().endswith("\n")):
-            assert time.monotonic() < deadline, "no round was journaled"
-            time.sleep(0.01)
-        raise KeyboardInterrupt
-
-    def server_close(self):
-        self.closed = True
-
-
-def test_run_loop_serves_rounds_until_interrupted(bundle_dir, tmp_path, capsys, monkeypatch):
+def test_run_loop_serves_rounds_until_interrupted(bundle_dir, tmp_path, capsys):
     directory, bundle = bundle_dir
     journal = tmp_path / "journal.jsonl"
-    server = JournalWatchingServer(journal)
-    monkeypatch.setattr("edisco.cli.make_http_server", lambda *a, **k: server)
     sigterm_handler = signal.getsignal(signal.SIGTERM)
+    # stop as Ctrl-C would once the first round's journal line is complete
+    sender = sigterm_once_serving(
+        lambda: journal.exists() and journal.read_text().endswith("\n")
+    )
     code = main(["run", "--config", str(directory / "config.json"), "--journal", str(journal)])
+    sender.join(timeout=5)
     assert code == 0
     lines = journal.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["tree_digest"] == bundle.expected["tree_digest"]
     assert not [t for t in threading.enumerate() if t.name == "edisco-scheduler"]
-    assert server.closed
     assert signal.getsignal(signal.SIGTERM) is sigterm_handler
-    assert "redirect service on http://127.0.0.1:12345" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "redirect service on http://127.0.0.1:" in err
+    assert_refused(served_port(err, "redirect service"))
 
 
 # -- gen ---------------------------------------------------------------------------------

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from edisco.discovery import EdgeServer
 from edisco.errors import MalformedFixtureError
 from edisco.placement import Assignment, PlacementPlan
-from edisco.redirect import RedirectService, make_http_server, rules_from_plan_document
+import edisco.redirect
+from edisco.redirect import HEAD_LIMIT, RedirectService, rules_from_plan_document
 from edisco.topology import address_int, group_subnet
 from edisco.zonefile import Transport
+
+from conftest import FrontEndThread
 
 
 def edge(address="10.2.0.30", port=8080):
@@ -242,10 +245,8 @@ def test_http_redirect_round_trip():
     service.install_rules(
         plan_with(assignment(prefixes=("127.0.0.0/24",))), round_deadline=1300.0
     )
-    server = make_http_server(service)
+    server = FrontEndThread(service)
     port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
         response, _ = http_get(port, "/svc/svc-video/stream/7")
         assert response.status == 302
@@ -261,23 +262,90 @@ def test_http_redirect_round_trip():
         response, _ = http_get(port, "/other/path")
         assert response.status == 404
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        server.close()
 
 
 def test_http_pass_through_for_unknown_service():
     service = RedirectService(clock=lambda: 0.0)
     service.install_rules(plan_with(), round_deadline=10.0)
-    server = make_http_server(service)
+    server = FrontEndThread(service)
     port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
         response, body = http_get(port, "/svc/nothing/x")
         assert response.status == 200
         assert body == b"origin placeholder\n"
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        server.close()
+
+
+# --- the front end's request contract, through the production callback ---
+
+
+def exchange(port: int, raw: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(raw)
+        return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+def status_of(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+def pass_through_service():
+    service = RedirectService(clock=lambda: 0.0)
+    service.install_rules(plan_with(), round_deadline=10.0)
+    return service
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"BOGUS\r\n\r\n",
+        b"GET /svc/svc-video/x\r\n\r\n",
+        b"GET /svc/svc-video/x HTTP/1.0 extra\r\n\r\n",
+        b"GET /svc/svc-video/x FTP/1.0\r\n\r\n",
+        b"\r\n\r\n",
+        b"GET /svc/svc-video/" + b"x" * HEAD_LIMIT + b" HTTP/1.0\r\n\r\n",
+        b"GET /svc/svc-video/x HTTP/1.0\r\nX-Pad: " + b"x" * HEAD_LIMIT,
+    ],
+    ids=["one-word", "no-version", "four-words", "not-http", "empty", "long-line", "long-head"],
+)
+def test_http_malformed_or_oversized_head_gets_400(raw):
+    with FrontEndThread(pass_through_service()) as server:
+        assert status_of(exchange(server.server_address[1], raw)) == 400
+
+
+@pytest.mark.parametrize("method", [b"POST", b"HEAD", b"PUT", b"get"])
+def test_http_methods_other_than_get_get_501(method):
+    with FrontEndThread(pass_through_service()) as server:
+        reply = exchange(server.server_address[1], method + b" /svc/nothing/x HTTP/1.0\r\n\r\n")
+    assert status_of(reply) == 501
+
+
+def test_http_head_not_complete_within_the_timeout_is_closed(monkeypatch):
+    monkeypatch.setattr(edisco.redirect, "READ_TIMEOUT_S", 0.2)
+    with FrontEndThread(pass_through_service()) as server:
+        started = time.monotonic()
+        assert exchange(server.server_address[1], b"GET /svc/nothing/x HTTP/1.0\r\n") == b""
+        assert exchange(server.server_address[1], b"") == b""
+    assert time.monotonic() - started < 4
+
+
+def test_http_idle_connections_cost_no_thread():
+    service = RedirectService(clock=lambda: 1000.0)
+    service.install_rules(
+        plan_with(assignment(prefixes=("127.0.0.0/24",))), round_deadline=1300.0
+    )
+    with FrontEndThread(service) as server:
+        threads = threading.active_count()
+        idle = [socket.create_connection(server.server_address, timeout=5) for _ in range(40)]
+        try:
+            time.sleep(0.2)  # let the loop accept them all
+            assert threading.active_count() == threads
+            response, _ = http_get(server.server_address[1], "/svc/svc-video/stream/7")
+            assert response.status == 302
+            assert response.getheader("Location") == "http://10.2.0.30:8080/stream/7"
+        finally:
+            for sock in idle:
+                sock.close()

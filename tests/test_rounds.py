@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ from edisco.errors import (
     InvalidPeriodError,
     MalformedFixtureError,
     MalformedZoneError,
+    ProbePermissionError,
     ProbeTimeoutError,
     ResolverUnreachableError,
     RoundAbortedError,
@@ -171,6 +173,34 @@ def test_zero_paths_aborts():
     providers.prober = FixtureProber([])
     with pytest.raises(RoundAbortedError):
         run_round(make_config(), [video_service()], providers)
+
+
+class DeniedProber:
+    """Refuses the raw socket for the clients in `denied`, as the operating
+    system does without CAP_NET_RAW, and probes the others from fixtures."""
+
+    def __init__(self, denied):
+        self.denied = set(denied)
+        self.inner = FixtureProber(world_paths())
+
+    def probe(self, client):
+        if client in self.denied:
+            raise ProbePermissionError(f"{client}: raw socket refused")
+        return self.inner.probe(client)
+
+
+def test_permission_error_on_every_client_aborts_the_round():
+    providers = make_providers()
+    providers.prober = DeniedProber(CLIENTS)
+    with pytest.raises(RoundAbortedError):
+        run_round(make_config(), [video_service()], providers)
+
+
+def test_permission_error_on_one_client_drops_only_that_client():
+    providers = make_providers()
+    providers.prober = DeniedProber(CLIENTS[1:])
+    record = run_round(make_config(), [video_service()], providers)
+    assert record.plan.assignments[0].covered_prefixes == ("172.16.0.0/24",)
 
 
 def test_partial_probe_failure_degrades():
@@ -409,6 +439,17 @@ def test_stop_is_idempotent():
     scheduler = Scheduler(0.05, lambda: None, min_period_s=0.01)
     scheduler.start()
     scheduler.stop()
+    scheduler.stop()
+
+
+def test_failed_start_leaves_nothing_to_stop(monkeypatch):
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    scheduler = Scheduler(0.05, lambda: None, min_period_s=0.01)
+    with pytest.raises(RuntimeError, match="can't start"):
+        scheduler.start()
     scheduler.stop()
 
 
