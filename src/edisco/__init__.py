@@ -26,7 +26,7 @@ from .placement import (
 )
 from .probing import ProbeConfig
 from .redirect import RedirectService
-from .rounds import RoundConfig, RoundProviders, RoundRecord, Scheduler, run_round
+from .rounds import RoundConfig, RoundProviders, RoundRecord, run_every, run_round
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
 from .topology import (
     AggregationTree,
@@ -56,7 +56,6 @@ __all__ = [
     "RoundProviders",
     "RoundRecord",
     "ScenarioSpec",
-    "Scheduler",
     "ServiceProfile",
     "SrvRecord",
     "Transport",
@@ -72,6 +71,7 @@ __all__ = [
     "plan_round",
     "query_edge_srv",
     "reverse_lookup",
+    "run_every",
     "run_round",
     "score_candidates",
     "select_server",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import itertools
 import json
 import logging
@@ -19,18 +20,19 @@ import time
 from pathlib import Path
 
 from .discovery import FixtureWhois, discover_local_edges
-from .errors import EdiscoError
+from .errors import EdiscoError, InvalidPeriodError
 from .placement import FixtureCapacityService, load_service_profiles, plan_round
 from .probing import ProbeConfig, TracerouteProber
 from .redirect import FrontEnd, RedirectService, rules_from_plan_document
 from .rounds import (
-    Scheduler,
+    MIN_PERIOD_S,
     append_journal,
     discover_phase,
     load_json,
     load_run_config,
     make_resolver,
     parse_listen,
+    run_every,
     run_round,
 )
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
@@ -143,12 +145,13 @@ def cmd_plan(args) -> int:
     return 0
 
 
-async def _serve(service: RedirectService, listen, banner, scheduler: Scheduler | None = None) -> int:
-    """Bind the front end, start the scheduler, print banner(url) to stderr
-    and serve on this asyncio loop until Ctrl-C or SIGTERM. The loop owns
-    both signals, so any number of them only ends the wait. Then close the
-    front end and stop the scheduler, which lets the round in progress
-    finish, before the previous handlers come back."""
+async def _serve(service: RedirectService, listen, banner, until=asyncio.Event.wait) -> int:
+    """Bind the front end, print banner(url) to stderr and serve on this
+    asyncio loop until `until(stopping)` returns. The loop owns Ctrl-C and
+    SIGTERM, and any number of them only sets `stopping`. serve-redirect
+    waits for the event itself; run waits for run_every, which returns once
+    the round in progress has journaled, so the front end serves until then.
+    Then the front end closes and the previous handlers come back."""
     sock = socket.create_server(listen)
     front = await FrontEnd(service).start(sock)
     loop, stopping = asyncio.get_running_loop(), asyncio.Event()
@@ -156,15 +159,11 @@ async def _serve(service: RedirectService, listen, banner, scheduler: Scheduler 
     for sig in previous:
         loop.add_signal_handler(sig, stopping.set)
     try:
-        if scheduler is not None:
-            scheduler.start()
         host, port = sock.getsockname()[:2]
         print(banner(f"http://{host}:{port}"), file=sys.stderr)
-        await stopping.wait()
+        await until(stopping)
     finally:
         await front.close()
-        if scheduler is not None:
-            scheduler.stop()
         for sig, handler in previous.items():
             loop.remove_signal_handler(sig)  # leaves the default, not `previous`
             signal.signal(sig, handler)
@@ -217,10 +216,11 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
 
-    scheduler = Scheduler(setup.config.period_s, one_round)
-    return asyncio.run(
-        _serve(redirect, setup.listen, lambda url: f"redirect service on {url}", scheduler)
-    )
+    period_s = setup.config.period_s
+    if period_s < MIN_PERIOD_S:  # checked before the front end binds
+        raise InvalidPeriodError(f"period {period_s}s is below the {MIN_PERIOD_S}s minimum")
+    rounds = functools.partial(run_every, period_s, one_round)
+    return asyncio.run(_serve(redirect, setup.listen, lambda url: f"redirect service on {url}", rounds))
 
 
 def cmd_gen(args) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Protocol
 
 from . import dnswire
-from .errors import MalformedFixtureError, NoServersError, WhoisUnreachableError
+from .errors import EdiscoError, MalformedFixtureError, NoServersError, WhoisUnreachableError
 from .topology import (
     AggregationTree,
     _typed,
@@ -178,7 +178,7 @@ class StubResolver:
                 answers = dnswire.query(
                     server, qname, qtype, timeout=self.timeout, txid=secrets.randbelow(0x10000)
                 )
-            except Exception as exc:  # noqa: BLE001 - try the next server
+            except (EdiscoError, OSError) as exc:  # try the next server
                 error = exc
                 continue
             ttl = min((answer.ttl for answer in answers), default=NEGATIVE_TTL_S)
@@ -302,6 +302,7 @@ class LiveWhois:
                 domains.add(registrable_domain(value.rsplit("@", 1)[1]))
             elif key == "domain":
                 domains.add(registrable_domain(value))
+        domains.discard("")  # `noc@` names no domain
         return sorted(domains)
 
 

@@ -39,7 +39,9 @@ def encode_name(name: str) -> bytes:
 
 
 def decode_name(packet: bytes, offset: int) -> tuple[str, int]:
-    """Read a possibly-compressed name. Returns (name, offset-after-field)."""
+    """Read a possibly-compressed name. Returns (name, offset-after-field).
+    A label holding a '.' raises ValueError, so each name but the root
+    encodes again."""
     labels = []
     jumped = False
     after = offset
@@ -66,7 +68,10 @@ def decode_name(packet: bytes, offset: int) -> tuple[str, int]:
         offset += 1
         if length == 0:
             break
-        labels.append(packet[offset : offset + length].decode("ascii"))
+        label = packet[offset : offset + length].decode("ascii")
+        if "." in label:  # legal on the wire, but the text form cannot hold it
+            raise ValueError(f"label {label!r} contains '.'")
+        labels.append(label)
         offset += length
     if not jumped:
         after = offset

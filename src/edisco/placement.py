@@ -51,7 +51,7 @@ class ServiceProfile:
     @classmethod
     def from_document(cls, doc: dict) -> "ServiceProfile":
         return cls(
-            service_id=doc["service_id"],
+            service_id=_typed(doc, "service_id", str, "service profile"),
             bandwidth_demand=doc["bandwidth_demand"],
             cpu_demand=doc["cpu_demand"],
             client_subnets=parse_subnets(doc["client_subnets"]),
@@ -66,7 +66,7 @@ def load_service_profiles(document) -> list[ServiceProfile]:
     for i, entry in enumerate(document):
         try:
             profiles.append(ServiceProfile.from_document(entry))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, MalformedFixtureError) as exc:
             raise MalformedFixtureError(f"service entry {i}: {exc}") from None
     return profiles
 

@@ -9,15 +9,19 @@ the redirect table, which the next install replaces atomically.
 Every external dependency (prober, resolver, whois, capacity, clock) is an
 injected provider with both live and fixture implementations, so a full
 round runs offline from a scenario bundle.
+
+`edisco run` repeats rounds with run_every, a coroutine on the same asyncio
+loop that serves the redirects; each round runs on a worker thread so the
+loop keeps serving.
 """
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import math
-import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -51,6 +55,7 @@ from .placement import (
 from .probing import FixtureProber, ProbeConfig, TracerouteProber, probe_many
 from .topology import (
     AggregationTree,
+    _typed,
     address_int,
     build_tree,
     compute_centrality,
@@ -61,7 +66,7 @@ from .zonefile import parse_zone
 logger = logging.getLogger(__name__)
 
 ROUND_FORMAT = "edisco-round/1"
-DEFAULT_MIN_PERIOD_S = 60.0
+MIN_PERIOD_S = 60.0  # the shortest period `edisco run` serves rounds at
 
 
 @dataclass(frozen=True)
@@ -293,60 +298,31 @@ def read_client_addresses(path) -> list[str]:
     return list(clients)
 
 
-class Scheduler:
-    """Fires a runner every period on a dedicated thread.
+async def run_every(period_s: float, runner: Callable[[], object], stopping: asyncio.Event):
+    """Run runner() at once, then on each grid tick t0 + k * period_s,
+    until `stopping` is set; return only between rounds.
 
-    An overrunning round never overlaps the next: missed ticks are skipped
-    and the runner resumes on the next grid point. A failed round is logged
-    and the schedule keeps going. stop() is clean and idempotent.
+    Each round runs on a worker thread, so the loop goes on serving. An
+    overrunning round never overlaps the next: missed ticks are skipped and
+    the runner resumes on the next grid point. A failed round is logged and
+    the schedule keeps going.
     """
-
-    def __init__(
-        self,
-        period_s: float,
-        runner: Callable[[], object],
-        min_period_s: float = DEFAULT_MIN_PERIOD_S,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if period_s < min_period_s:
-            raise InvalidPeriodError(
-                f"period {period_s}s is below the {min_period_s}s minimum"
-            )
-        self.period_s = float(period_s)
-        self._runner = runner
-        self._clock = clock
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "Scheduler":
-        if self._thread is not None:
-            raise RuntimeError("scheduler already started")
-        thread = threading.Thread(target=self._loop, name="edisco-scheduler", daemon=True)
-        thread.start()
-        self._thread = thread  # only a started thread, which stop() can join
-        return self
-
-    def _loop(self):
-        t0 = self._clock()
-        tick = t0  # first round fires immediately
-        while not self._stop.is_set():
-            now = self._clock()
-            if now < tick and self._stop.wait(tick - now):
-                break
-            try:
-                self._runner()
-            except RoundAbortedError as exc:
-                logger.warning("round aborted: %s", exc)
-            except Exception:
-                logger.exception("round failed")
-            elapsed = self._clock() - t0
-            tick = t0 + (math.floor(elapsed / self.period_s) + 1) * self.period_s
-
-    def stop(self):
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join()
+    loop = asyncio.get_running_loop()
+    t0 = tick = loop.time()  # the first round starts at once
+    while not stopping.is_set():
+        now = loop.time()
+        if now < tick:
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(stopping.wait(), tick - now)
+            continue
+        try:
+            await asyncio.to_thread(runner)
+        except RoundAbortedError as exc:
+            logger.warning("round aborted: %s", exc)
+        except Exception:
+            logger.exception("round failed")
+        elapsed = loop.time() - t0
+        tick = t0 + (math.floor(elapsed / period_s) + 1) * period_s
 
 
 class RunSetup:
@@ -396,17 +372,17 @@ class RunSetup:
             self.listen = parse_listen(doc.get("listen", "127.0.0.1:0"))
         except ValueError as exc:
             raise MalformedFixtureError(f"config 'listen': {exc}") from None
-        clients = read_client_addresses(self._path(doc["clients"]))
+        clients = read_client_addresses(self._path("clients"))
         self.config = RoundConfig(
             root_address=doc["root"],
             clients=tuple(clients),
             period_s=float(period_s),
             prefix_len=prefix_len,
         )
-        self.services = load_service_profiles(load_json(self._path(doc["services"])))
+        self.services = load_service_profiles(load_json(self._path("services")))
 
-    def _path(self, rel) -> Path:
-        return self.base / rel
+    def _path(self, key: str) -> Path:
+        return self.base / _typed(self.doc, key, str, "config")
 
     def _make_prober(self):
         doc = self.doc
@@ -417,7 +393,7 @@ class RunSetup:
                 raise MalformedFixtureError(f"config 'probe': {exc}") from None
         if "traces" not in doc:
             raise MalformedFixtureError("config needs traces or live_probe")
-        return FixtureProber(ingest_recorded_paths(load_json(self._path(doc["traces"]))))
+        return FixtureProber(ingest_recorded_paths(load_json(self._path("traces"))))
 
     def _make_resolver(self) -> Resolver:
         doc = self.doc
@@ -425,7 +401,7 @@ class RunSetup:
             return make_resolver(nameservers=doc.get("nameservers"))
         if "zone" not in doc:
             raise MalformedFixtureError("config needs zone or live_dns")
-        return make_resolver(self._path(doc["zone"]))
+        return make_resolver(self._path("zone"))
 
     def _make_whois(self) -> WhoisService | None:
         doc = self.doc
@@ -433,10 +409,10 @@ class RunSetup:
             return LiveWhois()
         if "whois" not in doc:
             return None
-        return FixtureWhois(load_json(self._path(doc["whois"])))
+        return FixtureWhois(load_json(self._path("whois")))
 
     def _make_capacity(self) -> CapacityService:
-        return FixtureCapacityService(load_json(self._path(self.doc["capacity"])))
+        return FixtureCapacityService(load_json(self._path("capacity")))
 
     def make_providers(self) -> RoundProviders:
         return RoundProviders(

@@ -1,8 +1,11 @@
 """Shared test helpers: path builders, the reference zone fixture, a
-gauge for slow fake providers and the redirect front end on a thread."""
+gauge for slow fake providers, the redirect front end on a thread and
+mutated documents for the parser fuzzers."""
 from __future__ import annotations
 
 import asyncio
+import copy
+import functools
 import random
 import socket
 import threading
@@ -10,8 +13,10 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import strategies as st
 
 from edisco.redirect import FrontEnd
+from edisco.simharness import ScenarioBundle, ScenarioSpec, generate_scenario
 from edisco.topology import Hop, ProbedPath
 
 # Reference zone: two edge servers in one /24, advertised for both
@@ -133,3 +138,45 @@ class FrontEndThread:
 
     def __exit__(self, *exc):
         self.close()
+
+
+@functools.lru_cache(maxsize=None)
+def small_bundle() -> ScenarioBundle:
+    """One small seeded bundle whose documents the fuzzers start from;
+    read it, never change it."""
+    return generate_scenario(ScenarioSpec(clients=4, seed=3, services=2))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, document, edits: int = 3):
+    """A copy of a JSON document in which up to `edits` values, at any
+    depth and the whole document included, are replaced by random JSON or
+    deleted from their object or list."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, edits))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc

@@ -277,6 +277,18 @@ def test_broken_services_json_is_operational_error(bundle_dir, capsys):
     assert_one_error_line(capsys.readouterr(), str(services), "not valid JSON")
 
 
+def test_non_string_service_id_is_operational_error(bundle_dir, capsys):
+    directory, bundle = bundle_dir
+    services = directory / "services.json"
+    doc = json.loads(services.read_text())
+    doc[-1]["service_id"] = 7
+    services.write_text(json.dumps(doc))
+    assert main(plan_args(directory, bundle)) == 1
+    assert_one_error_line(capsys.readouterr(), f"service entry {len(doc) - 1}", "'service_id'")
+    assert main(["run", "--config", str(directory / "config.json"), "--once"]) == 1
+    assert_one_error_line(capsys.readouterr(), f"service entry {len(doc) - 1}", "'service_id'")
+
+
 def test_non_ascii_ttl_in_zone_is_operational_error(bundle_dir, capsys):
     directory, _ = bundle_dir
     zone = directory / "zone.txt"
@@ -579,6 +591,7 @@ def test_run_loop_serves_rounds_until_interrupted(bundle_dir, tmp_path, capsys):
     directory, bundle = bundle_dir
     journal = tmp_path / "journal.jsonl"
     sigterm_handler = signal.getsignal(signal.SIGTERM)
+    threads = set(threading.enumerate())
     # stop as Ctrl-C would once the first round's journal line is complete
     sender = sigterm_once_serving(
         lambda: journal.exists() and journal.read_text().endswith("\n")
@@ -589,7 +602,7 @@ def test_run_loop_serves_rounds_until_interrupted(bundle_dir, tmp_path, capsys):
     lines = journal.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["tree_digest"] == bundle.expected["tree_digest"]
-    assert not [t for t in threading.enumerate() if t.name == "edisco-scheduler"]
+    assert set(threading.enumerate()) == threads  # the round's worker thread is gone too
     assert signal.getsignal(signal.SIGTERM) is sigterm_handler
     err = capsys.readouterr().err
     assert "redirect service on http://127.0.0.1:" in err

@@ -40,7 +40,7 @@ from edisco.rounds import discover_phase
 from edisco.topology import build_tree, compute_centrality, group_subnet, map_in_threads
 from edisco.zonefile import PtrRecord, Transport, parse_zone, reverse_pointer_name
 
-from conftest import OverlapGauge, make_path
+from conftest import OverlapGauge, make_path, mutated, small_bundle
 
 
 @pytest.fixture
@@ -253,6 +253,16 @@ def test_live_whois_reads_mail_and_domain_attributes(monkeypatch):
         "example.net",
     ]
     assert sock.sent == b"198.51.100.7\r\n"
+
+
+def test_live_whois_skips_a_mail_address_without_domain(monkeypatch):
+    reply = "OrgAbuseEmail: noc@\nOrgTechEmail: tech@isp.test\n"
+    monkeypatch.setattr(LiveWhois, "_raw_query", lambda self, address: reply)
+    whois = LiveWhois(server="whois.example")
+    assert whois.domains_for("198.51.100.7") == ["isp.test"]
+    assert whois_fallback("198.51.100.7", whois) == DomainIdentity(
+        address="198.51.100.7", domain="isp.test", provenance=Provenance.WHOIS
+    )
 
 
 def test_live_whois_rejects_an_oversized_reply(monkeypatch):
@@ -706,3 +716,11 @@ def test_annotate_preserves_structure_and_centrality(resolver):
 def test_edge_server_document_round_trip():
     s = server()
     assert EdgeServer.from_document(s.to_document()) == s
+
+
+@given(mutated(small_bundle().whois))
+def test_whois_fixture_raises_only_malformed_fixture_error(document):
+    try:
+        FixtureWhois(document)
+    except MalformedFixtureError:
+        pass

@@ -24,7 +24,7 @@ from edisco.placement import (
 from edisco.topology import build_tree, compute_centrality, group_subnet, subnet_sort_key
 from edisco.zonefile import Transport
 
-from conftest import make_path, random_paths
+from conftest import make_path, mutated, random_paths, small_bundle
 
 ROOT = "10.0.0.1"
 
@@ -485,3 +485,22 @@ def test_load_service_profiles_rejects_bad_entries():
 def test_load_service_profiles_round_trip():
     docs = [service("svc-a", subnets=["172.16.0.0/24"]).to_document()]
     assert load_service_profiles(docs)[0].service_id == "svc-a"
+
+
+# --- fuzzed fixture documents ---
+
+
+@given(mutated(small_bundle().services))
+def test_service_profiles_raise_only_malformed_fixture_error(document):
+    try:
+        load_service_profiles(document)
+    except MalformedFixtureError:
+        pass
+
+
+@given(mutated(small_bundle().capacity))
+def test_capacity_fixture_raises_only_malformed_fixture_error(document):
+    try:
+        FixtureCapacityService(document)
+    except MalformedFixtureError:
+        pass

@@ -18,7 +18,7 @@ from edisco.redirect import HEAD_LIMIT, RedirectService, rules_from_plan_documen
 from edisco.topology import address_int, group_subnet
 from edisco.zonefile import Transport
 
-from conftest import FrontEndThread
+from conftest import FrontEndThread, mutated, small_bundle
 
 
 def edge(address="10.2.0.30", port=8080):
@@ -349,3 +349,13 @@ def test_http_idle_connections_cost_no_thread():
         finally:
             for sock in idle:
                 sock.close()
+
+
+@given(mutated(small_bundle().expected["plan"]))
+def test_plan_document_raises_only_malformed_fixture_error(document):
+    """rules_from_plan_document parses with PlacementPlan.from_document and
+    then installs, so this covers both."""
+    try:
+        rules_from_plan_document(document, round_deadline=1300.0, clock=lambda: 1000.0)
+    except MalformedFixtureError:
+        pass

@@ -1,18 +1,21 @@
+import asyncio
 import importlib.util
 import json
-import threading
+import struct
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 import edisco.rounds
+from edisco import dnswire
 from edisco.cli import main
 from edisco.discovery import FixtureWhois, StubResolver
 from edisco.errors import (
+    EdiscoError,
     EmptyInputError,
-    InvalidPeriodError,
     MalformedFixtureError,
     MalformedZoneError,
     ProbePermissionError,
@@ -28,16 +31,16 @@ from edisco.rounds import (
     RoundConfig,
     RoundProviders,
     RoundRecord,
-    Scheduler,
     append_journal,
     load_run_config,
     read_client_addresses,
+    run_every,
     run_round,
 )
 from edisco.topology import build_tree, compute_centrality, paths_to_document
 from edisco.zonefile import parse_zone
 
-from conftest import REFERENCE_ZONE, make_path
+from conftest import REFERENCE_ZONE, make_path, mutated, small_bundle
 
 ROOT = "10.0.0.1"
 GATEWAY = "192.168.121.1"
@@ -292,6 +295,62 @@ def test_undeclared_lookup_error_is_not_swallowed():
         run_round(make_config(), [video_service()], providers)
 
 
+def wire_name(*labels: str) -> bytes:
+    return b"".join(bytes([len(label)]) + label.encode() for label in labels) + b"\0"
+
+
+def srv_rdata(port: int, *target: str) -> bytes:
+    return struct.pack(">HHH", 10, 30, port) + wire_name(*target)
+
+
+class WireServer:
+    """Stands in for dnswire._query_udp: echoes the question and answers
+    with the raw rdata listed under its (lower-case name, type)."""
+
+    def __init__(self, records: dict):
+        self.records = records
+
+    def __call__(self, server, request, timeout):
+        qname, end = dnswire.decode_name(request, 12)
+        qtype = struct.unpack_from(">H", request, end)[0]
+        rdatas = self.records.get((qname.lower(), qtype), [])
+        header = request[:2] + struct.pack(">HHHHH", 0x8180, 1, len(rdatas), 0, 0)
+        answers = b"".join(
+            struct.pack(">HHHIH", 0xC00C, qtype, 1, 3600, len(rdata)) + rdata for rdata in rdatas
+        )
+        return header + request[12 : end + 4] + answers
+
+
+@pytest.mark.parametrize("dotted", ["none", "srv-target", "ptr-target"])
+def test_dotted_wire_label_drops_only_the_reply_that_holds_it(monkeypatch, dotted):
+    """A label that holds '.' is legal on the wire but has no text form, so
+    its reply counts as malformed: the round completes without what that
+    reply named."""
+    ptr = ("gw", "a..b") if dotted == "ptr-target" else ("gw", "domainA", "com")
+    tcp = [srv_rdata(5060, "serverA", "domainA", "com")]
+    if dotted == "srv-target":
+        tcp.append(srv_rdata(5060, "a..b", "test"))
+    records = {
+        ("1.121.168.192.in-addr.arpa", dnswire.TYPE_PTR): [wire_name(*ptr)],
+        ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): tcp,
+        ("_edge._udp.domaina.com", dnswire.TYPE_SRV): [srv_rdata(1720, "serverA", "domainA", "com")],
+        ("servera.domaina.com", dnswire.TYPE_A): [bytes([192, 168, 121, 30])],
+    }
+    monkeypatch.setattr(dnswire, "_query_udp", WireServer(records))
+    tree = compute_centrality(build_tree(world_paths(), ROOT))
+    edisco.rounds.discover_phase(tree, StubResolver(["203.0.113.1"]))
+    gateway = tree.nodes["192.168.121.0/24"]
+    assert (gateway.domains, sorted(s.protocol.value for s in gateway.edge_servers)) == {
+        "none": ({"domainA.com"}, ["tcp", "udp"]),
+        "srv-target": ({"domainA.com"}, ["udp"]),
+        "ptr-target": (set(), []),
+    }[dotted]
+    providers = make_providers()
+    providers.resolver = StubResolver(["203.0.113.1"])
+    record = run_round(make_config(), [video_service()], providers)
+    assert record.plan.unplaced == ([] if dotted == "none" else ["svc-video"])
+
+
 class DeadWhois:
     def domains_for(self, address):
         raise WhoisUnreachableError("registry down")
@@ -385,19 +444,20 @@ def test_read_client_addresses_rejects_garbage(tmp_path):
 # -- scheduler -------------------------------------------------------------------
 
 
-def test_period_below_minimum_rejected():
-    with pytest.raises(InvalidPeriodError):
-        Scheduler(30.0, lambda: None)
+def run_every_for(seconds: float, period_s: float, runner):
+    """Drive run_every on a fresh loop that a call_later stops."""
+
+    async def serve():
+        stopping = asyncio.Event()
+        asyncio.get_running_loop().call_later(seconds, stopping.set)
+        await asyncio.wait_for(run_every(period_s, runner, stopping), seconds + 5)
+
+    asyncio.run(serve())
 
 
 def test_scheduler_fires_on_the_period_grid():
     stamps = []
-    scheduler = Scheduler(
-        0.05, lambda: stamps.append(time.monotonic()), min_period_s=0.01
-    )
-    scheduler.start()
-    time.sleep(0.18)
-    scheduler.stop()
+    run_every_for(0.18, 0.05, lambda: stamps.append(time.monotonic()))
     assert len(stamps) >= 3
     gaps = [b - a for a, b in zip(stamps, stamps[1:])]
     assert all(gap >= 0.04 for gap in gaps)
@@ -410,10 +470,7 @@ def test_overrunning_round_skips_ticks():
         stamps.append(time.monotonic())
         time.sleep(0.12)
 
-    scheduler = Scheduler(0.05, slow_round, min_period_s=0.01)
-    scheduler.start()
-    time.sleep(0.3)
-    scheduler.stop()
+    run_every_for(0.3, 0.05, slow_round)
     gaps = [b - a for a, b in zip(stamps, stamps[1:])]
     # each 0.12 s round spans past two 0.05 s ticks; next start is on the
     # grid after the round ends, never overlapping
@@ -428,39 +485,8 @@ def test_scheduler_survives_round_failures():
         calls.append(1)
         raise RoundAbortedError("no paths")
 
-    scheduler = Scheduler(0.04, flaky, min_period_s=0.01)
-    scheduler.start()
-    time.sleep(0.15)
-    scheduler.stop()
+    run_every_for(0.15, 0.04, flaky)
     assert len(calls) >= 2
-
-
-def test_stop_is_idempotent():
-    scheduler = Scheduler(0.05, lambda: None, min_period_s=0.01)
-    scheduler.start()
-    scheduler.stop()
-    scheduler.stop()
-
-
-def test_failed_start_leaves_nothing_to_stop(monkeypatch):
-    def refuse(thread):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    scheduler = Scheduler(0.05, lambda: None, min_period_s=0.01)
-    with pytest.raises(RuntimeError, match="can't start"):
-        scheduler.start()
-    scheduler.stop()
-
-
-def test_double_start_rejected():
-    scheduler = Scheduler(0.05, lambda: None, min_period_s=0.01)
-    scheduler.start()
-    try:
-        with pytest.raises(RuntimeError):
-            scheduler.start()
-    finally:
-        scheduler.stop()
 
 
 # -- config loading ----------------------------------------------------------------
@@ -598,3 +624,20 @@ def test_config_needs_traces_or_live_flag(tmp_path):
     setup = load_run_config(config_path)
     with pytest.raises(MalformedFixtureError, match="traces"):
         setup.make_providers()
+
+
+def test_run_config_raises_only_declared_errors(tmp_path):
+    """A config names files, so a mutated one may also name a file that is
+    not there, which is an OSError; the CLI reports both kinds in one line."""
+    small_bundle().write(tmp_path)
+    config = tmp_path / "fuzzed.json"
+
+    @given(mutated(small_bundle().config_document()))
+    def check(document):
+        config.write_text(json.dumps(document))
+        try:
+            load_run_config(config).make_providers()
+        except (EdiscoError, OSError):
+            pass
+
+    check()

@@ -11,7 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import edisco.topology as topology
+from edisco.discovery import FixtureWhois
 from edisco.errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
+from edisco.rounds import discover_phase
 from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import (
     AggregationTree,
@@ -28,8 +30,9 @@ from edisco.topology import (
     paths_to_document,
     subnet_sort_key,
 )
+from edisco.zonefile import parse_zone
 
-from conftest import make_path, random_paths
+from conftest import make_path, mutated, random_paths, small_bundle
 
 ROOT = "10.0.0.1"
 
@@ -734,3 +737,20 @@ def test_hundred_client_topology_counts():
     assert all(
         tree.nodes[group_subnet(c)].centrality == 1 for c in tree.client_paths
     )
+
+
+def annotated_tree_document() -> dict:
+    """The small bundle's tree after discovery, so that its nodes carry
+    domains and edge servers."""
+    bundle = small_bundle()
+    tree = compute_centrality(build_tree(ingest_recorded_paths(bundle.traces), bundle.root_address))
+    discover_phase(tree, parse_zone(bundle.zone_text), FixtureWhois(bundle.whois))
+    return tree.to_document()
+
+
+@given(mutated(annotated_tree_document()))
+def test_tree_document_raises_only_malformed_fixture_error(document):
+    try:
+        AggregationTree.from_document(document)
+    except MalformedFixtureError:
+        pass
