@@ -38,6 +38,7 @@ from .rounds import (
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
 from .topology import (
     AggregationTree,
+    address_int,
     build_tree,
     compute_centrality,
     export_dot,
@@ -76,12 +77,18 @@ def _load_tree(args) -> AggregationTree:
 
 
 def cmd_probe(args) -> int:
-    config = ProbeConfig(
-        method=args.method,
-        probes_per_hop=args.probes,
-        timeout_s=args.timeout_s,
-        max_ttl=args.max_ttl,
-    )
+    try:
+        for client in args.clients:
+            address_int(client)
+        config = ProbeConfig(
+            method=args.method,
+            probes_per_hop=args.probes,
+            timeout_s=args.timeout_s,
+            max_ttl=args.max_ttl,
+        )
+    except ValueError as exc:
+        print(f"edisco probe: {exc}", file=sys.stderr)
+        return 2
     prober = TracerouteProber(config)
     paths = [prober.probe(client) for client in args.clients]
     if args.json:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import logging
 import secrets
 import socket
-import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Protocol
@@ -37,7 +35,7 @@ MULTI_LABEL_SUFFIXES = frozenset(
 )
 EDGE_SERVICE = "edge"  # the SRV service label: _edge._tcp.<domain>
 LOOKUP_CONCURRENCY = 8
-NEGATIVE_TTL_S = 30  # how long the stub caches an answer with no records
+WHOIS_PORT = 43
 WHOIS_MAX_BYTES = 256 * 1024  # a longer registry reply is a failed lookup
 
 
@@ -153,38 +151,20 @@ def _srv_from_wire(qname: str, answer: dnswire.WireAnswer) -> SrvRecord | None:
 
 class StubResolver:
     """Wire-format stub that asks its recursive servers in order, with
-    random transaction ids (RFC 5452). It caches answers by case-folded
-    (name, type) for their smallest TTL, or NEGATIVE_TTL_S when there are
-    none, and never caches a failure. Build one per round; thread-safe."""
+    random transaction ids (RFC 5452). It keeps no answers: the recursive
+    server caches them by TTL. Thread-safe."""
 
-    def __init__(
-        self, servers: list[str] | None = None, timeout: float = 2.0, clock=time.monotonic
-    ):
+    def __init__(self, servers: list[str] | None = None):
         self.servers = servers or dnswire.resolv_nameservers()
-        self.timeout = timeout
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._cache: dict[tuple[str, int], tuple[float, list[dnswire.WireAnswer]]] = {}
 
     def _query(self, qname: str, qtype: int) -> list[dnswire.WireAnswer]:
-        key = (qname.lower(), qtype)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None and self.clock() < hit[0]:
-                return hit[1]
+        """The first answer list a server gives; the last error when none does."""
         error: Exception | None = None
         for server in self.servers:
             try:
-                answers = dnswire.query(
-                    server, qname, qtype, timeout=self.timeout, txid=secrets.randbelow(0x10000)
-                )
+                return dnswire.query(server, qname, qtype, txid=secrets.randbelow(0x10000))
             except (EdiscoError, OSError) as exc:  # try the next server
                 error = exc
-                continue
-            ttl = min((answer.ttl for answer in answers), default=NEGATIVE_TTL_S)
-            with self._lock:
-                self._cache[key] = (self.clock() + ttl, answers)
-            return answers
         raise error  # type: ignore[misc]  # servers is never empty
 
     def lookup_ptr(self, address: str) -> PtrRecord | None:
@@ -279,7 +259,7 @@ class LiveWhois:
         chunks = []
         size = 0
         try:
-            with socket.create_connection((self.server, 43), timeout=self.timeout) as sock:
+            with socket.create_connection((self.server, WHOIS_PORT), timeout=self.timeout) as sock:
                 sock.sendall(address.encode() + b"\r\n")
                 while chunk := sock.recv(4096):
                     size += len(chunk)
@@ -302,8 +282,8 @@ class LiveWhois:
                 domains.add(registrable_domain(value.rsplit("@", 1)[1]))
             elif key == "domain":
                 domains.add(registrable_domain(value))
-        domains.discard("")  # `noc@` names no domain
-        return sorted(domains)
+        # `noc@` and `noc@isp..test` name no domain: one of its labels is empty
+        return sorted(d for d in domains if "" not in d.split("."))
 
 
 def whois_fallback(address: str, whois: WhoisService) -> DomainIdentity:

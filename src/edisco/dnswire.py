@@ -10,8 +10,9 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .errors import ResolverUnreachableError
+from .errors import MalformedNameError, ResolverUnreachableError
 
+DNS_PORT = 53
 TYPE_A = 1
 TYPE_PTR = 12
 TYPE_SRV = 33
@@ -27,13 +28,13 @@ MAX_PACKET = 4096
 
 
 def encode_name(name: str) -> bytes:
+    """ValueError for an empty, over-long or non-ASCII label."""
     out = bytearray()
     for label in name.rstrip(".").split("."):
-        raw = label.encode("ascii")
-        if not 0 < len(raw) < 64:
+        if not (0 < len(label) < 64 and label.isascii()):
             raise ValueError(f"bad label {label!r} in {name!r}")
-        out.append(len(raw))
-        out += raw
+        out.append(len(label))
+        out += label.encode("ascii")
     out.append(0)
     return bytes(out)
 
@@ -147,13 +148,13 @@ def _query_udp(server: str, request: bytes, timeout: float) -> bytes:
     """Connected, so the kernel drops replies from any other address or port."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.settimeout(timeout)
-        sock.connect((server, 53))
+        sock.connect((server, DNS_PORT))
         sock.send(request)
         return sock.recv(MAX_PACKET)
 
 
 def _query_tcp(server: str, request: bytes, timeout: float) -> bytes:
-    with socket.create_connection((server, 53), timeout=timeout) as sock:
+    with socket.create_connection((server, DNS_PORT), timeout=timeout) as sock:
         sock.sendall(struct.pack(">H", len(request)) + request)
         raw_len = _read_exact(sock, 2)
         return _read_exact(sock, struct.unpack(">H", raw_len)[0])
@@ -175,8 +176,12 @@ def query(
     """One question against one server. NXDOMAIN and empty answers both come
     back as []; transport failures, undecodable replies, replies to another
     transaction id or question, and server failures raise
-    ResolverUnreachableError. Names compare without case (RFC 5452)."""
-    request = build_query(qname, qtype, txid)
+    ResolverUnreachableError. Names compare without case (RFC 5452). A name
+    that cannot be encoded raises MalformedNameError before any socket opens."""
+    try:
+        request = build_query(qname, qtype, txid)
+    except ValueError as exc:
+        raise MalformedNameError(str(exc)) from None
     try:
         packet = _query_udp(server, request, timeout)
         if is_truncated(packet):

@@ -41,6 +41,11 @@ class ResolverUnreachableError(EdiscoError):
     NXDOMAIN, which is a normal empty result)."""
 
 
+class MalformedNameError(EdiscoError):
+    """A name cannot be asked for on the wire: it has an empty, over-long or
+    non-ASCII label."""
+
+
 class WhoisUnreachableError(EdiscoError):
     """The whois registry service could not be reached."""
 

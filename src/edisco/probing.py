@@ -7,6 +7,7 @@ required; the fixture prober carries every offline flow.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import select
 import socket
@@ -35,10 +36,20 @@ class ProbeConfig:
     base_port: int = 33434
 
     def __post_init__(self):
+        # type() rather than isinstance(): JSON true and false are no numbers
         if self.method not in ("udp", "icmp"):
             raise ValueError(f"unknown probe method {self.method!r}")
-        if self.max_ttl < 1 or self.probes_per_hop < 1:
-            raise ValueError("max_ttl and probes_per_hop must be >= 1")
+        if type(self.probes_per_hop) is not int or self.probes_per_hop < 1:
+            raise ValueError(f"probes_per_hop {self.probes_per_hop!r} is not an integer >= 1")
+        if type(self.timeout_s) not in (int, float) or not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout_s {self.timeout_s!r} is not a positive number")
+        if type(self.max_ttl) is not int or not 1 <= self.max_ttl <= 255:
+            raise ValueError(f"max_ttl {self.max_ttl!r} is not an integer from 1 to 255")
+        if type(self.base_port) is not int or not 1 <= self.base_port <= 65536 - self.max_ttl:
+            raise ValueError(
+                f"base_port {self.base_port!r} is not an integer from 1 to {65536 - self.max_ttl}"
+                f" (the last probe port base_port + max_ttl - 1 must be at most 65535)"
+            )
 
 
 def checksum(data: bytes) -> int:
@@ -65,6 +76,32 @@ def parse_icmp(packet: bytes) -> tuple[int, int]:
         raise ValueError("short ICMP packet")
     ihl = (packet[0] & 0x0F) * 4
     return packet[ihl], packet[ihl + 1]
+
+
+def reply_type(packet: bytes, client: str, proto: int, ids: bytes) -> int | None:
+    """The ICMP type of `packet` when it answers the probe sent to `client`
+    whose `proto` header holds the 4 bytes `ids`, else None.
+
+    `ids` are the source and destination port of a UDP probe, or the ident
+    and seq of an echo request. A Time Exceeded or Destination Unreachable
+    counts when the datagram it quotes is the probe, and an echo reply when
+    it carries the probe's ident and seq. Every raw ICMP socket sees all of
+    the host's ICMP, so anything else, another probe's answer included,
+    gives None."""
+    try:
+        icmp_type, _code = parse_icmp(packet)
+    except ValueError:
+        return None
+    icmp = packet[(packet[0] & 0x0F) * 4 :]
+    if icmp_type == ICMP_ECHO_REPLY:
+        return icmp_type if proto == socket.IPPROTO_ICMP and icmp[4:8] == ids else None
+    if icmp_type not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE) or len(icmp) < 28:
+        return None
+    quoted = icmp[8:]  # the probe's IP header, then at least 8 bytes of its payload
+    header = quoted[(quoted[0] & 0x0F) * 4 :]
+    at = 0 if proto == socket.IPPROTO_UDP else 4  # ports open a UDP header
+    ours = quoted[9] == proto and quoted[16:20] == socket.inet_aton(client)
+    return icmp_type if ours and header[at : at + 4] == ids else None
 
 
 class TracerouteProber:
@@ -96,50 +133,36 @@ class TracerouteProber:
     ) -> tuple[str | None, float | None, bool]:
         """One probe at one TTL. Returns (responder, rtt_ms, reached)."""
         config = self.config
-        receiver = self._open_receiver()
-        try:
-            receiver.settimeout(config.timeout_s)
-            if config.method == "udp":
-                sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                sender.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
+        udp = config.method == "udp"
+        kind = (socket.SOCK_DGRAM, 0) if udp else (socket.SOCK_RAW, socket.IPPROTO_ICMP)
+        with self._open_receiver() as receiver, socket.socket(socket.AF_INET, *kind) as sender:
+            sender.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
+            if udp:
+                sender.bind(("", 0))
                 payload = b"edisco-probe"
                 port = config.base_port + ttl - 1
+                proto, ids = socket.IPPROTO_UDP, struct.pack(">HH", sender.getsockname()[1], port)
             else:
-                sender = socket.socket(
-                    socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_ICMP
-                )
-                sender.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
-                payload = build_echo_request(self._ident, self._next_seq())
+                seq = self._next_seq()
+                payload = build_echo_request(self._ident, seq)
                 port = 0
-            try:
-                sent_at = time.time()
-                sender.sendto(payload, (client, port))
-                deadline = sent_at + config.timeout_s
-                while True:
-                    remaining = deadline - time.time()
-                    if remaining <= 0:
-                        return None, None, False
-                    ready, _, _ = select.select([receiver], [], [], remaining)
-                    if not ready:
-                        return None, None, False
-                    packet, (responder, _) = receiver.recvfrom(2048)
-                    try:
-                        icmp_type, _code = parse_icmp(packet)
-                    except ValueError:
-                        continue
-                    rtt_ms = (time.time() - sent_at) * 1000.0
-                    if icmp_type == ICMP_TIME_EXCEEDED:
-                        return responder, rtt_ms, False
-                    if icmp_type == ICMP_DEST_UNREACHABLE and config.method == "udp":
-                        return responder, rtt_ms, True
-                    if icmp_type == ICMP_ECHO_REPLY and config.method == "icmp":
-                        if responder == client:
-                            return responder, rtt_ms, True
-                    # unrelated ICMP traffic; keep listening until deadline
-            finally:
-                sender.close()
-        finally:
-            receiver.close()
+                proto, ids = socket.IPPROTO_ICMP, struct.pack(">HH", self._ident, seq)
+            sent_at = time.time()
+            sender.sendto(payload, (client, port))
+            deadline = sent_at + config.timeout_s
+            while (remaining := deadline - time.time()) > 0:
+                ready, _, _ = select.select([receiver], [], [], remaining)
+                if not ready:
+                    break
+                packet, (responder, _) = receiver.recvfrom(2048)
+                icmp_type = reply_type(packet, client, proto, ids)
+                rtt_ms = (time.time() - sent_at) * 1000.0
+                if icmp_type == ICMP_TIME_EXCEEDED:
+                    return responder, rtt_ms, False
+                if icmp_type == (ICMP_DEST_UNREACHABLE if udp else ICMP_ECHO_REPLY):
+                    return responder, rtt_ms, True
+                # another probe's answer or unrelated ICMP; keep listening
+            return None, None, False
 
     def probe(self, client: str) -> ProbedPath:
         """TTL walk toward one client."""

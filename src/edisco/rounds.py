@@ -158,9 +158,8 @@ def _timed(durations: dict[str, float], phase: str):
 
 def make_resolver(zone=None, nameservers: list[str] | None = None) -> Resolver:
     """The parsed zone fixture in file `zone`, which answers lookups
-    itself; without one, a live DNS stub that caches answers for the life
-    of the resolver, so one per round (nameservers default to
-    /etc/resolv.conf)."""
+    itself; without one, the live DNS stub, which asks the recursive
+    servers `nameservers` (default: those in /etc/resolv.conf)."""
     if zone is None:
         return StubResolver(nameservers)
     with open(zone, encoding="utf-8") as fh:
@@ -346,7 +345,9 @@ class RunSetup:
 
     Relative paths resolve against the config file's directory. Capacity is
     always fixture-backed. make_providers() builds a fresh provider set per
-    round; capacity headroom and resolver caches last exactly one round.
+    round, so capacity headroom lasts exactly one round. The live flags are
+    JSON booleans; "nameservers" lists the IPv4 addresses of the recursive
+    servers the live stub asks, and "probe" holds ProbeConfig's fields.
     """
 
     def __init__(self, doc: dict, base_dir):
@@ -372,6 +373,24 @@ class RunSetup:
             self.listen = parse_listen(doc.get("listen", "127.0.0.1:0"))
         except ValueError as exc:
             raise MalformedFixtureError(f"config 'listen': {exc}") from None
+        for key in ("live_probe", "live_dns", "live_whois"):
+            if type(doc.get(key, False)) is not bool:
+                raise MalformedFixtureError(f"config {key!r}: {doc[key]!r} is not true or false")
+        if "nameservers" in doc:
+            servers = doc["nameservers"]
+            if type(servers) is not list or not servers:
+                raise MalformedFixtureError(
+                    f"config 'nameservers': {servers!r} is not a non-empty list"
+                )
+            try:
+                for server in servers:
+                    address_int(server)
+            except ValueError as exc:
+                raise MalformedFixtureError(f"config 'nameservers': {exc}") from None
+        try:
+            self.probe = ProbeConfig(**doc.get("probe", {}))
+        except (TypeError, ValueError) as exc:
+            raise MalformedFixtureError(f"config 'probe': {exc}") from None
         clients = read_client_addresses(self._path("clients"))
         self.config = RoundConfig(
             root_address=doc["root"],
@@ -387,10 +406,7 @@ class RunSetup:
     def _make_prober(self):
         doc = self.doc
         if doc.get("live_probe"):
-            try:
-                return TracerouteProber(ProbeConfig(**doc.get("probe", {})))
-            except (TypeError, ValueError) as exc:
-                raise MalformedFixtureError(f"config 'probe': {exc}") from None
+            return TracerouteProber(self.probe)
         if "traces" not in doc:
             raise MalformedFixtureError("config needs traces or live_probe")
         return FixtureProber(ingest_recorded_paths(load_json(self._path("traces"))))

@@ -27,6 +27,8 @@ FIELD_WEIGHT = 7
 FIELD_PORT = 8
 FIELD_TARGET = 9
 
+MAX_TTL = 2**31 - 1  # RFC 2181 section 8
+
 
 class Transport(str, Enum):
     TCP = "tcp"
@@ -142,7 +144,7 @@ def parse_srv_line(line: str) -> SrvRecord:
     # e.g. a line missing its port reports field 8 whether the target token
     # is present (non-integer where port belongs) or not.
     ttl = _parse_int_field(
-        _take(rest, 0, FIELD_TTL, "TTL"), FIELD_TTL, "TTL", 0, 2**31 - 1
+        _take(rest, 0, FIELD_TTL, "TTL"), FIELD_TTL, "TTL", 0, MAX_TTL
     )
     dns_class = _take(rest, 1, FIELD_CLASS, "class")
     if dns_class.upper() != "IN":
@@ -248,17 +250,15 @@ class ZoneData:
         return list(self._srv.get(_strip_dot(qname).lower(), ()))
 
 
-def _qualify(name: str, origin: str | None, line_no: int) -> str:
+def _qualify(name: str, origin: str | None) -> str:
     if name.endswith("."):
         return _strip_dot(name)
     if name == "@":
         if origin is None:
-            raise MalformedZoneError(f"line {line_no}: '@' with no $ORIGIN in effect")
+            raise MalformedZoneError("'@' with no $ORIGIN in effect")
         return origin
     if origin is None:
-        raise MalformedZoneError(
-            f"line {line_no}: relative name {name!r} with no $ORIGIN in effect"
-        )
+        raise MalformedZoneError(f"relative name {name!r} with no $ORIGIN in effect")
     return f"{name}.{origin}"
 
 
@@ -287,11 +287,10 @@ def parse_zone(text: str) -> ZoneData:
                 f"line {line_no}: unsupported directive {tokens[0]}"
             )
         try:
-            record = _parse_record_line(tokens, origin, line_no)
-        except MalformedSrvError:
+            record = _parse_record_line(tokens, origin)
+        except MalformedZoneError as exc:  # a MalformedSrvError keeps its type and field
+            exc.args = (f"line {line_no}: {exc}",)
             raise
-        except MalformedZoneError as exc:
-            raise MalformedZoneError(f"line {line_no}: {exc}") from None
         if isinstance(record, SrvRecord):
             srv.append(record)
         elif isinstance(record, ARecord):
@@ -306,7 +305,7 @@ def _is_ttl(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
+def _parse_record_line(tokens: list[str], origin: str | None):
     if len(tokens) < 4:
         raise MalformedZoneError(f"too few fields: {' '.join(tokens)!r}")
     owner = tokens[0]
@@ -326,16 +325,18 @@ def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
             dns_class = token.upper()
     if ttl is None:
         raise MalformedZoneError("missing TTL")
+    if ttl > MAX_TTL:
+        raise MalformedZoneError(f"TTL out of range 0..{MAX_TTL}: {ttl}")
     if dns_class is None:
         raise MalformedZoneError("missing class")
     if not rest:
         raise MalformedZoneError("missing record type")
     rtype = rest.pop(0).upper()
     if rtype == "SRV":
-        qualified = _qualify(owner, origin, line_no)
+        qualified = _qualify(owner, origin)
         rdata = list(rest)
         if len(rdata) == 4:
-            rdata[3] = _qualify(rdata[3], origin, line_no) + "."
+            rdata[3] = _qualify(rdata[3], origin) + "."
         line = f"{qualified}. {ttl} {dns_class} SRV {' '.join(rdata)}"
         return parse_srv_line(line)
     if rtype == "A":
@@ -347,7 +348,7 @@ def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
         except ValueError:
             raise MalformedZoneError(f"bad A address {address!r}") from None
         return ARecord(
-            name=_qualify(owner, origin, line_no),
+            name=_qualify(owner, origin),
             ttl=ttl,
             dns_class=dns_class,
             address=address,
@@ -359,6 +360,6 @@ def _parse_record_line(tokens: list[str], origin: str | None, line_no: int):
             address=_address_from_reverse_name(owner),
             ttl=ttl,
             dns_class=dns_class,
-            target=_qualify(rest[0], origin, line_no),
+            target=_qualify(rest[0], origin),
         )
     raise MalformedZoneError(f"unsupported record type {rtype!r}")

@@ -1,20 +1,25 @@
 """Shared test helpers: path builders, the reference zone fixture, a
-gauge for slow fake providers, the redirect front end on a thread and
-mutated documents for the parser fuzzers."""
+gauge for slow fake providers, the redirect front end on a thread, DNS
+packet builders and a DNS and whois responder on loopback, and mutated
+documents for the parser fuzzers."""
 from __future__ import annotations
 
 import asyncio
 import copy
 import functools
 import random
+import selectors
 import socket
+import struct
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
 
+from edisco import dnswire
 from edisco.redirect import FrontEnd
 from edisco.simharness import ScenarioBundle, ScenarioSpec, generate_scenario
 from edisco.topology import Hop, ProbedPath
@@ -132,6 +137,161 @@ class FrontEndThread:
         self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=5)
         assert not self._thread.is_alive(), "front end did not stop"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def hand_name(*labels: str) -> bytes:
+    # independent encoder so the module's own one is not the oracle
+    out = b""
+    for label in labels:
+        out += bytes([len(label)]) + label.encode()
+    return out + b"\x00"
+
+
+def response_packet(
+    txid: int, rcode: int, answers: list[bytes], tc: bool = False,
+    qname: str = "domainA.com", qtype: int = dnswire.TYPE_A, qclass: int = 1,
+) -> bytes:
+    flags = 0x8000 | rcode | (dnswire.FLAG_TC if tc else 0)
+    header = struct.pack(">HHHHHH", txid, flags, 1, len(answers), 0, 0)
+    question = hand_name(*qname.split(".")) + struct.pack(">HH", qtype, qclass)
+    return header + question + b"".join(answers)
+
+
+def record(rtype: int, rdata: bytes, ttl: int = 3600) -> bytes:
+    """One IN answer whose owner name points back to the question's."""
+    return struct.pack(">H", 0xC000 | 12) + struct.pack(">HHIH", rtype, 1, ttl, len(rdata)) + rdata
+
+
+FORGED_ADDRESS = "192.0.2.66"
+
+
+class LoopbackResponder:
+    """DNS over UDP and TCP on one port number, and whois over TCP, on
+    127.0.0.1, served one request at a time by one thread.
+
+    DNS answers A, PTR and SRV questions from a parsed ZoneData, with
+    NXDOMAIN when it holds no record. A whois query for an address gets
+    `whois_text[address]` when present, else one `domain:` line for each
+    of `whois.domains_for(address)`. Faults, off unless set:
+    `truncate_udp` sends every UDP reply with TC set and no answers, so
+    only TCP answers; `forge_from_other_port` first sends each UDP reply's
+    txid and question with the A answer FORGED_ADDRESS from another port.
+    `counts` tallies udp, tcp, forged and whois. A test points
+    dnswire.DNS_PORT at `dns_port` and discovery.WHOIS_PORT at
+    `whois_port`. close() stops the thread and raises what a handler
+    raised; it also runs as a context manager."""
+
+    def __init__(self, zone, whois=None, whois_text=None):
+        self.zone, self.whois, self.whois_text = zone, whois, whois_text or {}
+        self.truncate_udp = self.forge_from_other_port = False
+        self.counts: Counter = Counter()
+        self.errors: list[Exception] = []
+        self.udp, self.tcp = self._dns_sockets()
+        self.whois_listener = socket.create_server(("127.0.0.1", 0))
+        self.dns_port = self.udp.getsockname()[1]
+        self.whois_port = self.whois_listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @staticmethod
+    def _dns_sockets():
+        for _ in range(20):  # another process may hold the TCP side of the port
+            udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            udp.bind(("127.0.0.1", 0))
+            try:
+                return udp, socket.create_server(udp.getsockname())
+            except OSError:
+                udp.close()
+        raise RuntimeError("no loopback port free for both UDP and TCP")
+
+    def _serve(self):
+        handlers = {self.udp: self._udp, self.tcp: self._tcp, self.whois_listener: self._whois}
+        with selectors.DefaultSelector() as selector:
+            for sock in handlers:
+                selector.register(sock, selectors.EVENT_READ)
+            while not self._stop.is_set():
+                for key, _ in selector.select(timeout=0.05):
+                    try:
+                        handlers[key.fileobj]()
+                    except Exception as exc:  # handed to close(), which raises it
+                        self.errors.append(exc)
+
+    @staticmethod
+    def question(query: bytes) -> tuple[int, str, int]:
+        """(txid, qname, qtype) of a query; its name is never compressed."""
+        labels, at = [], 12
+        while query[at]:
+            labels.append(query[at + 1 : at + 1 + query[at]].decode())
+            at += 1 + query[at]
+        return struct.unpack_from(">H", query)[0], ".".join(labels), struct.unpack_from(">H", query, at + 1)[0]
+
+    def answer(self, query: bytes, tc: bool = False) -> bytes:
+        txid, qname, qtype = self.question(query)
+        if qtype == dnswire.TYPE_A:
+            found = [(r.ttl, socket.inet_aton(r.address)) for r in self.zone.lookup_a(qname)]
+        elif qtype == dnswire.TYPE_SRV:
+            found = [
+                (r.ttl, struct.pack(">HHH", r.priority, r.weight, r.port) + hand_name(*r.target.split(".")))
+                for r in self.zone.lookup_srv(qname)
+            ]
+        else:
+            ptr = self.zone.lookup_ptr(".".join(reversed(qname.split(".")[:4])))
+            found = [] if ptr is None else [(ptr.ttl, hand_name(*ptr.target.split(".")))]
+        answers = [] if tc else [record(qtype, rdata, ttl) for ttl, rdata in found]
+        rcode = dnswire.RCODE_NOERROR if found else dnswire.RCODE_NXDOMAIN
+        return response_packet(txid, rcode, answers, tc=tc, qname=qname, qtype=qtype)
+
+    def _udp(self):
+        query, client = self.udp.recvfrom(dnswire.MAX_PACKET)
+        self.counts["udp"] += 1
+        reply = self.answer(query, tc=self.truncate_udp)
+        if self.forge_from_other_port:
+            txid, qname, qtype = self.question(query)
+            forged = response_packet(
+                txid, 0, [record(dnswire.TYPE_A, socket.inet_aton(FORGED_ADDRESS))], qname=qname, qtype=qtype
+            )
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as forger:
+                forger.bind(("127.0.0.1", 0))
+                forger.sendto(forged, client)
+            self.counts["forged"] += 1
+        self.udp.sendto(reply, client)
+
+    def _tcp(self):
+        conn, _ = self.tcp.accept()
+        conn.settimeout(2)
+        with conn, conn.makefile("rb") as stream:
+            query = stream.read(struct.unpack(">H", stream.read(2))[0])
+            self.counts["tcp"] += 1
+            reply = self.answer(query)
+            conn.sendall(struct.pack(">H", len(reply)) + reply)
+
+    def _whois(self):
+        conn, _ = self.whois_listener.accept()
+        conn.settimeout(2)
+        with conn, conn.makefile("rb") as stream:
+            address = stream.readline().decode().strip()
+            self.counts["whois"] += 1
+            text = self.whois_text.get(address)
+            if text is None:
+                domains = self.whois.domains_for(address) if self.whois else []
+                text = "".join(f"domain: {domain}\r\n" for domain in domains)
+            conn.sendall(text.encode())
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "responder did not stop"
+        for sock in (self.udp, self.tcp, self.whois_listener):
+            sock.close()
+        if self.errors:
+            raise self.errors[0]
 
     def __enter__(self):
         return self

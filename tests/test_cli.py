@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import signal
@@ -545,6 +546,22 @@ def test_run_rejects_unknown_probe_setting(bundle_dir, capsys):
         ("prefix_len", 40, ("'prefix_len'", "40")),
         ("listen", "nope", ("'listen'", "'nope'")),
         ("listen", "127.0.0.1:70000", ("'listen'", "70000")),
+        ("live_dns", "false", ("'live_dns'", "'false'")),
+        ("live_probe", 1, ("'live_probe'", "1")),
+        ("live_whois", None, ("'live_whois'", "None")),
+        ("nameservers", 5, ("'nameservers'", "5")),
+        ("nameservers", "10.0.0.1", ("'nameservers'", "'10.0.0.1'")),
+        ("nameservers", [], ("'nameservers'", "[]")),
+        ("nameservers", ["10.0.0.1", "::1"], ("'nameservers'", "'::1'")),
+        ("probe", [1], ("'probe'",)),
+        ("probe", {"method": "tcp"}, ("'probe'", "'tcp'")),
+        ("probe", {"probes_per_hop": True}, ("'probe'", "probes_per_hop")),
+        ("probe", {"timeout_s": -1}, ("'probe'", "timeout_s")),
+        ("probe", {"timeout_s": math.inf}, ("'probe'", "timeout_s")),
+        ("probe", {"timeout_s": "1"}, ("'probe'", "timeout_s")),
+        ("probe", {"max_ttl": 0}, ("'probe'", "max_ttl")),
+        ("probe", {"max_ttl": 256}, ("'probe'", "max_ttl")),
+        ("probe", {"base_port": 65507}, ("'probe'", "base_port")),
     ],
 )
 def test_run_rejects_bad_config_value(bundle_dir, capsys, key, value, words):
@@ -699,3 +716,49 @@ def test_probe_permission_error_is_operational(capsys, monkeypatch):
     monkeypatch.setattr("edisco.cli.TracerouteProber", DeniedProber)
     assert main(["probe", "172.16.0.9"]) == 1
     assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--max-ttl", "0"], "max_ttl"),
+        (["--max-ttl", "256"], "max_ttl"),
+        (["--timeout-s", "-1"], "timeout_s"),
+        (["--timeout-s", "nan"], "timeout_s"),
+        (["--probes", "0"], "probes_per_hop"),
+        (["example.com"], "'example.com' is not an IPv4 address"),
+    ],
+)
+def test_probe_rejects_a_bad_setting_in_one_line(capsys, monkeypatch, flags, word):
+    monkeypatch.setattr("edisco.cli.TracerouteProber", None)  # never reached
+    assert main(["probe", "172.16.0.9", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("edisco probe: ") and word in line
+
+
+def test_run_rejects_a_bad_probe_setting_before_it_binds(bundle_dir, capsys, monkeypatch):
+    def no_bind(*args, **kwargs):
+        raise AssertionError("the front end bound")
+
+    monkeypatch.setattr("edisco.cli.socket.create_server", no_bind)
+    directory, _ = bundle_dir
+    config = json.loads((directory / "config.json").read_text())
+    config.update(live_probe=True, probe={"max_ttl": 0}, period_s=60)
+    (directory / "live.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(directory / "live.json")]) == 1
+    assert_one_error_line(capsys.readouterr(), "'probe'", "max_ttl")
+
+
+@pytest.mark.parametrize("domain", ["isp..test", "exämple.com"])
+def test_discover_a_domain_dns_cannot_carry_is_one_error_line(capsys, monkeypatch, domain):
+    """Live DNS, but the name fails before any socket opens."""
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    assert main(["discover", "--domain", domain]) == 1
+    assert_one_error_line(capsys.readouterr(), "bad label", domain)

@@ -4,7 +4,6 @@ import ipaddress
 import logging
 import random
 import socket
-import sys
 from collections import Counter
 
 import pytest
@@ -33,11 +32,10 @@ from edisco.discovery import (
 from edisco.errors import (
     MalformedFixtureError,
     NoServersError,
-    ResolverUnreachableError,
     WhoisUnreachableError,
 )
 from edisco.rounds import discover_phase
-from edisco.topology import build_tree, compute_centrality, group_subnet, map_in_threads
+from edisco.topology import build_tree, compute_centrality, group_subnet
 from edisco.zonefile import PtrRecord, Transport, parse_zone, reverse_pointer_name
 
 from conftest import OverlapGauge, make_path, mutated, small_bundle
@@ -256,7 +254,7 @@ def test_live_whois_reads_mail_and_domain_attributes(monkeypatch):
 
 
 def test_live_whois_skips_a_mail_address_without_domain(monkeypatch):
-    reply = "OrgAbuseEmail: noc@\nOrgTechEmail: tech@isp.test\n"
+    reply = "OrgAbuseEmail: noc@\nOrgNOCEmail: noc@isp..test\nOrgTechEmail: tech@isp.test\n"
     monkeypatch.setattr(LiveWhois, "_raw_query", lambda self, address: reply)
     whois = LiveWhois(server="whois.example")
     assert whois.domains_for("198.51.100.7") == ["isp.test"]
@@ -431,7 +429,7 @@ def test_select_deterministic_per_seed():
     assert picks_a == picks_b
 
 
-# --- the stub resolver's cache ---
+# --- the stub resolver ---
 
 
 def wire(qname, rtype, ttl, data):
@@ -453,109 +451,28 @@ REFERENCE_WIRE = {
 
 class FakeDns:
     """Stands in for dnswire.query: answers from a table keyed by
-    (lower-case name, type), counts the questions per type and records
-    their transaction ids. The first `failures` questions time out."""
+    (lower-case name, type) and records the transaction ids."""
 
-    def __init__(self, answers=REFERENCE_WIRE, failures=0):
+    def __init__(self, answers=REFERENCE_WIRE):
         self.answers = answers
-        self.failures = failures
-        self.calls = Counter()
         self.txids = []
 
     def __call__(self, server, qname, qtype, timeout=2.0, txid=0):
         dnswire.build_query(qname, qtype, txid)  # as the real query does first
-        self.calls[qtype] += 1
         self.txids.append(txid)
-        if self.failures:
-            self.failures -= 1
-            raise ResolverUnreachableError(f"{server}: timed out")
         return self.answers.get((qname.lower(), qtype), [])
 
 
-def fake_stub(monkeypatch, dns, clock=lambda: 0.0) -> StubResolver:
+def fake_stub(monkeypatch, dns) -> StubResolver:
     monkeypatch.setattr(dnswire, "query", dns)
-    return StubResolver(servers=["203.0.113.1"], clock=clock)
+    return StubResolver(servers=["203.0.113.1"])
 
 
-def test_cache_suppresses_repeat_lookups(monkeypatch):
-    dns = FakeDns()
-    stub = fake_stub(monkeypatch, dns)
-    for _ in range(4):
-        assert stub.lookup_srv("_edge._tcp.domainA.com")[0].target == "serverA.domainA.com"
-        assert len(stub.lookup_a("serverA.domainA.com")) == 2
-    assert dns.calls[dnswire.TYPE_SRV] == 1
-    assert dns.calls[dnswire.TYPE_A] == 1
-
-
-def test_cache_honors_ttl(monkeypatch):
-    """An entry lives for the smallest TTL among its answers."""
-    dns = FakeDns()
-    now = [0.0]
-    stub = fake_stub(monkeypatch, dns, clock=lambda: now[0])
-    stub.lookup_a("serverA.domainA.com")
-    now[0] = 86399.0
-    stub.lookup_a("serverA.domainA.com")
-    assert dns.calls[dnswire.TYPE_A] == 1
-    now[0] = 86400.0
-    stub.lookup_a("serverA.domainA.com")
-    assert dns.calls[dnswire.TYPE_A] == 2
-
-
-def test_cache_negative_answers_expire(monkeypatch):
-    dns = FakeDns()
-    now = [0.0]
-    stub = fake_stub(monkeypatch, dns, clock=lambda: now[0])
-    assert stub.lookup_ptr("203.0.113.9") is None
-    now[0] = 29.9
-    assert stub.lookup_ptr("203.0.113.9") is None
-    assert dns.calls[dnswire.TYPE_PTR] == 1
-    now[0] = 30.0
-    stub.lookup_ptr("203.0.113.9")
-    assert dns.calls[dnswire.TYPE_PTR] == 2
-
-
-def test_cache_matches_names_without_regard_to_case(monkeypatch):
-    dns = FakeDns()
-    stub = fake_stub(monkeypatch, dns)
-    stub.lookup_a("serverA.domainA.com")
+def test_stub_records_carry_the_asked_names_case(monkeypatch):
+    stub = fake_stub(monkeypatch, FakeDns())
     records = stub.lookup_a("SERVERA.DOMAINA.COM")
-    assert dns.calls[dnswire.TYPE_A] == 1
     assert [r.address for r in records] == ["192.168.121.30", "192.168.121.31"]
     assert records[0].name == "SERVERA.DOMAINA.COM"
-
-
-def test_cache_retries_a_failed_query(monkeypatch):
-    dns = FakeDns(failures=1)
-    stub = fake_stub(monkeypatch, dns)
-    with pytest.raises(ResolverUnreachableError):
-        stub.lookup_a("serverA.domainA.com")
-    assert len(stub.lookup_a("serverA.domainA.com")) == 2
-    assert len(stub.lookup_a("serverA.domainA.com")) == 2
-    assert dns.calls[dnswire.TYPE_A] == 2
-
-
-def test_cache_is_consistent_under_concurrent_lookups(monkeypatch):
-    """Eight workers, more than the cores, share one stub under fast
-    switching: every lookup gets its own name's answer, each name ends with
-    one cache entry, and a name is asked at most once per worker."""
-    answers = {
-        (f"host{i}.domaina.com", dnswire.TYPE_A): [
-            wire(f"host{i}.domainA.com", dnswire.TYPE_A, 60, f"10.0.0.{i}")
-        ]
-        for i in range(20)
-    }
-    dns = FakeDns(answers)
-    stub = fake_stub(monkeypatch, dns)
-    names = [f"host{i % 20}.domainA.com" for i in range(4000)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results = map_in_threads(stub.lookup_a, names, 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [records[0].address for records in results] == [f"10.0.0.{i % 20}" for i in range(4000)]
-    assert len(stub._cache) == 20
-    assert 20 <= len(dns.txids) <= 20 * 8
 
 
 def test_stub_draws_random_transaction_ids(monkeypatch):

@@ -7,14 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edisco import dnswire
+from edisco.errors import MalformedNameError
 
-
-def hand_name(*labels: str) -> bytes:
-    # independent encoder so the module's own one is not the oracle
-    out = b""
-    for label in labels:
-        out += bytes([len(label)]) + label.encode()
-    return out + b"\x00"
+from conftest import hand_name, record, response_packet
 
 
 def test_encode_name_layout():
@@ -26,6 +21,20 @@ def test_encode_name_layout():
 def test_encode_name_rejects_oversize_label():
     with pytest.raises(ValueError):
         dnswire.encode_name("a" * 64 + ".com")
+
+
+BAD_NAMES = ["a" * 64 + ".com", "isp..test", ".test", "ex\u00e4mple.com"]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_query_refuses_a_name_it_cannot_encode_before_any_socket(monkeypatch, name):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(dnswire.socket, "socket", no_socket)
+    monkeypatch.setattr(dnswire.socket, "create_connection", no_socket)
+    with pytest.raises(MalformedNameError, match="bad label"):
+        dnswire.query("203.0.113.1", f"_edge._tcp.{name}", dnswire.TYPE_SRV)
 
 
 def test_decode_name_plain():
@@ -56,16 +65,6 @@ def test_build_query_header():
     assert (txid, qd, an, ns, ar) == (0xBEEF, 1, 0, 0, 0)
     assert flags & dnswire.FLAG_RD
     assert packet.endswith(struct.pack(">HH", dnswire.TYPE_SRV, dnswire.CLASS_IN))
-
-
-def response_packet(
-    txid: int, rcode: int, answers: list[bytes], tc: bool = False,
-    qname: str = "domainA.com", qtype: int = dnswire.TYPE_A, qclass: int = 1,
-) -> bytes:
-    flags = 0x8000 | rcode | (dnswire.FLAG_TC if tc else 0)
-    header = struct.pack(">HHHHHH", txid, flags, 1, len(answers), 0, 0)
-    question = hand_name(*qname.split(".")) + struct.pack(">HH", qtype, qclass)
-    return header + question + b"".join(answers)
 
 
 def a_answer(address: bytes) -> bytes:
@@ -112,10 +111,6 @@ def test_parse_ptr_answer():
 def test_parse_rejects_short_packet():
     with pytest.raises(ValueError):
         dnswire.parse_response(b"\x00" * 4)
-
-
-def record(rtype: int, rdata: bytes) -> bytes:
-    return struct.pack(">H", 0xC000 | 12) + struct.pack(">HHIH", rtype, 1, 3600, len(rdata)) + rdata
 
 
 FUZZ_SEEDS = [

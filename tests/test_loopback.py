@@ -1,0 +1,126 @@
+"""The live DNS stub and whois client against LoopbackResponder: real DNS
+over UDP and TCP and real whois connections, all on 127.0.0.1."""
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from edisco import discovery, dnswire
+from edisco.discovery import FixtureWhois, LiveWhois, StubResolver
+from edisco.placement import FixtureCapacityService, load_service_profiles
+from edisco.probing import FixtureProber
+from edisco.rounds import RoundConfig, RoundProviders, discover_phase, run_round
+from edisco.simharness import ScenarioSpec, bundle_round_config, generate_scenario
+from edisco.topology import build_tree, compute_centrality, ingest_recorded_paths, map_in_threads
+from edisco.zonefile import parse_zone
+
+from conftest import FORGED_ADDRESS, REFERENCE_ZONE, LoopbackResponder, make_path
+
+GOLDEN_ROUND = Path(__file__).parent / "data" / "golden_round_seed42.json"
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """serve(zone_text, whois=None, whois_text=None) starts the responder
+    that StubResolver(["127.0.0.1"]) and LiveWhois(server="127.0.0.1")
+    reach, and closes it at teardown."""
+    started = []
+
+    def start(zone_text, whois=None, whois_text=None):
+        responder = LoopbackResponder(parse_zone(zone_text), whois, whois_text)
+        started.append(responder)
+        monkeypatch.setattr(dnswire, "DNS_PORT", responder.dns_port)
+        monkeypatch.setattr(discovery, "WHOIS_PORT", responder.whois_port)
+        return responder
+
+    yield start
+    for responder in started:
+        responder.close()
+
+
+def live_providers(paths, capacity=None) -> RoundProviders:
+    return RoundProviders(
+        prober=FixtureProber(paths),
+        resolver=StubResolver(["127.0.0.1"]),
+        whois=LiveWhois(server="127.0.0.1"),
+        capacity=FixtureCapacityService(capacity or {}),
+    )
+
+
+def test_seed42_round_over_loopback_matches_the_golden_round(serve):
+    bundle = generate_scenario(ScenarioSpec(clients=100, seed=42))
+    responder = serve(bundle.zone_text, FixtureWhois(bundle.whois))
+    record = run_round(
+        bundle_round_config(bundle),
+        load_service_profiles(bundle.services),
+        live_providers(ingest_recorded_paths(bundle.traces), bundle.capacity),
+    )
+    assert {"tree_digest": record.tree_digest, "plan": record.plan.to_document()} == json.loads(
+        GOLDEN_ROUND.read_text()
+    )
+    assert responder.counts["udp"] > 0 and responder.counts["whois"] > 0
+    assert responder.counts["tcp"] == 0
+
+
+def test_a_truncated_reply_is_asked_again_over_tcp(serve):
+    responder = serve(REFERENCE_ZONE)
+    responder.truncate_udp = True
+    records = StubResolver(["127.0.0.1"]).lookup_a("serverA.domainA.com")
+    assert [r.address for r in records] == ["192.168.121.30"]
+    assert (responder.counts["udp"], responder.counts["tcp"]) == (1, 1)
+
+
+def test_a_reply_from_another_port_is_never_delivered(serve):
+    """The forged reply carries the right txid and question and arrives
+    first; only the connected socket keeps it out (RFC 5452)."""
+    responder = serve(REFERENCE_ZONE)
+    responder.forge_from_other_port = True
+    stub = StubResolver(["127.0.0.1"])
+    assert [r.address for r in stub.lookup_a("serverA.domainA.com")] == ["192.168.121.30"]
+    assert [r.address for r in stub.lookup_a("serverB.domainA.com")] == ["192.168.121.31"]
+    assert responder.counts["forged"] == 2
+    assert FORGED_ADDRESS not in REFERENCE_ZONE
+
+
+def test_each_concurrent_lookup_gets_its_own_answer(serve):
+    """Eight workers, more than the cores, share one stub under fast
+    switching: every lookup gets its own name's answer."""
+    serve("".join(f"host{i}.domainA.com. 60 IN A 10.0.0.{i}\n" for i in range(20)))
+    stub = StubResolver(["127.0.0.1"])
+    names = [f"host{i % 20}.domainA.com" for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = map_in_threads(stub.lookup_a, names, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [[r.address for r in records] for records in results] == [
+        [f"10.0.0.{i % 20}"] for i in range(200)
+    ]
+
+
+def test_whois_domains_the_stub_cannot_ask_for_leave_the_round_running(serve, caplog):
+    """`noc@isp..test` names no domain, so its hop stays unknown. The stub
+    cannot encode `exämple.com`, so the SRV lookups for that hop's domain
+    fail and degrade: the hop keeps the domain and gets no edge servers."""
+    whois_text = {
+        "10.0.1.1": "OrgAbuseEmail: noc@isp..test\r\n",
+        "10.0.2.1": "OrgAbuseEmail: noc@exämple.com\r\n",
+    }
+    serve(REFERENCE_ZONE + "1.0.0.10.in-addr.arpa. 60 IN PTR r1.domainA.com.\n", None, whois_text)
+    paths = [make_path("172.16.0.9", "10.0.0.1", "10.0.1.1", "10.0.2.1")]
+    run_round(RoundConfig("10.255.0.1", ("172.16.0.9",)), [], live_providers(paths))
+
+    tree = compute_centrality(build_tree(paths, "10.255.0.1"))
+    with caplog.at_level("WARNING", logger="edisco.rounds"):
+        discover_phase(tree, StubResolver(["127.0.0.1"]), LiveWhois(server="127.0.0.1"))
+    node = {address: n for n in tree.nodes.values() for address in n.member_addresses}
+    assert node["10.0.0.1"].domains == {"domainA.com"}
+    assert len(node["10.0.0.1"].edge_servers) == 4
+    assert node["10.0.1.1"].domains == set()
+    assert node["10.0.2.1"].domains == {"exämple.com"}
+    assert node["10.0.2.1"].edge_servers == []
+    assert any("bad label" in message for message in caplog.messages)

@@ -1,4 +1,5 @@
 import errno
+import select
 import socket
 import struct
 
@@ -88,6 +89,34 @@ def test_config_rejects_zero_ttl():
         ProbeConfig(max_ttl=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("probes_per_hop", 0),
+        ("probes_per_hop", 1.0),
+        ("timeout_s", 0),
+        ("timeout_s", -1.0),
+        ("timeout_s", float("nan")),
+        ("timeout_s", float("inf")),
+        ("timeout_s", True),
+        ("max_ttl", 256),
+        ("max_ttl", "3"),
+        ("base_port", 0),
+        ("base_port", 65507),  # its last probe port, 65507 + 30 - 1, is past 65535
+        ("base_port", None),
+    ],
+)
+def test_config_rejects_a_field_of_the_wrong_type_or_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        ProbeConfig(**{field: value})
+
+
+def test_config_takes_the_edges_of_each_range():
+    config = ProbeConfig(timeout_s=0.001, max_ttl=255, base_port=65536 - 255, probes_per_hop=1)
+    assert config.base_port + config.max_ttl - 1 == 65535
+    assert ProbeConfig(timeout_s=2).timeout_s == 2
+
+
 # -- probe loop over a scripted transport -----------------------------------
 
 
@@ -157,6 +186,123 @@ def test_raw_socket_refusal_maps_to_permission_error(monkeypatch):
 
 
 # -- icmp type handling ------------------------------------------------------
+
+
+def ip_header(source: str, destination: str, proto: int) -> bytes:
+    return struct.pack(">BBHHHBBH", 0x45, 0, 0, 0, 0, 64, proto, 0) + socket.inet_aton(
+        source
+    ) + socket.inet_aton(destination)
+
+
+def icmp_error(icmp_type: int, responder: str, quoted: bytes) -> bytes:
+    """What the raw socket reads: an IP header from `responder`, then an
+    ICMP error quoting `quoted` (the probe's IP header and 8 bytes)."""
+    return ip_header(responder, "10.9.9.9", socket.IPPROTO_ICMP) + struct.pack(
+        ">BBHI", icmp_type, 0, 0, 0
+    ) + quoted
+
+
+class FakeProbeSocket:
+    """Both sockets of one probe: the raw receiver reads `inbox` in order,
+    the sender binds to port 40000 and records what it sends."""
+
+    inbox: list = []
+    sent: list = []
+
+    def __init__(self, family, kind, proto=0):
+        self.kind = kind
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def setsockopt(self, *args):
+        pass
+
+    def bind(self, address):
+        pass
+
+    def getsockname(self):
+        return ("0.0.0.0", 40000)
+
+    def sendto(self, payload, address):
+        FakeProbeSocket.sent.append((payload, address))
+
+    def recvfrom(self, size):
+        packet, responder = FakeProbeSocket.inbox.pop(0)
+        return packet, (responder, 0)
+
+
+def fake_probe_sockets(monkeypatch, inbox):
+    FakeProbeSocket.inbox, FakeProbeSocket.sent = list(inbox), []
+    monkeypatch.setattr(socket, "socket", FakeProbeSocket)
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout: (r, [], []))
+
+
+def udp_probe(destination: str, source_port: int, port: int) -> bytes:
+    return ip_header("10.9.9.9", destination, socket.IPPROTO_UDP) + struct.pack(
+        ">HHHH", source_port, port, 20, 0
+    )
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        udp_probe("172.16.5.5", 40000, 33436),  # another client's probe
+        udp_probe("172.16.0.9", 40001, 33436),  # another sender's probe
+        udp_probe("172.16.0.9", 40000, 33435),  # this sender's earlier probe
+    ],
+    ids=["other-client", "other-source-port", "other-ttl"],
+)
+def test_udp_probe_takes_only_the_icmp_error_that_quotes_it(monkeypatch, other):
+    """Every raw ICMP socket sees all of the host's ICMP: an error quoting
+    another probe is skipped, and the one quoting this probe counts."""
+    fake_probe_sockets(
+        monkeypatch,
+        [
+            (icmp_error(ICMP_DEST_UNREACHABLE, "172.16.5.5", other), "172.16.5.5"),
+            (icmp_error(ICMP_TIME_EXCEEDED, "10.1.1.1", other), "10.1.1.1"),
+            (icmp_error(ICMP_TIME_EXCEEDED, "10.0.0.1", udp_probe("172.16.0.9", 40000, 33436)), "10.0.0.1"),
+        ],
+    )
+    responder, rtt_ms, reached = TracerouteProber()._single_probe("172.16.0.9", 3)
+    assert (responder, reached) == ("10.0.0.1", False)
+    assert FakeProbeSocket.sent == [(b"edisco-probe", ("172.16.0.9", 33436))]
+
+
+def test_icmp_probe_takes_only_its_own_ident_and_seq(monkeypatch):
+    prober = TracerouteProber(ProbeConfig(method="icmp"))
+    ident, seq = prober._ident, 1  # the first probe's seq
+
+    def echo(icmp_type, seq):
+        return struct.pack(">BBHHH", icmp_type, 0, 0, ident, seq)
+
+    def quoting(seq):
+        return ip_header("10.9.9.9", "172.16.0.9", socket.IPPROTO_ICMP) + echo(ICMP_ECHO_REQUEST, seq)
+
+    reply = ip_header("172.16.0.9", "10.9.9.9", socket.IPPROTO_ICMP)
+    fake_probe_sockets(
+        monkeypatch,
+        [
+            (icmp_error(ICMP_TIME_EXCEEDED, "10.1.1.1", quoting(seq + 1)), "10.1.1.1"),
+            (reply + echo(ICMP_ECHO_REPLY, seq + 1), "172.16.0.9"),
+            (reply + echo(ICMP_ECHO_REPLY, seq), "172.16.0.9"),
+        ],
+    )
+    assert prober._single_probe("172.16.0.9", 3)[::2] == ("172.16.0.9", True)
+    (payload, _), = FakeProbeSocket.sent
+    assert struct.unpack_from(">HH", payload, 4) == (ident, seq)
+
+    fake_probe_sockets(
+        monkeypatch,
+        [
+            (reply + echo(ICMP_ECHO_REPLY, seq), "172.16.0.9"),
+            (icmp_error(ICMP_TIME_EXCEEDED, "10.0.0.1", quoting(seq + 1)), "10.0.0.1"),
+        ],
+    )
+    assert prober._single_probe("172.16.0.9", 3)[::2] == ("10.0.0.1", False)
 
 
 def test_icmp_constants_are_standard():

@@ -364,6 +364,24 @@ def test_srv_error_inside_zone_keeps_field():
     with pytest.raises(MalformedSrvError) as err:
         parse_zone("_edge._tcp.domainA.com. 86400 IN SRV 10 30 s.domainA.com.")
     assert err.value.field == 8
+    with pytest.raises(MalformedSrvError, match="^line 2: port is not an integer") as err:
+        parse_zone(TCP_LINE + "\n_edge._tcp.domainA.com. 86400 IN SRV 10 30 s.domainA.com.")
+    assert err.value.field == 8
+
+
+@pytest.mark.parametrize("rtype, rdata", [("A", "203.0.113.9"), ("PTR", "s.domainA.com."), ("SRV", "1 1 1 s.d.")])
+def test_ttl_above_2_31_minus_1_is_rejected_for_every_record_type(rtype, rdata):
+    owner = {"A": "s.domainA.com.", "PTR": "9.113.0.203.in-addr.arpa.", "SRV": "_edge._tcp.d."}[rtype]
+    zone = parse_zone(f"{owner} {2**31 - 1} IN {rtype} {rdata}")
+    assert [r.ttl for r in zone.a_records + zone.ptr_records + zone.srv_records] == [2**31 - 1]
+    with pytest.raises(MalformedZoneError, match="^line 1: TTL out of range"):
+        parse_zone(f"{owner} {2**31} IN {rtype} {rdata}")
+
+
+def test_relative_name_error_cites_its_line_once():
+    with pytest.raises(MalformedZoneError) as err:
+        parse_zone(TCP_LINE + "\nserverC 3600 IN A 203.0.113.9")
+    assert str(err.value) == "line 2: relative name 'serverC' with no $ORIGIN in effect"
 
 
 def test_a_record_render():
