@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import secrets
 import socket
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Protocol
@@ -255,13 +256,18 @@ class LiveWhois:
 
     def _raw_query(self, address: str) -> str:
         """The reply text; raises WhoisUnreachableError when the server
-        cannot be reached or sends more than WHOIS_MAX_BYTES."""
+        cannot be reached, sends more than WHOIS_MAX_BYTES or has not
+        finished within `timeout` seconds."""
         chunks = []
         size = 0
+        deadline = time.monotonic() + self.timeout
         try:
             with socket.create_connection((self.server, WHOIS_PORT), timeout=self.timeout) as sock:
                 sock.sendall(address.encode() + b"\r\n")
-                while chunk := sock.recv(4096):
+                while True:
+                    sock.settimeout(dnswire.time_left(deadline))
+                    if not (chunk := sock.recv(4096)):
+                        break
                     size += len(chunk)
                     if size > WHOIS_MAX_BYTES:
                         raise WhoisUnreachableError(f"{self.server}: reply too long")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 from dataclasses import dataclass
 
 from .errors import MalformedNameError, ResolverUnreachableError
@@ -153,16 +154,27 @@ def _query_udp(server: str, request: bytes, timeout: float) -> bytes:
         return sock.recv(MAX_PACKET)
 
 
-def _query_tcp(server: str, request: bytes, timeout: float) -> bytes:
-    with socket.create_connection((server, DNS_PORT), timeout=timeout) as sock:
+def _query_tcp(server: str, request: bytes, deadline: float) -> bytes:
+    with socket.create_connection((server, DNS_PORT), timeout=time_left(deadline)) as sock:
         sock.sendall(struct.pack(">H", len(request)) + request)
-        raw_len = _read_exact(sock, 2)
-        return _read_exact(sock, struct.unpack(">H", raw_len)[0])
+        raw_len = _read_exact(sock, 2, deadline)
+        return _read_exact(sock, struct.unpack(">H", raw_len)[0], deadline)
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
+def time_left(deadline: float) -> float:
+    """Seconds until the time.monotonic() `deadline`, as the timeout of the
+    next socket call, so a peer that sends slowly cannot stretch the whole
+    exchange past it; TimeoutError once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _read_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
     chunks = b""
     while len(chunks) < n:
+        sock.settimeout(time_left(deadline))
         chunk = sock.recv(n - len(chunks))
         if not chunk:
             raise ConnectionError("connection closed mid-message")
@@ -175,17 +187,19 @@ def query(
 ) -> list[WireAnswer]:
     """One question against one server. NXDOMAIN and empty answers both come
     back as []; transport failures, undecodable replies, replies to another
-    transaction id or question, and server failures raise
+    transaction id or question, server failures and a reply not complete
+    within `timeout` seconds, over UDP and TCP together, raise
     ResolverUnreachableError. Names compare without case (RFC 5452). A name
     that cannot be encoded raises MalformedNameError before any socket opens."""
     try:
         request = build_query(qname, qtype, txid)
     except ValueError as exc:
         raise MalformedNameError(str(exc)) from None
+    deadline = time.monotonic() + timeout
     try:
         packet = _query_udp(server, request, timeout)
         if is_truncated(packet):
-            packet = _query_tcp(server, request, timeout)
+            packet = _query_tcp(server, request, deadline)
     except OSError as exc:
         raise ResolverUnreachableError(f"{server}: {exc}") from None
     try:

@@ -3,8 +3,10 @@
 A round is one pass of the whole protocol: probe every configured client,
 fold the paths into an aggregation tree, identify and annotate the nodes,
 then rank, score, negotiate, and install redirect rules. Rounds rebuild
-everything from scratch; the only state that crosses a round boundary is
-the redirect table, which the next install replaces atomically.
+everything from the fixtures they re-read, with one exception: the recorded
+traces are re-parsed only when the trace file's bytes change. Besides that
+parse, the only state that crosses a round boundary is the redirect table,
+which the next install replaces atomically.
 
 Every external dependency (prober, resolver, whois, capacity, clock) is an
 injected provider with both live and fixture implementations, so a full
@@ -261,11 +263,16 @@ def append_journal(path, record: RoundRecord):
 
 def load_json(path):
     """Parse one JSON file; MalformedFixtureError names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # also a UnicodeDecodeError
-            raise MalformedFixtureError(f"{path}: not valid JSON: {exc}") from None
+    return _parse_json(path, Path(path).read_bytes())
+
+
+def _parse_json(path, data: bytes):
+    """Parse the bytes of the JSON file `path` as strict UTF-8, so a BOM or
+    UTF-16 is rejected; MalformedFixtureError names the file."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # also a UnicodeDecodeError
+        raise MalformedFixtureError(f"{path}: not valid JSON: {exc}") from None
 
 
 def parse_listen(value) -> tuple[str, int]:
@@ -344,10 +351,16 @@ class RunSetup:
         }
 
     Relative paths resolve against the config file's directory. Capacity is
-    always fixture-backed. make_providers() builds a fresh provider set per
-    round, so capacity headroom lasts exactly one round. The live flags are
-    JSON booleans; "nameservers" lists the IPv4 addresses of the recursive
-    servers the live stub asks, and "probe" holds ProbeConfig's fields.
+    always fixture-backed. make_providers() re-reads every fixture file per
+    round and builds fresh providers from it, so capacity headroom lasts
+    exactly one round, with one exception: the trace file is re-parsed only
+    when its bytes differ from those of the last parse, and otherwise the
+    round gets that parse's FixtureProber again. Sharing it is safe, because
+    a FixtureProber and its Hops and ProbedPaths are read-only, and run_every
+    never overlaps rounds, so one RunSetup is used by one thread at a time.
+    The live flags are JSON booleans; "nameservers" lists the IPv4 addresses
+    of the recursive servers the live stub asks, and "probe" holds
+    ProbeConfig's fields.
     """
 
     def __init__(self, doc: dict, base_dir):
@@ -399,6 +412,7 @@ class RunSetup:
             prefix_len=prefix_len,
         )
         self.services = load_service_profiles(load_json(self._path("services")))
+        self._traces: tuple[bytes, FixtureProber] | None = None  # the last parse
 
     def _path(self, key: str) -> Path:
         return self.base / _typed(self.doc, key, str, "config")
@@ -409,7 +423,11 @@ class RunSetup:
             return TracerouteProber(self.probe)
         if "traces" not in doc:
             raise MalformedFixtureError("config needs traces or live_probe")
-        return FixtureProber(ingest_recorded_paths(load_json(self._path("traces"))))
+        path = self._path("traces")
+        data = path.read_bytes()
+        if self._traces is None or self._traces[0] != data:
+            self._traces = (data, FixtureProber(ingest_recorded_paths(_parse_json(path, data))))
+        return self._traces[1]
 
     def _make_resolver(self) -> Resolver:
         doc = self.doc

@@ -14,12 +14,12 @@ import struct
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import strategies as st
 
-from edisco import dnswire
+from edisco import discovery, dnswire
 from edisco.redirect import FrontEnd
 from edisco.simharness import ScenarioBundle, ScenarioSpec, generate_scenario
 from edisco.topology import Hop, ProbedPath
@@ -169,6 +169,8 @@ def record(rtype: int, rdata: bytes, ttl: int = 3600) -> bytes:
 
 
 FORGED_ADDRESS = "192.0.2.66"
+SERVFAIL = 2
+DRIP_S = 0.1  # a dripping peer sends one byte this often
 
 
 class LoopbackResponder:
@@ -182,16 +184,26 @@ class LoopbackResponder:
     `truncate_udp` sends every UDP reply with TC set and no answers, so
     only TCP answers; `forge_from_other_port` first sends each UDP reply's
     txid and question with the A answer FORGED_ADDRESS from another port.
+    `faults` maps one DNS question name or whois address to one fault:
+    - DNS "servfail", "garbage" (a reply's txid and flags, then 5 bytes of
+      junk), "wrong_question" (the right answers under another question)
+      and "drop" (no reply);
+    - "drip": DNS sets TC over UDP and, like whois, sends its TCP reply
+      one byte every DRIP_S from a thread of its own, until the client
+      hangs up;
+    - whois "oversize": the reply, then WHOIS_MAX_BYTES of comment lines.
     `counts` tallies udp, tcp, forged and whois. A test points
     dnswire.DNS_PORT at `dns_port` and discovery.WHOIS_PORT at
-    `whois_port`. close() stops the thread and raises what a handler
+    `whois_port`. close() stops the threads and raises what a handler
     raised; it also runs as a context manager."""
 
     def __init__(self, zone, whois=None, whois_text=None):
         self.zone, self.whois, self.whois_text = zone, whois, whois_text or {}
         self.truncate_udp = self.forge_from_other_port = False
+        self.faults: dict[str, str] = {}
         self.counts: Counter = Counter()
         self.errors: list[Exception] = []
+        self._drips: list[threading.Thread] = []
         self.udp, self.tcp = self._dns_sockets()
         self.whois_listener = socket.create_server(("127.0.0.1", 0))
         self.dns_port = self.udp.getsockname()[1]
@@ -232,7 +244,8 @@ class LoopbackResponder:
             at += 1 + query[at]
         return struct.unpack_from(">H", query)[0], ".".join(labels), struct.unpack_from(">H", query, at + 1)[0]
 
-    def answer(self, query: bytes, tc: bool = False) -> bytes:
+    def answer(self, query: bytes, tc: bool = False, echo: str | None = None) -> bytes:
+        """The reply to a query, echoing the question name `echo` if given."""
         txid, qname, qtype = self.question(query)
         if qtype == dnswire.TYPE_A:
             found = [(r.ttl, socket.inet_aton(r.address)) for r in self.zone.lookup_a(qname)]
@@ -246,14 +259,24 @@ class LoopbackResponder:
             found = [] if ptr is None else [(ptr.ttl, hand_name(*ptr.target.split(".")))]
         answers = [] if tc else [record(qtype, rdata, ttl) for ttl, rdata in found]
         rcode = dnswire.RCODE_NOERROR if found else dnswire.RCODE_NXDOMAIN
-        return response_packet(txid, rcode, answers, tc=tc, qname=qname, qtype=qtype)
+        return response_packet(txid, rcode, answers, tc=tc, qname=echo or qname, qtype=qtype)
 
     def _udp(self):
         query, client = self.udp.recvfrom(dnswire.MAX_PACKET)
         self.counts["udp"] += 1
-        reply = self.answer(query, tc=self.truncate_udp)
+        txid, qname, qtype = self.question(query)
+        fault = self.faults.get(qname)
+        if fault == "drop":
+            return
+        if fault == "servfail":
+            reply = response_packet(txid, SERVFAIL, [], qname=qname, qtype=qtype)
+        elif fault == "garbage":
+            reply = struct.pack(">HH", txid, 0x8000) + b"\xff" * 5
+        elif fault == "wrong_question":
+            reply = self.answer(query, echo="elsewhere." + qname)
+        else:
+            reply = self.answer(query, tc=self.truncate_udp or fault == "drip")
         if self.forge_from_other_port:
-            txid, qname, qtype = self.question(query)
             forged = response_packet(
                 txid, 0, [record(dnswire.TYPE_A, socket.inet_aton(FORGED_ADDRESS))], qname=qname, qtype=qtype
             )
@@ -270,7 +293,7 @@ class LoopbackResponder:
             query = stream.read(struct.unpack(">H", stream.read(2))[0])
             self.counts["tcp"] += 1
             reply = self.answer(query)
-            conn.sendall(struct.pack(">H", len(reply)) + reply)
+            self._reply(conn, struct.pack(">H", len(reply)) + reply, self.faults.get(self.question(query)[1]))
 
     def _whois(self):
         conn, _ = self.whois_listener.accept()
@@ -282,12 +305,39 @@ class LoopbackResponder:
             if text is None:
                 domains = self.whois.domains_for(address) if self.whois else []
                 text = "".join(f"domain: {domain}\r\n" for domain in domains)
-            conn.sendall(text.encode())
+            fault = self.faults.get(address)
+            if fault == "oversize":
+                text += "%\r\n" * (discovery.WHOIS_MAX_BYTES // 3)
+            self._reply(conn, text.encode(), fault)
+
+    def _reply(self, conn, data: bytes, fault: str | None):
+        """Send data on conn, which the caller closes; a drip goes out from
+        a thread of its own on a duplicate of conn. A client that hangs up
+        early (over its size cap or past its deadline) is no fault of the
+        responder's."""
+        if fault == "drip":
+            thread = threading.Thread(target=self._drip, args=(conn.dup(), data), daemon=True)
+            self._drips.append(thread)
+            thread.start()
+            return
+        with suppress(ConnectionError):
+            conn.sendall(data)
+
+    def _drip(self, conn, data: bytes):
+        with conn:
+            for at in range(len(data)):
+                if self._stop.wait(DRIP_S):
+                    return
+                try:
+                    conn.send(data[at : at + 1])
+                except OSError:  # the client gave up
+                    return
 
     def close(self):
         self._stop.set()
-        self._thread.join(timeout=5)
-        assert not self._thread.is_alive(), "responder did not stop"
+        for thread in [self._thread, *self._drips]:
+            thread.join(timeout=5)
+            assert not thread.is_alive(), "responder did not stop"
         for sock in (self.udp, self.tcp, self.whois_listener):
             sock.close()
         if self.errors:

@@ -221,11 +221,16 @@ def test_fixture_whois_rejects_malformed_table(table):
 
 
 class FakeWhoisSocket:
-    """A connected port-43 socket that sends `reply` in 4 KiB chunks."""
+    """A connected port-43 socket that sends `reply` in 4 KiB chunks and
+    records the timeouts it is given."""
 
     def __init__(self, reply: bytes):
         self.reply = reply
         self.sent = b""
+        self.timeouts = []
+
+    def settimeout(self, timeout):
+        self.timeouts.append(timeout)
 
     def __enter__(self):
         return self
@@ -251,6 +256,9 @@ def test_live_whois_reads_mail_and_domain_attributes(monkeypatch):
         "example.net",
     ]
     assert sock.sent == b"198.51.100.7\r\n"
+    # one timeout per recv, each what is left of the query's 5 s
+    assert len(sock.timeouts) == len(reply) // 4096 + 2
+    assert all(0 < b <= a <= 5.0 for a, b in zip([5.0] + sock.timeouts, sock.timeouts))
 
 
 def test_live_whois_skips_a_mail_address_without_domain(monkeypatch):

@@ -1,21 +1,30 @@
 """The live DNS stub and whois client against LoopbackResponder: real DNS
-over UDP and TCP and real whois connections, all on 127.0.0.1."""
+over UDP and TCP and real whois connections, all on 127.0.0.1, from
+well-behaved peers and from slow and faulty ones."""
 from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from edisco import discovery, dnswire
+from edisco import discovery, dnswire, rounds
 from edisco.discovery import FixtureWhois, LiveWhois, StubResolver
+from edisco.errors import ResolverUnreachableError, WhoisUnreachableError
 from edisco.placement import FixtureCapacityService, load_service_profiles
 from edisco.probing import FixtureProber
 from edisco.rounds import RoundConfig, RoundProviders, discover_phase, run_round
 from edisco.simharness import ScenarioSpec, bundle_round_config, generate_scenario
-from edisco.topology import build_tree, compute_centrality, ingest_recorded_paths, map_in_threads
-from edisco.zonefile import parse_zone
+from edisco.topology import (
+    build_tree,
+    compute_centrality,
+    group_subnet,
+    ingest_recorded_paths,
+    map_in_threads,
+)
+from edisco.zonefile import parse_zone, reverse_pointer_name
 
 from conftest import FORGED_ADDRESS, REFERENCE_ZONE, LoopbackResponder, make_path
 
@@ -41,11 +50,11 @@ def serve(monkeypatch):
         responder.close()
 
 
-def live_providers(paths, capacity=None) -> RoundProviders:
+def live_providers(paths, capacity=None, whois_timeout=5.0) -> RoundProviders:
     return RoundProviders(
         prober=FixtureProber(paths),
         resolver=StubResolver(["127.0.0.1"]),
-        whois=LiveWhois(server="127.0.0.1"),
+        whois=LiveWhois(server="127.0.0.1", timeout=whois_timeout),
         capacity=FixtureCapacityService(capacity or {}),
     )
 
@@ -124,3 +133,77 @@ def test_whois_domains_the_stub_cannot_ask_for_leave_the_round_running(serve, ca
     assert node["10.0.2.1"].domains == {"exämple.com"}
     assert node["10.0.2.1"].edge_servers == []
     assert any("bad label" in message for message in caplog.messages)
+
+
+# -- slow and faulty peers ---------------------------------------------------------
+
+PTR_NODE = "240.0.7.1"  # alone in its seed-42 node; its PTR names it, whois does not
+WHOIS_NODE = "240.0.12.10"  # alone in its seed-42 node; no PTR, whois names it below
+WHOIS_TEXT = {WHOIS_NODE: "domain: isp0.test\r\n"}
+
+
+def test_a_dns_query_over_tcp_ends_at_its_timeout(serve):
+    """The reply is dripped one byte at a time, each well within the
+    timeout; the whole query must still end when the timeout runs out."""
+    responder = serve(REFERENCE_ZONE)
+    responder.faults["serverA.domainA.com"] = "drip"
+    mark = time.monotonic()
+    with pytest.raises(ResolverUnreachableError):
+        dnswire.query("127.0.0.1", "serverA.domainA.com", dnswire.TYPE_A, timeout=0.5)
+    assert time.monotonic() - mark < 0.5 + 0.3
+    assert (responder.counts["udp"], responder.counts["tcp"]) == (1, 1)
+
+
+def test_a_whois_query_ends_at_its_timeout(serve):
+    responder = serve(REFERENCE_ZONE, None, WHOIS_TEXT)
+    responder.faults[WHOIS_NODE] = "drip"
+    mark = time.monotonic()
+    with pytest.raises(WhoisUnreachableError):
+        LiveWhois(server="127.0.0.1", timeout=0.5).domains_for(WHOIS_NODE)
+    assert time.monotonic() - mark < 0.5 + 0.3
+
+
+def seed42_round(monkeypatch, faults) -> dict:
+    """A seed-42 round over loopback with `faults` switched on; every
+    node's domains by subnet, from the tree the round built."""
+    bundle = generate_scenario(ScenarioSpec(clients=100, seed=42))
+    trees = []
+    monkeypatch.setattr(rounds, "build_tree", lambda *args: trees.append(build_tree(*args)) or trees[-1])
+    with LoopbackResponder(parse_zone(bundle.zone_text), FixtureWhois(bundle.whois), WHOIS_TEXT) as responder:
+        monkeypatch.setattr(dnswire, "DNS_PORT", responder.dns_port)
+        monkeypatch.setattr(discovery, "WHOIS_PORT", responder.whois_port)
+        responder.faults.update(faults)
+        run_round(
+            bundle_round_config(bundle),
+            load_service_profiles(bundle.services),
+            live_providers(ingest_recorded_paths(bundle.traces), bundle.capacity, whois_timeout=0.5),
+        )
+    return {node.subnet: node.domains for node in trees[0].nodes.values()}
+
+
+@pytest.fixture(scope="module")
+def fault_free_domains():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        domains = seed42_round(monkeypatch, {})
+    for address in (PTR_NODE, WHOIS_NODE):
+        assert domains[group_subnet(address)], address  # known without a fault
+    return domains
+
+
+@pytest.mark.parametrize(
+    "fault, address",
+    [
+        ("servfail", PTR_NODE),
+        ("garbage", PTR_NODE),
+        ("wrong_question", PTR_NODE),
+        ("drop", PTR_NODE),  # waits out dnswire.query's 2.0 s default once
+        ("drip", PTR_NODE),  # the same
+        ("oversize", WHOIS_NODE),
+        ("drip", WHOIS_NODE),
+    ],
+)
+def test_a_faulty_peer_leaves_only_its_node_unknown(monkeypatch, fault_free_domains, fault, address):
+    key = reverse_pointer_name(address) if address == PTR_NODE else address
+    expected = dict(fault_free_domains)
+    expected[group_subnet(address)] = set()
+    assert seed42_round(monkeypatch, {key: fault}) == expected

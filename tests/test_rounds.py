@@ -1,6 +1,7 @@
 import asyncio
 import importlib.util
 import json
+import math
 import struct
 import time
 from collections import Counter
@@ -37,6 +38,7 @@ from edisco.rounds import (
     run_every,
     run_round,
 )
+from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import build_tree, compute_centrality, paths_to_document
 from edisco.zonefile import parse_zone
 
@@ -444,23 +446,30 @@ def test_read_client_addresses_rejects_garbage(tmp_path):
 # -- scheduler -------------------------------------------------------------------
 
 
-def run_every_for(seconds: float, period_s: float, runner):
-    """Drive run_every on a fresh loop that a call_later stops."""
+def run_every_for(seconds: float, period_s: float, runner) -> float:
+    """Drive run_every on a fresh loop that a call_later stops; return the
+    loop's time (time.monotonic()) from just before run_every started."""
 
     async def serve():
+        loop = asyncio.get_running_loop()
         stopping = asyncio.Event()
-        asyncio.get_running_loop().call_later(seconds, stopping.set)
+        loop.call_later(seconds, stopping.set)
+        t_start = loop.time()
         await asyncio.wait_for(run_every(period_s, runner, stopping), seconds + 5)
+        return t_start
 
-    asyncio.run(serve())
+    return asyncio.run(serve())
 
 
 def test_scheduler_fires_on_the_period_grid():
-    stamps = []
-    run_every_for(0.18, 0.05, lambda: stamps.append(time.monotonic()))
+    """Round k starts no earlier than its grid point, and no two rounds
+    start in one period; a late round may be followed by an on-time one."""
+    stamps, period_s = [], 0.05
+    t_start = run_every_for(0.18, period_s, lambda: stamps.append(time.monotonic()))
     assert len(stamps) >= 3
-    gaps = [b - a for a, b in zip(stamps, stamps[1:])]
-    assert all(gap >= 0.04 for gap in gaps)
+    assert all(stamp >= t_start + k * period_s for k, stamp in enumerate(stamps))
+    slots = [math.floor((stamp - t_start) / period_s) for stamp in stamps]
+    assert all(a < b for a, b in zip(slots, slots[1:]))
 
 
 def test_overrunning_round_skips_ticks():
@@ -548,6 +557,101 @@ def test_fresh_capacity_each_round(tmp_path):
             setup.config, setup.services, setup.make_providers(), round_id=round_id
         )
         assert len(record.plan.assignments) == 1
+
+
+# -- trace reuse -------------------------------------------------------------------
+
+GOLDEN_ROUND = Path(__file__).parent / "data" / "golden_round_seed42.json"
+
+
+@pytest.fixture(params=["written", "seed42"])
+def config_path(request, tmp_path):
+    """The run config of write_bundle's bundle or of the seed-42 bundle."""
+    if request.param == "written":
+        return write_bundle(tmp_path)
+    generate_scenario(ScenarioSpec(clients=100, seed=42)).write(tmp_path)
+    return tmp_path / "config.json"
+
+
+@pytest.fixture
+def ingested(monkeypatch):
+    """The trace documents edisco.rounds.ingest_recorded_paths gets."""
+    documents = []
+    ingest = edisco.rounds.ingest_recorded_paths
+
+    def spy(document):
+        documents.append(document)
+        return ingest(document)
+
+    monkeypatch.setattr(edisco.rounds, "ingest_recorded_paths", spy)
+    return documents
+
+
+def test_unchanged_traces_are_parsed_once(config_path, ingested):
+    setup = load_run_config(config_path)
+    first, second = setup.make_providers(), setup.make_providers()
+    assert len(ingested) == 1
+    assert second.prober is first.prober
+    assert second.capacity is not first.capacity
+
+
+def test_traces_rewritten_with_the_same_bytes_are_not_parsed_again(config_path, ingested):
+    setup = load_run_config(config_path)
+    prober = setup.make_providers().prober
+    traces = config_path.parent / "traces.json"
+    traces.write_bytes(traces.read_bytes())
+    assert setup.make_providers().prober is prober
+    assert len(ingested) == 1
+
+
+def test_an_edited_trace_file_shows_in_the_next_round(config_path, ingested):
+    setup = load_run_config(config_path)
+    traces = config_path.parent / "traces.json"
+    document = json.loads(traces.read_text())
+    assert set(setup.make_providers().prober.by_client) == {e["client"] for e in document}
+    dropped = document.pop()["client"]
+    traces.write_text(json.dumps(document))
+    prober = setup.make_providers().prober
+    assert set(prober.by_client) == {e["client"] for e in document}
+    with pytest.raises(ProbeTimeoutError):
+        prober.probe(dropped)
+    assert len(ingested) == 2
+
+
+def test_a_malformed_trace_file_fails_every_round_until_it_is_fixed(config_path, ingested):
+    setup = load_run_config(config_path)
+    traces = config_path.parent / "traces.json"
+    good = traces.read_bytes()
+    prober = setup.make_providers().prober
+    traces.write_bytes(good[: len(good) // 2])
+    for _ in range(2):
+        with pytest.raises(MalformedFixtureError, match="traces.json: not valid JSON"):
+            setup.make_providers()
+    traces.write_bytes(good)
+    assert setup.make_providers().prober is prober
+    traces.write_text("{}")
+    for _ in range(2):
+        with pytest.raises(MalformedFixtureError, match="top-level list"):
+            setup.make_providers()
+    assert len(ingested) == 3
+
+
+@pytest.mark.parametrize("encode", [lambda text: b"\xef\xbb\xbf" + text.encode(), lambda text: text.encode("utf-16")])
+def test_a_trace_file_that_is_not_plain_utf8_is_rejected(config_path, encode):
+    traces = config_path.parent / "traces.json"
+    traces.write_bytes(encode(traces.read_text()))
+    setup = load_run_config(config_path)
+    with pytest.raises(MalformedFixtureError, match="traces.json: not valid JSON"):
+        setup.make_providers()
+
+
+def test_two_rounds_from_one_setup_both_give_the_golden_round(tmp_path):
+    generate_scenario(ScenarioSpec(clients=100, seed=42)).write(tmp_path)
+    setup = load_run_config(tmp_path / "config.json")
+    golden = json.loads(GOLDEN_ROUND.read_text())
+    for _ in range(2):
+        record = run_round(setup.config, setup.services, setup.make_providers())
+        assert {"tree_digest": record.tree_digest, "plan": record.plan.to_document()} == golden
 
 
 def test_round_and_cli_plan_share_one_discovery_phase(tmp_path, monkeypatch, capsys):
