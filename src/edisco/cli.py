@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import logging
+import math
 import os
 import signal
 import socket
@@ -178,6 +179,9 @@ async def _serve(service: RedirectService, listen, banner, until=asyncio.Event.w
 
 
 def cmd_serve_redirect(args) -> int:
+    if not 0 < args.period_s < math.inf:  # nan fails both comparisons
+        print("edisco serve-redirect: --period-s must be positive and finite", file=sys.stderr)
+        return 2
     service = rules_from_plan_document(load_json(args.plan), time.time() + args.period_s)
     return asyncio.run(_serve(
         service,

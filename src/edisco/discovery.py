@@ -97,8 +97,8 @@ class EdgeServer:
 
     @classmethod
     def from_document(cls, doc: dict) -> "EdgeServer":
-        """Raises MalformedFixtureError for a missing or mistyped key or an
-        address that is not IPv4, and ValueError for an unknown protocol."""
+        """Raises MalformedFixtureError for a missing, mistyped or out-of-range
+        key or an address that is not IPv4, and ValueError for an unknown protocol."""
         where = "edge server"
         server = cls(
             zone=_typed(doc, "zone", str, where),
@@ -108,6 +108,9 @@ class EdgeServer:
             address=_typed(doc, "address", str, where),
             port=_typed(doc, "port", int, where),
         )
+        for key, low in (("priority", 0), ("weight", 0), ("port", 1)):
+            if not low <= getattr(server, key) <= 65535:
+                raise MalformedFixtureError(f"{where}: {key!r} out of range {low}..65535")
         try:
             address_int(server.address)
         except ValueError as exc:
@@ -142,7 +145,6 @@ def _srv_from_wire(qname: str, answer: dnswire.WireAnswer) -> SrvRecord | None:
         protocol=protocol,
         zone=".".join(labels[2:]),
         ttl=answer.ttl,
-        dns_class="IN",
         priority=priority,
         weight=weight,
         port=port,
@@ -175,14 +177,13 @@ class StubResolver:
                 return PtrRecord(
                     address=address,
                     ttl=answer.ttl,
-                    dns_class="IN",
                     target=str(answer.data).rstrip("."),
                 )
         return None
 
     def lookup_a(self, name: str) -> list[ARecord]:
         return [
-            ARecord(name=name, ttl=a.ttl, dns_class="IN", address=str(a.data))
+            ARecord(name=name, ttl=a.ttl, address=str(a.data))
             for a in self._query(name, dnswire.TYPE_A)
             if a.rtype == dnswire.TYPE_A
         ]

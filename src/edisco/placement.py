@@ -7,6 +7,8 @@ clients), and ask servers for capacity until one accepts.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Iterable, Protocol
@@ -36,8 +38,8 @@ class ServiceProfile:
     transport: Transport = Transport.TCP
 
     def __post_init__(self):
-        if self.bandwidth_demand < 0 or self.cpu_demand < 0:
-            raise ValueError(f"{self.service_id}: demands must be non-negative")
+        if not (0 <= self.bandwidth_demand < math.inf and 0 <= self.cpu_demand < math.inf):
+            raise ValueError(f"{self.service_id}: demands must be finite and non-negative")
 
     def to_document(self) -> dict:
         return {
@@ -52,8 +54,8 @@ class ServiceProfile:
     def from_document(cls, doc: dict) -> "ServiceProfile":
         return cls(
             service_id=_typed(doc, "service_id", str, "service profile"),
-            bandwidth_demand=doc["bandwidth_demand"],
-            cpu_demand=doc["cpu_demand"],
+            bandwidth_demand=_typed(doc, "bandwidth_demand", Real, "service profile"),
+            cpu_demand=_typed(doc, "cpu_demand", Real, "service profile"),
             client_subnets=parse_subnets(doc["client_subnets"]),
             transport=Transport(doc.get("transport", "tcp")),
         )
@@ -177,10 +179,7 @@ class PlacementPlan:
 
 @dataclass(frozen=True)
 class CapacityResponse:
-    server: EdgeServer
     accepted: bool
-    available_cpu: float
-    available_bandwidth: float
     reason: str | None = None
 
 
@@ -199,13 +198,14 @@ class FixtureCapacityService:
     def __init__(self, capacities: dict[str, dict]):
         if not isinstance(capacities, dict):
             raise MalformedFixtureError("capacity fixture must be a JSON object")
-        self.available = {
-            address: {
-                key: float(_typed(spec, key, Real, f"capacity of {address}"))
-                for key in ("cpu", "bandwidth")
-            }
-            for address, spec in capacities.items()
-        }
+        self.available = {}
+        for address, spec in capacities.items():
+            where = f"capacity of {address}"
+            slot = {key: _typed(spec, key, Real, where) for key in ("cpu", "bandwidth")}
+            # json.loads also yields NaN, Infinity and integers beyond any float
+            if not all(0 <= value <= sys.float_info.max for value in slot.values()):
+                raise MalformedFixtureError(f"{where}: headroom must be a finite number >= 0")
+            self.available[address] = {key: float(value) for key, value in slot.items()}
 
     def request(
         self, server: EdgeServer, cpu: float, bandwidth: float
@@ -213,18 +213,11 @@ class FixtureCapacityService:
         slot = self.available.get(server.address)
         if slot is None:
             raise ServerUnreachableError(f"{server.address}: not answering")
-        accepted = slot["cpu"] >= cpu and slot["bandwidth"] >= bandwidth
-        response = CapacityResponse(
-            server=server,
-            accepted=accepted,
-            available_cpu=slot["cpu"],
-            available_bandwidth=slot["bandwidth"],
-            reason=None if accepted else "insufficient-capacity",
-        )
-        if accepted:
+        if slot["cpu"] >= cpu and slot["bandwidth"] >= bandwidth:
             slot["cpu"] -= cpu
             slot["bandwidth"] -= bandwidth
-        return response
+            return CapacityResponse(accepted=True)
+        return CapacityResponse(accepted=False, reason="insufficient-capacity")
 
 
 def rank_services(profiles: Iterable[ServiceProfile]) -> list[ServiceProfile]:
@@ -335,13 +328,7 @@ def negotiate(
             candidate.server, service.cpu_demand, service.bandwidth_demand
         )
     except ServerUnreachableError as exc:
-        return CapacityResponse(
-            server=candidate.server,
-            accepted=False,
-            available_cpu=0.0,
-            available_bandwidth=0.0,
-            reason=f"unreachable: {exc}",
-        )
+        return CapacityResponse(accepted=False, reason=f"unreachable: {exc}")
 
 
 def plan_round(

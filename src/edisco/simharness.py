@@ -263,7 +263,7 @@ def generate_scenario(
             priority = 10 if n == 1 else rng.choice([10, 10, 20])
             weight = rng.choice([10, 20, 30])
             server_addresses.append(address)
-            a_records.append(ARecord(name=host, ttl=86400, dns_class="IN", address=address))
+            a_records.append(ARecord(name=host, ttl=86400, address=address))
             for transport in (Transport.TCP, Transport.UDP):
                 if transport is Transport.UDP and not advertise_udp:
                     continue
@@ -273,7 +273,6 @@ def generate_scenario(
                         protocol=transport,
                         zone=org,
                         ttl=86400,
-                        dns_class="IN",
                         priority=priority,
                         weight=weight,
                         port=port,
@@ -291,7 +290,7 @@ def generate_scenario(
             suffix = "" if iface == 0 else "-b"
             target = f"r{router.router_id}{suffix}.{router.org}"
             ptr_records.append(
-                PtrRecord(address=address, ttl=86400, dns_class="IN", target=target)
+                PtrRecord(address=address, ttl=86400, target=target)
             )
             ptr_domains.add(router.org)
     for group, leaf in group_order:
@@ -302,7 +301,6 @@ def generate_scenario(
                 PtrRecord(
                     address=address,
                     ttl=86400,
-                    dns_class="IN",
                     target=f"h{n}.{leaf.org}",
                 )
             )

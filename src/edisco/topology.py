@@ -7,9 +7,9 @@ subnet, parent->child edges from hop succession, and per-client node
 sequences. Centrality of a node is the number of client paths that pass
 through it, counting only paths that originate at the root.
 
-Address text is checked by `address_int` once, where it enters the program:
-trace ingest and Hop/ProbedPath construction, tree and plan documents, zone
-and whois fixtures, and the client list. Downstream code trusts it and reads
+Address text is checked by `address_int` where it enters the program:
+Hop/ProbedPath construction, tree and plan documents, zone and whois
+fixtures, and the client list. Downstream code trusts it and reads
 it with `socket.inet_aton`, which alone would also take 1.2.3 or 010.0.0.1.
 """
 from __future__ import annotations
@@ -82,23 +82,6 @@ def _prefix_text(network: int, prefix_len: int) -> str:
     return f"{socket.inet_ntoa(network.to_bytes(4, 'big'))}/{prefix_len}"
 
 
-def _assemble(cls, first, second, third):
-    """An instance of the frozen dataclass `cls`, whose three slots take these
-    values in order, built without __init__ and so without __post_init__,
-    for callers that have run every check. A loop over the slots is slower."""
-    made = object.__new__(cls)
-    a, b, c = cls.__slots__
-    object.__setattr__(made, a, first)
-    object.__setattr__(made, b, second)
-    object.__setattr__(made, c, third)
-    return made
-
-
-def _truncated(client: str, hops) -> bool:
-    """True unless the final known hop is the client itself."""
-    return next((h.address for h in reversed(hops) if h.address is not None), None) != client
-
-
 @dataclass(frozen=True, slots=True)
 class Hop:
     """One TTL step on a probed path.
@@ -145,7 +128,8 @@ class ProbedPath:
                     f"hop indices must be 1..n without gaps; "
                     f"position {position} has index {hop.index}"
                 )
-        object.__setattr__(self, "truncated", _truncated(self.client, self.hops))
+        last_known = next((h.address for h in reversed(self.hops) if h.known), None)
+        object.__setattr__(self, "truncated", last_known != self.client)
 
     @property
     def known_addresses(self) -> list[str]:
@@ -153,9 +137,10 @@ class ProbedPath:
 
 
 def _typed(doc, key: str, kind: type, where: str):
-    """doc[key], or MalformedFixtureError if it is missing or not a `kind`."""
+    """doc[key], or MalformedFixtureError if it is missing or not a `kind`.
+    JSON true and false are no numbers: a bool passes only as a bool."""
     value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise MalformedFixtureError(f"{where}: {key!r} is missing or not of type {kind.__name__}")
     return value
 
@@ -195,48 +180,30 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
 
     The document is the already-loaded JSON value: a list of
     ``{"client": str, "hops": [{"index", "address", "rtt_ms"}, ...]}``.
-    Parsing is strict; the first malformed entry fails the whole ingest with
-    its location cited. Each distinct address string is checked once per
-    call. A hop whose address has already passed and whose index equals its
-    position is built without __init__, and so is a path whose client has
-    passed and whose hops all sit at their positions. Every other Hop and
-    ProbedPath is constructed, so an entry fails exactly when building its
-    Hops and ProbedPath directly would fail, with the same message.
+    Every Hop and ProbedPath is built by its constructor, so an entry fails
+    exactly when building them directly would fail, with the same message
+    and its location cited.
     """
     if not isinstance(document, list):
         raise MalformedFixtureError("trace fixture must be a top-level list")
     if not document:
         raise EmptyFixtureError("trace fixture contains no entries")
-    passed: set[str] = set()  # addresses that passed address_int in this call
     paths = []
     for i, entry in enumerate(document):
         where = f"entry {i}"
         client = _typed(entry, "client", str, where)
         hops = []
-        in_order = True  # every hop's index equals its position
-        for position, raw in enumerate(_typed(entry, "hops", list, where), start=1):
+        for position, raw in enumerate(_typed(entry, "hops", list, where)):
             if not isinstance(raw, dict):
-                raise MalformedFixtureError(f"{where}, hop {position - 1}: not an object")
+                raise MalformedFixtureError(f"{where}, hop {position}: not an object")
             try:
-                index, address, rtt_ms = raw["index"], raw.get("address"), raw.get("rtt_ms")
-                if index == position and isinstance(address, str) and address in passed:
-                    hops.append(_assemble(Hop, index, address, rtt_ms))
-                else:
-                    hops.append(Hop(index=index, address=address, rtt_ms=rtt_ms))
-                    in_order = in_order and index == position
-                    if address is not None:
-                        passed.add(address)
+                hops.append(Hop(raw["index"], raw.get("address"), raw.get("rtt_ms")))
             except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedFixtureError(f"{where}, hop {position - 1}: {exc}") from None
+                raise MalformedFixtureError(f"{where}, hop {position}: {exc}") from None
         try:
-            if in_order and hops and client in passed:
-                path = _assemble(ProbedPath, client, tuple(hops), _truncated(client, hops))
-            else:
-                path = ProbedPath(client=client, hops=tuple(hops))
-                passed.add(client)
+            paths.append(ProbedPath(client=client, hops=tuple(hops)))
         except (ValueError, TypeError) as exc:
             raise MalformedFixtureError(f"{where}: {exc}") from None
-        paths.append(path)
     return paths
 
 

@@ -3,8 +3,9 @@
 Handles the three record types the discovery flow needs: SRV lines in the
 ``_edge._tcp.zone. TTL IN SRV priority weight port target`` layout, A lines,
 and PTR lines under in-addr.arpa. Zone text is line oriented; ``;`` starts a
-comment and ``$ORIGIN`` qualifies relative names. A parsed zone
-(`ZoneData`) is also the resolver that offline rounds query.
+comment and ``$ORIGIN`` qualifies relative names. IN is the only class the
+grammar takes, so no record stores its class. A parsed zone (`ZoneData`) is
+also the resolver that offline rounds query.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ class SrvRecord:
     protocol: Transport
     zone: str
     ttl: int
-    dns_class: str
     priority: int
     weight: int
     port: int
@@ -63,7 +63,6 @@ class SrvRecord:
 class ARecord:
     name: str
     ttl: int
-    dns_class: str
     address: str
 
 
@@ -71,7 +70,6 @@ class ARecord:
 class PtrRecord:
     address: str
     ttl: int
-    dns_class: str
     target: str
 
 
@@ -146,9 +144,9 @@ def parse_srv_line(line: str) -> SrvRecord:
     ttl = _parse_int_field(
         _take(rest, 0, FIELD_TTL, "TTL"), FIELD_TTL, "TTL", 0, MAX_TTL
     )
-    dns_class = _take(rest, 1, FIELD_CLASS, "class")
-    if dns_class.upper() != "IN":
-        raise MalformedSrvError(f"unsupported class {dns_class!r}", FIELD_CLASS)
+    rr_class = _take(rest, 1, FIELD_CLASS, "class")
+    if rr_class.upper() != "IN":
+        raise MalformedSrvError(f"unsupported class {rr_class!r}", FIELD_CLASS)
     rtype = _take(rest, 2, FIELD_TYPE, "record type")
     if rtype.upper() != "SRV":
         raise MalformedSrvError(f"not an SRV record: {rtype!r}", FIELD_TYPE)
@@ -171,7 +169,6 @@ def parse_srv_line(line: str) -> SrvRecord:
         protocol=protocol,
         zone=zone,
         ttl=ttl,
-        dns_class=dns_class.upper(),
         priority=priority,
         weight=weight,
         port=port,
@@ -182,20 +179,17 @@ def parse_srv_line(line: str) -> SrvRecord:
 def render_srv_line(record: SrvRecord) -> str:
     return (
         f"_{record.service}._{record.protocol.value}.{record.zone}. "
-        f"{record.ttl} {record.dns_class} SRV "
+        f"{record.ttl} IN SRV "
         f"{record.priority} {record.weight} {record.port} {record.target}."
     )
 
 
 def render_a_line(record: ARecord) -> str:
-    return f"{record.name}. {record.ttl} {record.dns_class} A {record.address}"
+    return f"{record.name}. {record.ttl} IN A {record.address}"
 
 
 def render_ptr_line(record: PtrRecord) -> str:
-    return (
-        f"{reverse_pointer_name(record.address)}. {record.ttl} "
-        f"{record.dns_class} PTR {record.target}."
-    )
+    return f"{reverse_pointer_name(record.address)}. {record.ttl} IN PTR {record.target}."
 
 
 def reverse_pointer_name(address: str) -> str:
@@ -312,22 +306,22 @@ def _parse_record_line(tokens: list[str], origin: str | None):
     rest = tokens[1:]
     # TTL and class may appear in either order.
     ttl: int | None = None
-    dns_class: str | None = None
-    while rest and (_is_ttl(rest[0]) or rest[0].upper() in ("IN",)):
+    has_class = False  # IN, the only class taken
+    while rest and (_is_ttl(rest[0]) or rest[0].upper() == "IN"):
         token = rest.pop(0)
         if _is_ttl(token):
             if ttl is not None:
                 raise MalformedZoneError("duplicate TTL")
             ttl = int(token)
         else:
-            if dns_class is not None:
+            if has_class:
                 raise MalformedZoneError("duplicate class")
-            dns_class = token.upper()
+            has_class = True
     if ttl is None:
         raise MalformedZoneError("missing TTL")
     if ttl > MAX_TTL:
         raise MalformedZoneError(f"TTL out of range 0..{MAX_TTL}: {ttl}")
-    if dns_class is None:
+    if not has_class:
         raise MalformedZoneError("missing class")
     if not rest:
         raise MalformedZoneError("missing record type")
@@ -337,7 +331,7 @@ def _parse_record_line(tokens: list[str], origin: str | None):
         rdata = list(rest)
         if len(rdata) == 4:
             rdata[3] = _qualify(rdata[3], origin) + "."
-        line = f"{qualified}. {ttl} {dns_class} SRV {' '.join(rdata)}"
+        line = f"{qualified}. {ttl} IN SRV {' '.join(rdata)}"
         return parse_srv_line(line)
     if rtype == "A":
         if len(rest) != 1:
@@ -350,7 +344,6 @@ def _parse_record_line(tokens: list[str], origin: str | None):
         return ARecord(
             name=_qualify(owner, origin),
             ttl=ttl,
-            dns_class=dns_class,
             address=address,
         )
     if rtype == "PTR":
@@ -359,7 +352,6 @@ def _parse_record_line(tokens: list[str], origin: str | None):
         return PtrRecord(
             address=_address_from_reverse_name(owner),
             ttl=ttl,
-            dns_class=dns_class,
             target=_qualify(rest[0], origin),
         )
     raise MalformedZoneError(f"unsupported record type {rtype!r}")

@@ -462,6 +462,26 @@ def test_serve_redirect_bad_listen_is_usage_error(capsys):
     assert main(["serve-redirect", "--plan", "x.json", "--listen", "nope"]) == 2
 
 
+@pytest.mark.parametrize("period", ["nan", "inf", "-inf", "0", "-5"])
+def test_serve_redirect_rejects_a_bad_period_before_it_binds(
+    bundle_dir, tmp_path, capsys, monkeypatch, period
+):
+    """nan or inf would make every covered request raise in the front end;
+    0 or less would install rules that have already expired."""
+    def no_bind(*args, **kwargs):
+        raise AssertionError("the front end bound")
+
+    monkeypatch.setattr("edisco.cli.socket.create_server", no_bind)
+    _, bundle = bundle_dir
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(bundle.expected["plan"]))
+    assert main(["serve-redirect", "--plan", str(plan_file), f"--period-s={period}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("edisco serve-redirect: ") and "--period-s" in line
+
+
 def test_serve_redirect_rejects_malformed_plan(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({"format": "edisco-plan/1"}))

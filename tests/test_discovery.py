@@ -299,7 +299,7 @@ class GaugedResolver:
         with self.gauge.call():
             if address in self.missing:
                 return None
-            return PtrRecord(address=address, ttl=60, dns_class="IN", target=f"r.{address}.net")
+            return PtrRecord(address=address, ttl=60, target=f"r.{address}.net")
 
 
 @pytest.mark.parametrize("n", [19, 3])
@@ -641,6 +641,27 @@ def test_annotate_preserves_structure_and_centrality(resolver):
 def test_edge_server_document_round_trip():
     s = server()
     assert EdgeServer.from_document(s.to_document()) == s
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("priority", True, "'priority' is missing or not of type int"),
+        ("weight", False, "'weight' is missing or not of type int"),
+        ("port", True, "'port' is missing or not of type int"),
+        ("priority", -1, "'priority' out of range 0..65535"),
+        ("priority", 65536, "'priority' out of range 0..65535"),
+        ("weight", 70000, "'weight' out of range 0..65535"),
+        ("port", 0, "'port' out of range 1..65535"),
+        ("port", 65536, "'port' out of range 1..65535"),
+        ("port", 99999, "'port' out of range 1..65535"),
+    ],
+)
+def test_edge_server_document_refuses_what_no_srv_record_holds(key, value, message):
+    """The zone grammar's SRV ranges, and JSON true and false are no numbers."""
+    doc = {**server().to_document(), key: value}
+    with pytest.raises(MalformedFixtureError, match=message):
+        EdgeServer.from_document(doc)
 
 
 @given(mutated(small_bundle().whois))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from edisco.discovery import EdgeServer
 from edisco.errors import MalformedFixtureError, NoCandidatesError, ServerUnreachableError
 from edisco.placement import (
     Assignment,
+    CapacityResponse,
     FixtureCapacityService,
     PlacementCandidate,
     PlacementPlan,
@@ -307,8 +309,7 @@ def test_negotiate_accepts_when_capacity_dominates():
     tree = two_branch_tree()
     candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, bw=5.0, cpu=2.0))[0]
     response = negotiate(candidate, service(subnets=ALL_FOUR, bw=5.0, cpu=2.0), capacity)
-    assert response.accepted
-    assert response.available_cpu == 4
+    assert response == CapacityResponse(accepted=True)
 
 
 def test_negotiate_rejects_on_insufficient_cpu():
@@ -335,8 +336,8 @@ def test_capacity_decrements_until_exhausted():
     first = capacity.request(server, cpu=2, bandwidth=5)
     second = capacity.request(server, cpu=2, bandwidth=5)
     assert first.accepted
-    assert not second.accepted
-    assert second.available_cpu == 0
+    assert second == CapacityResponse(accepted=False, reason="insufficient-capacity")
+    assert capacity.request(server, cpu=0, bandwidth=5).accepted  # cpu 0 and bandwidth 5 left
 
 
 def test_unknown_server_is_unreachable():
@@ -453,6 +454,24 @@ def test_plan_document_round_trip():
     assert again.round_id == 3
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda doc: doc.update(round_id=True), "'round_id' is missing or not of type int"),
+        (lambda doc: doc["assignments"][0]["server"].update(port=99999), "'port' out of range"),
+        (lambda doc: doc["assignments"][0]["server"].update(weight=True), "'weight' is missing"),
+    ],
+    ids=["round_id-true", "port-99999", "weight-true"],
+)
+def test_plan_document_refuses_booleans_and_srv_values_out_of_range(damage, message):
+    capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 100}})
+    plan = plan_round(two_branch_tree(), [service(subnets=ALL_FOUR)], capacity, round_id=3)
+    doc = plan.to_document()
+    damage(doc)
+    with pytest.raises(MalformedFixtureError, match=message):
+        PlacementPlan.from_document(doc)
+
+
 def test_plan_rejects_contradictory_lists():
     with pytest.raises(ValueError):
         PlacementPlan(
@@ -480,6 +499,26 @@ def test_load_service_profiles_rejects_bad_entries():
         doc["client_subnets"] = subnets
         with pytest.raises(MalformedFixtureError, match="entry 0"):
             load_service_profiles([doc])
+
+
+@pytest.mark.parametrize("key", ["bandwidth_demand", "cpu_demand"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "true"])
+def test_service_demands_are_finite_numbers_at_least_zero(key, value):
+    doc = service("svc-a", subnets=["172.16.0.0/24"]).to_document()
+    text = json.dumps({**doc, key: "@"}).replace('"@"', value)
+    with pytest.raises(MalformedFixtureError, match="service entry 0"):
+        load_service_profiles([json.loads(text)])
+
+
+@pytest.mark.parametrize("key", ["cpu", "bandwidth"])
+@pytest.mark.parametrize(
+    "value",
+    ["NaN", "Infinity", "-Infinity", "-1", pytest.param("1" + "0" * 400, id="10**400"), "true", "false"],
+)
+def test_capacity_headroom_is_a_finite_number_at_least_zero(key, value):
+    spec = json.loads(json.dumps({"cpu": 4, "bandwidth": 10, key: "@"}).replace('"@"', value))
+    with pytest.raises(MalformedFixtureError, match="capacity of 10.2.0.30"):
+        FixtureCapacityService({"10.2.0.30": spec})
 
 
 def test_load_service_profiles_round_trip():

@@ -13,7 +13,7 @@ from hypothesis import given
 import edisco.rounds
 from edisco import dnswire
 from edisco.cli import main
-from edisco.discovery import FixtureWhois, StubResolver
+from edisco.discovery import EdgeServer, FixtureWhois, StubResolver
 from edisco.errors import (
     EdiscoError,
     EmptyInputError,
@@ -40,7 +40,7 @@ from edisco.rounds import (
 )
 from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import build_tree, compute_centrality, paths_to_document
-from edisco.zonefile import parse_zone
+from edisco.zonefile import Transport, parse_zone
 
 from conftest import REFERENCE_ZONE, make_path, mutated, small_bundle
 
@@ -675,13 +675,18 @@ def test_round_and_cli_plan_share_one_discovery_phase(tmp_path, monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["assignments"]
 
 
-def test_make_resolver_keeps_the_benchmark_hooks(tmp_path, monkeypatch):
-    """perfbench/tracing.py patches names in edisco.rounds and reads the
-    parsed zone's record sequences; a refactor must keep both working."""
+def perfbench_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_make_resolver_keeps_the_benchmark_hooks(tmp_path, monkeypatch):
+    """perfbench/tracing.py patches names in edisco.rounds and reads the
+    parsed zone's record sequences; a refactor must keep both working."""
+    tracing = perfbench_tracing()
     for attr, _span in tracing.ROUNDS_FUNCTIONS:
         assert callable(getattr(edisco.rounds, attr)), attr
 
@@ -700,6 +705,20 @@ def test_make_resolver_keeps_the_benchmark_hooks(tmp_path, monkeypatch):
     counts = Counter()
     tracing._observe_zone(counts, zone, (ZONE_WITH_PTR,))
     assert counts["zone_records"] == 7  # 4 SRV, 2 A and 1 PTR
+
+
+def test_capacity_responses_keep_the_benchmark_hook():
+    """perfbench/tracing.py's CountingCapacity reads each response's
+    `accepted` to count the accepts of a round."""
+    tracing = perfbench_tracing()
+    tracer = tracing.Tracer()
+    capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 2, "bandwidth": 10}})
+    counting = tracing.CountingCapacity(capacity, tracer)
+    server = EdgeServer("edgeco.test", Transport.TCP, 10, 10, "10.2.0.30", 8080)
+    assert counting.request(server, 2, 5).accepted
+    assert not counting.request(server, 2, 5).accepted
+    assert tracer.counts["capacity_requests"] == 2
+    assert tracer.counts["capacity_accepts"] == 1
 
 
 def test_config_missing_required_key(tmp_path):

@@ -34,7 +34,6 @@ def test_parse_tcp_line_fields():
     assert r.protocol is Transport.TCP
     assert r.zone == "domainA.com"
     assert r.ttl == 86400
-    assert r.dns_class == "IN"
     assert r.priority == 10
     assert r.weight == 30
     assert r.port == 5060
@@ -158,7 +157,6 @@ def test_parse_render_round_trip(service, protocol, zone, ttl, priority, weight,
         protocol=protocol,
         zone=zone,
         ttl=ttl,
-        dns_class="IN",
         priority=priority,
         weight=weight,
         port=port,
@@ -310,6 +308,21 @@ def test_ttl_and_class_either_order():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("s.domainA.com. 3600 A 203.0.113.9", "missing class"),
+        ("s.domainA.com. 3600 IN in A 203.0.113.9", "duplicate class"),
+        ("s.domainA.com. 3600 CH A 203.0.113.9", "missing class"),
+        ("_edge._tcp.domainA.com. 3600 SRV 10 30 5060 s.domainA.com.", "missing class"),
+    ],
+)
+def test_zone_lines_need_class_in(line, message):
+    """The records carry no class, so the grammar takes only IN."""
+    with pytest.raises(MalformedZoneError, match=message):
+        parse_zone(line)
+
+
 def test_ptr_owner_decodes_to_address():
     text = "30.121.168.192.in-addr.arpa. 86400 IN PTR serverA.domainA.com.\n"
     record = parse_zone(text).ptr_records[0]
@@ -319,7 +332,7 @@ def test_ptr_owner_decodes_to_address():
 
 def test_ptr_lookup_and_render_round_trip():
     record = PtrRecord(
-        address="192.168.121.30", ttl=86400, dns_class="IN", target="serverA.domainA.com"
+        address="192.168.121.30", ttl=86400, target="serverA.domainA.com"
     )
     line = render_ptr_line(record)
     zone = parse_zone(line)
@@ -385,5 +398,5 @@ def test_relative_name_error_cites_its_line_once():
 
 
 def test_a_record_render():
-    record = ARecord(name="serverA.domainA.com", ttl=86400, dns_class="IN", address="192.168.121.30")
+    record = ARecord(name="serverA.domainA.com", ttl=86400, address="192.168.121.30")
     assert render_a_line(record) == "serverA.domainA.com. 86400 IN A 192.168.121.30"
