@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if not 0 <= getattr(args, "prefix_len", 24) <= 32:  # tree, export-dot, plan: before any read
+        print(f"edisco {args.subcommand}: --prefix-len must be 0..32", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (EdiscoError, OSError) as exc:

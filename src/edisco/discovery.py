@@ -16,7 +16,13 @@ from enum import Enum
 from typing import Iterable, Protocol
 
 from . import dnswire
-from .errors import EdiscoError, MalformedFixtureError, NoServersError, WhoisUnreachableError
+from .errors import (
+    EdiscoError,
+    MalformedFixtureError,
+    MalformedSrvError,
+    NoServersError,
+    WhoisUnreachableError,
+)
 from .topology import (
     AggregationTree,
     _typed,
@@ -25,7 +31,15 @@ from .topology import (
     parse_subnets,
     subnet_sort_key,
 )
-from .zonefile import ARecord, PtrRecord, SrvRecord, Transport, reverse_pointer_name
+from .zonefile import (
+    ARecord,
+    PtrRecord,
+    SrvRecord,
+    Transport,
+    parse_srv_owner,
+    parse_srv_rdata,
+    reverse_pointer_name,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -126,32 +140,6 @@ class Resolver(Protocol):
     def lookup_srv(self, qname: str) -> list[SrvRecord]: ...
 
 
-def _srv_from_wire(qname: str, answer: dnswire.WireAnswer) -> SrvRecord | None:
-    """None for a name that is not _service._proto.zone, an unknown
-    transport, or target "." (service decidedly not available, RFC 2782)."""
-    labels = qname.split(".")
-    if len(labels) < 3 or not labels[0].startswith("_") or not labels[1].startswith("_"):
-        return None
-    priority, weight, port, target = answer.data  # type: ignore[misc]
-    target = target.rstrip(".")
-    if not target:
-        return None
-    try:
-        protocol = Transport(labels[1][1:].lower())
-    except ValueError:
-        return None
-    return SrvRecord(
-        service=labels[0][1:],
-        protocol=protocol,
-        zone=".".join(labels[2:]),
-        ttl=answer.ttl,
-        priority=priority,
-        weight=weight,
-        port=port,
-        target=target,
-    )
-
-
 class StubResolver:
     """Wire-format stub that asks its recursive servers in order, with
     random transaction ids (RFC 5452). It keeps no answers: the recursive
@@ -189,13 +177,18 @@ class StubResolver:
         ]
 
     def lookup_srv(self, qname: str) -> list[SrvRecord]:
+        """Raises MalformedSrvError for a qname that is not _service._proto.zone
+        before any packet is sent; drops each answer parse_srv_rdata refuses."""
+        service, protocol, zone = parse_srv_owner(qname)
         records = []
         for answer in self._query(qname, dnswire.TYPE_SRV):
             if answer.rtype != dnswire.TYPE_SRV:
                 continue
-            record = _srv_from_wire(qname, answer)
-            if record is not None:
-                records.append(record)
+            try:
+                rdata = parse_srv_rdata(answer.data)  # type: ignore[arg-type]
+            except MalformedSrvError:  # target "." or port 0
+                continue
+            records.append(SrvRecord(service, protocol, zone, answer.ttl, *rdata))
         return records
 
 
@@ -373,8 +366,6 @@ def query_edge_srv(domain: str, protocol: Transport, resolver: Resolver) -> list
 
 def discover_local_edges(own_domain: str, resolver: Resolver) -> list[EdgeServer]:
     """Client-side discovery: both transports for the caller's own domain."""
-    if not own_domain:
-        raise ValueError("own domain must be non-empty")
     merged = query_edge_srv(own_domain, Transport.TCP, resolver) + query_edge_srv(
         own_domain, Transport.UDP, resolver
     )

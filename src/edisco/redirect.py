@@ -45,16 +45,10 @@ class RedirectService:
         lengths = set()
         for assignment in plan.assignments:
             url = f"http://{assignment.server.address}:{assignment.server.port}"
-            for prefix in assignment.covered_prefixes:
+            for prefix in assignment.covered_prefixes:  # checked where the plan was made or read
                 address, _, length = prefix.partition("/")
-                try:
-                    lengths.add(int(length))
-                except ValueError:
-                    raise MalformedFixtureError("coverage prefix without a length") from None
-                try:
-                    table[(assignment.service_id, address_int(address))] = url
-                except ValueError:
-                    raise MalformedFixtureError(f"coverage prefix {prefix!r} is not IPv4") from None
+                lengths.add(int(length))
+                table[(assignment.service_id, address_int(address))] = url
         if len(lengths) > 1:
             raise MalformedFixtureError(f"coverage mixes prefix lengths {sorted(lengths)}")
         self._rules = (table, -1 << (32 - (lengths.pop() if lengths else 24)), round_deadline)

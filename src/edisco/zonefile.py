@@ -6,6 +6,11 @@ and PTR lines under in-addr.arpa. Zone text is line oriented; ``;`` starts a
 comment and ``$ORIGIN`` qualifies relative names. IN is the only class the
 grammar takes, so no record stores its class. A parsed zone (`ZoneData`) is
 also the resolver that offline rounds query.
+
+Every SRV record, from a zone line or a live DNS answer, is read by
+`parse_srv_owner` and `parse_srv_rdata`. So the live stub drops an answer
+with target ``.`` (RFC 2782: not available) or port 0, and refuses a qname
+that is not ``_service._proto.zone`` before it sends a packet.
 """
 from __future__ import annotations
 
@@ -73,113 +78,96 @@ class PtrRecord:
     target: str
 
 
-def _take(tokens: list[str], idx: int, field: int, what: str) -> str:
+def _take(tokens: list | tuple, idx: int, field: int, what: str):
     if idx >= len(tokens):
         raise MalformedSrvError(f"missing {what}", field)
     return tokens[idx]
 
 
-def _parse_int_field(token: str, field: int, what: str, low: int, high: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise MalformedSrvError(f"{what} is not an integer: {token!r}", field) from None
+def _is_decimal(token: str) -> bool:
+    """ASCII digits only: int() also takes '+1', '1_0' and '\u0663', and
+    str.isdigit alone takes '\u00b2'."""
+    return token.isascii() and token.isdigit()
+
+
+def _take_int(tokens: list | tuple, idx: int, field: int, what: str, low: int, high: int) -> int:
+    token = _take(tokens, idx, field, what)
+    if not _is_decimal(str(token)):  # str(): a decoded DNS answer holds ints
+        raise MalformedSrvError(f"{what} is not an integer: {token!r}", field)
+    value = int(token)
     if not low <= value <= high:
         raise MalformedSrvError(f"{what} out of range {low}..{high}: {value}", field)
     return value
 
 
-def _split_srv_owner(tokens: list[str]) -> tuple[str, str, list[str]]:
-    """Return (service_label, protocol_and_zone, remaining_tokens).
-
-    Accepts both the one-token owner of real zone files
-    (``_edge._tcp.domainA.com.``) and the two-token layout where the service
-    label stands alone (``_edge.  _tcp.domainA.com.``).
-    """
-    first = tokens[0]
-    if not first.startswith("_"):
+def parse_srv_owner(owner: str) -> tuple[str, Transport, str]:
+    """(service, transport, zone) of an ``_service._proto.zone`` name, bare
+    and without the trailing dot. Raises MalformedSrvError for field 1 or 2."""
+    name = _strip_dot(owner)
+    if not name.startswith("_"):
         raise MalformedSrvError(
-            f"service label must start with '_': {first!r}", FIELD_SERVICE
+            f"service label must start with '_': {name!r}", FIELD_SERVICE
         )
-    body = _strip_dot(first)
-    if "._" in body:
-        service, rest = body.split("._", 1)
-        return service, "_" + rest, tokens[1:]
-    if len(tokens) < 2:
-        raise MalformedSrvError("missing protocol and zone", FIELD_PROTOCOL_NAME)
-    return body, _strip_dot(tokens[1]), tokens[2:]
-
-
-def parse_srv_line(line: str) -> SrvRecord:
-    """Parse one SRV record line into its nine fields.
-
-    Whitespace runs are tolerated and trailing dots on names are normalized
-    away. Raises MalformedSrvError with the failing field position.
-    """
-    tokens = line.split()
-    if not tokens:
-        raise MalformedSrvError("empty line", None)
-    service, proto_zone, rest = _split_srv_owner(tokens)
+    service, _, proto_zone = name.partition("._")
     service = service.lstrip("_")
     if not service:
         raise MalformedSrvError("empty service label", FIELD_SERVICE)
-    if not proto_zone.startswith("_"):
-        raise MalformedSrvError(
-            f"protocol label must start with '_': {proto_zone!r}", FIELD_PROTOCOL_NAME
-        )
-    proto_label, _, zone = proto_zone[1:].partition(".")
+    proto_label, _, zone = proto_zone.partition(".")
     try:
         protocol = Transport(proto_label.lower())
     except ValueError:
         raise MalformedSrvError(
-            f"protocol must be _tcp or _udp: _{proto_label}", FIELD_PROTOCOL_NAME
+            f"protocol must be _tcp or _udp: {name!r}", FIELD_PROTOCOL_NAME
         ) from None
     zone = _strip_dot(zone)
     if not zone:
         raise MalformedSrvError("missing zone name", FIELD_PROTOCOL_NAME)
+    return service, protocol, zone
 
-    # Consume positionally so a short line fails at the first absent field,
-    # e.g. a line missing its port reports field 8 whether the target token
-    # is present (non-integer where port belongs) or not.
-    ttl = _parse_int_field(
-        _take(rest, 0, FIELD_TTL, "TTL"), FIELD_TTL, "TTL", 0, MAX_TTL
-    )
+
+def parse_srv_rdata(values: list[str] | tuple[int, int, int, str]) -> tuple[int, int, int, str]:
+    """(priority, weight, port, target) of the tokens of a zone line's rdata,
+    or of the numbers and name a DNS answer decoded. The target loses its
+    trailing dot. Raises MalformedSrvError for fields 6 to 9, or without a
+    field for trailing junk. Values are taken in order, so a line missing
+    its port fails at field 8 whether its target is there or not."""
+    priority = _take_int(values, 0, FIELD_PRIORITY, "priority", 0, 65535)
+    weight = _take_int(values, 1, FIELD_WEIGHT, "weight", 0, 65535)
+    port = _take_int(values, 2, FIELD_PORT, "port", 1, 65535)
+    target = _strip_dot(_take(values, 3, FIELD_TARGET, "target"))
+    if not target:
+        raise MalformedSrvError("empty target", FIELD_TARGET)
+    if len(values) > 4:
+        raise MalformedSrvError(f"trailing junk: {list(values[4:])}", None)
+    return priority, weight, port, target
+
+
+def parse_srv_line(line: str) -> SrvRecord:
+    """Parse one SRV line in the canonical nine-field layout; the owner may
+    also come as two tokens (``_edge.  _tcp.domainA.com.``). Whitespace runs
+    are tolerated and trailing dots on names are normalized away. Raises
+    MalformedSrvError with the failing field position.
+    """
+    tokens = line.split()
+    if not tokens:
+        raise MalformedSrvError("empty line", None)
+    owner, rest = tokens[0], tokens[1:]
+    if "._" not in owner and rest:
+        owner, rest = f"{_strip_dot(owner)}.{rest[0]}", rest[1:]
+    service, protocol, zone = parse_srv_owner(owner)
+    ttl = _take_int(rest, 0, FIELD_TTL, "TTL", 0, MAX_TTL)
     rr_class = _take(rest, 1, FIELD_CLASS, "class")
     if rr_class.upper() != "IN":
         raise MalformedSrvError(f"unsupported class {rr_class!r}", FIELD_CLASS)
     rtype = _take(rest, 2, FIELD_TYPE, "record type")
     if rtype.upper() != "SRV":
         raise MalformedSrvError(f"not an SRV record: {rtype!r}", FIELD_TYPE)
-    priority = _parse_int_field(
-        _take(rest, 3, FIELD_PRIORITY, "priority"), FIELD_PRIORITY, "priority", 0, 65535
-    )
-    weight = _parse_int_field(
-        _take(rest, 4, FIELD_WEIGHT, "weight"), FIELD_WEIGHT, "weight", 0, 65535
-    )
-    port = _parse_int_field(
-        _take(rest, 5, FIELD_PORT, "port"), FIELD_PORT, "port", 1, 65535
-    )
-    target = _strip_dot(_take(rest, 6, FIELD_TARGET, "target"))
-    if not target:
-        raise MalformedSrvError("empty target", FIELD_TARGET)
-    if len(rest) > 7:
-        raise MalformedSrvError(f"trailing junk: {rest[7:]}", None)
-    return SrvRecord(
-        service=service,
-        protocol=protocol,
-        zone=zone,
-        ttl=ttl,
-        priority=priority,
-        weight=weight,
-        port=port,
-        target=target,
-    )
+    return SrvRecord(service, protocol, zone, ttl, *parse_srv_rdata(rest[3:]))
 
 
 def render_srv_line(record: SrvRecord) -> str:
     return (
-        f"_{record.service}._{record.protocol.value}.{record.zone}. "
-        f"{record.ttl} IN SRV "
+        f"{record.qname}. {record.ttl} IN SRV "
         f"{record.priority} {record.weight} {record.port} {record.target}."
     )
 
@@ -294,11 +282,6 @@ def parse_zone(text: str) -> ZoneData:
     return ZoneData(srv_records=tuple(srv), a_records=tuple(a), ptr_records=tuple(ptr))
 
 
-def _is_ttl(token: str) -> bool:
-    """ASCII digits only: str.isdigit alone also takes '²', which int() refuses."""
-    return token.isascii() and token.isdigit()
-
-
 def _parse_record_line(tokens: list[str], origin: str | None):
     if len(tokens) < 4:
         raise MalformedZoneError(f"too few fields: {' '.join(tokens)!r}")
@@ -307,9 +290,9 @@ def _parse_record_line(tokens: list[str], origin: str | None):
     # TTL and class may appear in either order.
     ttl: int | None = None
     has_class = False  # IN, the only class taken
-    while rest and (_is_ttl(rest[0]) or rest[0].upper() == "IN"):
+    while rest and (_is_decimal(rest[0]) or rest[0].upper() == "IN"):
         token = rest.pop(0)
-        if _is_ttl(token):
+        if _is_decimal(token):
             if ttl is not None:
                 raise MalformedZoneError("duplicate TTL")
             ttl = int(token)
@@ -327,12 +310,10 @@ def _parse_record_line(tokens: list[str], origin: str | None):
         raise MalformedZoneError("missing record type")
     rtype = rest.pop(0).upper()
     if rtype == "SRV":
-        qualified = _qualify(owner, origin)
-        rdata = list(rest)
-        if len(rdata) == 4:
-            rdata[3] = _qualify(rdata[3], origin) + "."
-        line = f"{qualified}. {ttl} IN SRV {' '.join(rdata)}"
-        return parse_srv_line(line)
+        service, protocol, zone = parse_srv_owner(_qualify(owner, origin))
+        if len(rest) == 4:
+            rest[3] = _qualify(rest[3], origin)
+        return SrvRecord(service, protocol, zone, ttl, *parse_srv_rdata(rest))
     if rtype == "A":
         if len(rest) != 1:
             raise MalformedZoneError(f"A rdata must be one address, got {rest}")

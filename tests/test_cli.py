@@ -458,6 +458,25 @@ def test_serve_redirect_on_a_port_in_use_is_operational_error(bundle_dir, tmp_pa
     assert len(lines) == 1 and lines[0].startswith("edisco: ") and "in use" in lines[0], proc.stderr
 
 
+@pytest.mark.parametrize("command", ["tree", "export-dot", "plan"])
+@pytest.mark.parametrize("prefix_len", ["40", "-1", "33"])
+def test_tree_commands_reject_a_prefix_length_outside_0_to_32_before_reading(
+    capsys, monkeypatch, command, prefix_len
+):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("edisco.cli.load_json", no_read)
+    args = [command, "--traces", "traces.json", "--root", "240.0.0.1", f"--prefix-len={prefix_len}"]
+    if command == "plan":
+        args += ["--services", "services.json", "--capacity", "capacity.json"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"edisco {command}: ") and "--prefix-len" in line
+
+
 def test_serve_redirect_bad_listen_is_usage_error(capsys):
     assert main(["serve-redirect", "--plan", "x.json", "--listen", "nope"]) == 2
 

@@ -31,6 +31,7 @@ from edisco.discovery import (
 )
 from edisco.errors import (
     MalformedFixtureError,
+    MalformedSrvError,
     NoServersError,
     WhoisUnreachableError,
 )
@@ -511,6 +512,40 @@ def test_srv_target_root_means_not_available(monkeypatch):
     assert hop.domains == {"domainA.com"}
     assert all(node.edge_servers == [] for node in tree.nodes.values())
     assert stub.lookup_srv("_edge._tcp.domainA.com") == []
+
+
+def test_srv_answer_with_port_0_is_dropped(monkeypatch):
+    """Port 0 is outside the SRV grammar, and a plan that names such a
+    server cannot be read back: only the answer with a port is kept."""
+    answers = dict(REFERENCE_WIRE)
+    answers["_edge._tcp.domaina.com", dnswire.TYPE_SRV] = [
+        wire("_edge._tcp.domainA.com", dnswire.TYPE_SRV, 3600, (5, 50, 0, "serverA.domainA.com.")),
+        *REFERENCE_WIRE["_edge._tcp.domaina.com", dnswire.TYPE_SRV],
+    ]
+    stub = fake_stub(monkeypatch, FakeDns(answers))
+    servers = query_edge_srv("domainA.com", Transport.TCP, stub)
+    assert [(s.priority, s.port) for s in servers] == [(10, 5060)]
+    assert [EdgeServer.from_document(s.to_document()) for s in servers] == servers
+
+
+@pytest.mark.parametrize(
+    "qname, field",
+    [
+        ("edge._tcp.domainA.com", 1),
+        ("_._tcp.domainA.com", 1),
+        ("_edge.domainA.com", 2),
+        ("_edge._sctp.domainA.com", 2),
+        ("_edge._tcp", 2),
+    ],
+)
+def test_stub_refuses_an_srv_qname_of_another_shape_before_it_sends(monkeypatch, qname, field):
+    def no_query(*args, **kwargs):
+        raise AssertionError("a query was sent")
+
+    stub = fake_stub(monkeypatch, no_query)
+    with pytest.raises(MalformedSrvError) as err:
+        stub.lookup_srv(qname)
+    assert err.value.field == field
 
 
 # --- stub resolver adapter ---

@@ -160,13 +160,27 @@ def test_rules_from_plan_document_round_trip():
     assert service.resolve("172.16.1.7", "svc-video", now=10.0) is not None
 
 
-@pytest.mark.parametrize("prefixes", [("172.16.0.0/24", "172.16.2.0/23"), ("172.16.0.0",)])
+@pytest.mark.parametrize("prefixes", [("172.16.0.0/24", "172.16.2.0/23")])
 def test_coverage_must_share_one_prefix_length(prefixes):
     service = RedirectService(clock=lambda: 0.0)
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
     with pytest.raises(MalformedFixtureError):
         service.install_rules(plan_with(assignment(prefixes=prefixes)), round_deadline=300.0)
     assert service.rule_count == 2  # the old table stays
+
+
+@pytest.mark.parametrize(
+    "coverage",
+    [["172.16.0.0/24", "172.17.0.0/16"], ["172.16.0.0"], ["x/24"], ["172.16.0.1/24"]],
+    ids=["mixed-lengths", "without-length", "not-ipv4", "host-bits-set"],
+)
+def test_plan_document_coverage_is_refused_where_it_is_read(coverage):
+    """A plan document's coverage is checked as it is read; only the shared
+    prefix length is left for install_rules."""
+    document = plan_with(assignment()).to_document()
+    document["assignments"][0]["coverage"] = coverage
+    with pytest.raises(MalformedFixtureError):
+        rules_from_plan_document(document, round_deadline=300.0)
 
 
 def string_keyed_resolve(plan, deadline, client, service_id, now):

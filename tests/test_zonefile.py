@@ -64,23 +64,29 @@ def test_trailing_dots_normalized_away():
     assert not r.target.endswith(".")
 
 
+def srv_error_field(line: str) -> int | None:
+    """The field both SRV entry points report for one bad line: parse_srv_line,
+    and parse_zone with the line second, which cites it as line 2."""
+    with pytest.raises(MalformedSrvError) as direct:
+        parse_srv_line(line)
+    with pytest.raises(MalformedSrvError) as zoned:
+        parse_zone(f"{TCP_LINE}\n{line}")
+    assert str(zoned.value) == f"line 2: {direct.value}"
+    assert zoned.value.field == direct.value.field
+    return direct.value.field
+
+
 def test_missing_port_reports_field_8():
     # target present where the port should be
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._tcp.domainA.com. 86400 IN SRV 10 30 serverA.domainA.com.")
-    assert err.value.field == 8
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV 10 30 serverA.domainA.com.") == 8
 
 
 def test_short_line_missing_port_and_target_reports_field_8():
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._tcp.domainA.com. 86400 IN SRV 10 30")
-    assert err.value.field == 8
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV 10 30") == 8
 
 
 def test_missing_target_reports_field_9():
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._tcp.domainA.com. 86400 IN SRV 10 30 5060")
-    assert err.value.field == 9
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV 10 30 5060") == 9
 
 
 def test_bad_class_reports_field_4():
@@ -96,38 +102,58 @@ def test_non_srv_type_reports_field_5():
 
 
 def test_non_integer_priority_reports_field_6():
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV high 30 5060 s.domainA.com.") == 6
+
+
+@pytest.mark.parametrize("number", ["+5", "1_0", "\u0663", "-0"])
+@pytest.mark.parametrize("field", [6, 7, 8])
+def test_srv_numbers_are_ascii_decimal_digits(number, field):
+    """int() takes each of these; a zone's numbers are decimal digits only."""
+    rdata = ["10", "30", "5060", "s.domainA.com."]
+    rdata[field - 6] = number
+    assert srv_error_field(f"_edge._tcp.domainA.com. 86400 IN SRV {' '.join(rdata)}") == field
+
+
+@pytest.mark.parametrize("ttl", ["+86400", "86_400"])
+def test_srv_line_ttl_is_ascii_decimal_digits_as_in_a_zone(ttl):
+    line = f"_edge._tcp.domainA.com. {ttl} IN SRV 10 30 5060 s.domainA.com."
     with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._tcp.domainA.com. 86400 IN SRV high 30 5060 s.domainA.com.")
-    assert err.value.field == 6
+        parse_srv_line(line)
+    assert err.value.field == 3
+    with pytest.raises(MalformedZoneError, match="missing TTL"):
+        parse_zone(line)
 
 
 def test_port_zero_rejected():
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._tcp.domainA.com. 86400 IN SRV 10 30 0 s.domainA.com.")
-    assert err.value.field == 8
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV 10 30 0 s.domainA.com.") == 8
 
 
 def test_weight_above_16_bits_rejected():
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._tcp.domainA.com. 86400 IN SRV 10 70000 5060 s.domainA.com.")
-    assert err.value.field == 7
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV 10 70000 5060 s.domainA.com.") == 7
 
 
 def test_owner_without_underscore_rejected():
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("edge._tcp.domainA.com. 86400 IN SRV 10 30 5060 s.domainA.com.")
-    assert err.value.field == 1
+    assert srv_error_field("edge._tcp.domainA.com. 86400 IN SRV 10 30 5060 s.domainA.com.") == 1
 
 
 def test_unknown_protocol_rejected():
-    with pytest.raises(MalformedSrvError) as err:
-        parse_srv_line("_edge._sctp.domainA.com. 86400 IN SRV 10 30 5060 s.domainA.com.")
-    assert err.value.field == 2
+    assert srv_error_field("_edge._sctp.domainA.com. 86400 IN SRV 10 30 5060 s.domainA.com.") == 2
+
+
+@pytest.mark.parametrize(
+    "owner, field",
+    [("_._tcp.domainA.com.", 1), ("__._tcp.domainA.com.", 1), ("_edge._tcp.", 2), ("_edge._.d.", 2)],
+)
+def test_owner_without_service_protocol_or_zone_rejected(owner, field):
+    assert srv_error_field(f"{owner} 86400 IN SRV 10 30 5060 s.domainA.com.") == field
+
+
+def test_target_root_reports_field_9():
+    assert srv_error_field("_edge._tcp.domainA.com. 86400 IN SRV 0 0 1 .") == 9
 
 
 def test_trailing_junk_rejected():
-    with pytest.raises(MalformedSrvError):
-        parse_srv_line(TCP_LINE + " extra")
+    assert srv_error_field(TCP_LINE + " extra") is None
 
 
 def test_render_reproduces_line():
@@ -163,6 +189,38 @@ def test_parse_render_round_trip(service, protocol, zone, ttl, priority, weight,
         target=target,
     )
     assert parse_srv_line(render_srv_line(record)) == record
+
+
+@given(
+    service=label,
+    protocol=st.sampled_from(list(Transport)),
+    origin=name,
+    zone_labels=st.none() | name,  # None: the record sits at the origin itself
+    ttl=st.integers(min_value=0, max_value=2**31 - 1),
+    rdata=st.tuples(
+        st.integers(min_value=0, max_value=65535),
+        st.integers(min_value=0, max_value=65535),
+        st.integers(min_value=1, max_value=65535),
+    ),
+    target_labels=st.none() | name,  # None: the target is written '@'
+    class_first=st.booleans(),
+)
+def test_zone_srv_line_gives_the_record_of_its_canonical_line(
+    service, protocol, origin, zone_labels, ttl, rdata, target_labels, class_first
+):
+    """parse_zone reads an SRV line written with names relative to $ORIGIN,
+    or absolutely, as parse_srv_line reads the canonical line."""
+    zone = origin if zone_labels is None else f"{zone_labels}.{origin}"
+    target = origin if target_labels is None else f"{target_labels}.{origin}"
+    record = SrvRecord(service, protocol, zone, ttl, *rdata, target)
+    expected = parse_srv_line(render_srv_line(record))
+    numbers = " ".join(map(str, rdata))
+    ttl_class = f"IN {ttl}" if class_first else f"{ttl} IN"
+    owner = f"_{service}._{protocol.value}" + ("" if zone_labels is None else f".{zone_labels}")
+    relative = f"{owner} {ttl_class} SRV {numbers} {target_labels or '@'}"
+    absolute = f"_{service}._{protocol.value}.{zone}. {ttl_class} SRV {numbers} {target}."
+    assert parse_zone(f"$ORIGIN {origin}.\n{relative}").srv_records == (expected,)
+    assert parse_zone(absolute).srv_records == (expected,)
 
 
 # --- zone parsing ---
