@@ -153,13 +153,23 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _exit_by_signal(signum, frame):
+    """Ctrl-C and SIGTERM in the edisco program, as Python's defaults act."""
+    if signum == signal.SIGINT:
+        raise KeyboardInterrupt
+    signal.signal(signum, signal.SIG_DFL)
+    signal.raise_signal(signum)
+
+
 async def _serve(service: RedirectService, listen, banner, until=asyncio.Event.wait) -> int:
     """Bind the front end, print banner(url) to stderr and serve on this
     asyncio loop until `until(stopping)` returns. The loop owns Ctrl-C and
     SIGTERM, and any number of them only sets `stopping`. serve-redirect
     waits for the event itself; run waits for run_every, which returns once
     the round in progress has journaled, so the front end serves until then.
-    Then the front end closes and the previous handlers come back."""
+    Then the front end closes and the previous handlers come back; in place
+    of `_exit_by_signal` the program ignores the signal for the rest of its
+    exit, so a repeated one cannot end it otherwise."""
     sock = socket.create_server(listen)
     front = await FrontEnd(service).start(sock)
     loop, stopping = asyncio.get_running_loop(), asyncio.Event()
@@ -174,7 +184,7 @@ async def _serve(service: RedirectService, listen, banner, until=asyncio.Event.w
         await front.close()
         for sig, handler in previous.items():
             loop.remove_signal_handler(sig)  # leaves the default, not `previous`
-            signal.signal(sig, handler)
+            signal.signal(sig, signal.SIG_IGN if handler is _exit_by_signal else handler)
     return 0
 
 
@@ -381,5 +391,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def program() -> int:
+    """main() as the edisco program (console script, python -m edisco). Its
+    Ctrl-C and SIGTERM act as Python's defaults until a serving loop owns
+    them, and are ignored once that loop has stopped (see _serve)."""
+    defaults = {signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL}
+    for sig, default in defaults.items():
+        if signal.getsignal(sig) is default:  # not one the parent set to SIG_IGN
+            signal.signal(sig, _exit_by_signal)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

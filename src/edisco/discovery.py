@@ -25,6 +25,7 @@ from .errors import (
 )
 from .topology import (
     AggregationTree,
+    _refused,
     _typed,
     address_int,
     map_in_threads,
@@ -32,6 +33,7 @@ from .topology import (
     subnet_sort_key,
 )
 from .zonefile import (
+    SRV_RANGES,
     ARecord,
     PtrRecord,
     SrvRecord,
@@ -112,23 +114,21 @@ class EdgeServer:
     @classmethod
     def from_document(cls, doc: dict) -> "EdgeServer":
         """Raises MalformedFixtureError for a missing, mistyped or out-of-range
-        key or an address that is not IPv4, and ValueError for an unknown protocol."""
+        key, an unknown protocol or an address that is not IPv4."""
         where = "edge server"
-        server = cls(
-            zone=_typed(doc, "zone", str, where),
-            protocol=Transport(_typed(doc, "protocol", str, where)),
-            priority=_typed(doc, "priority", int, where),
-            weight=_typed(doc, "weight", int, where),
-            address=_typed(doc, "address", str, where),
-            port=_typed(doc, "port", int, where),
-        )
-        for key, low in (("priority", 0), ("weight", 0), ("port", 1)):
-            if not low <= getattr(server, key) <= 65535:
-                raise MalformedFixtureError(f"{where}: {key!r} out of range {low}..65535")
-        try:
+        with _refused(where):
+            server = cls(
+                zone=_typed(doc, "zone", str, where),
+                protocol=Transport(_typed(doc, "protocol", str, where)),
+                priority=_typed(doc, "priority", int, where),
+                weight=_typed(doc, "weight", int, where),
+                address=_typed(doc, "address", str, where),
+                port=_typed(doc, "port", int, where),
+            )
+            for key, (low, high) in SRV_RANGES.items():
+                if not low <= getattr(server, key) <= high:
+                    raise ValueError(f"{key!r} out of range {low}..{high}")
             address_int(server.address)
-        except ValueError as exc:
-            raise MalformedFixtureError(f"{where}: {exc}") from None
         return server
 
 
@@ -219,10 +219,8 @@ class FixtureWhois:
     def __init__(self, prefixes: dict[str, str]):
         if not isinstance(prefixes, dict):
             raise MalformedFixtureError("whois fixture must be a JSON object")
-        try:
+        with _refused("whois fixture"):
             parse_subnets(list(prefixes))
-        except ValueError as exc:
-            raise MalformedFixtureError(f"whois fixture: {exc}") from None
         self.networks: dict[tuple[int, int], str] = {}
         for prefix, domain in prefixes.items():
             if not isinstance(domain, str):

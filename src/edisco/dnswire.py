@@ -28,12 +28,20 @@ RCODE_NXDOMAIN = 3
 MAX_PACKET = 4096
 
 
+def name_labels(name: str) -> list[str]:
+    """The labels of a name DNS can carry, trailing dots ignored; ValueError
+    for an empty, over-long or non-ASCII label."""
+    labels = name.rstrip(".").split(".")
+    for label in labels:
+        if not (0 < len(label) < 64 and label.isascii()):
+            raise ValueError(f"bad label {label!r} in {name!r}")
+    return labels
+
+
 def encode_name(name: str) -> bytes:
     """ValueError for an empty, over-long or non-ASCII label."""
     out = bytearray()
-    for label in name.rstrip(".").split("."):
-        if not (0 < len(label) < 64 and label.isascii()):
-            raise ValueError(f"bad label {label!r} in {name!r}")
+    for label in name_labels(name):
         out.append(len(label))
         out += label.encode("ascii")
     out.append(0)

@@ -19,7 +19,7 @@ from .errors import (
     NoCandidatesError,
     ServerUnreachableError,
 )
-from .topology import AggregationTree, SubnetNode, _typed, parse_subnets, subnet_sort_key
+from .topology import AggregationTree, SubnetNode, _refused, _typed, parse_subnets, subnet_sort_key
 from .zonefile import Transport
 
 logger = logging.getLogger(__name__)
@@ -66,10 +66,8 @@ def load_service_profiles(document) -> list[ServiceProfile]:
         raise MalformedFixtureError("services fixture must be a top-level list")
     profiles = []
     for i, entry in enumerate(document):
-        try:
+        with _refused(f"service entry {i}", MalformedFixtureError):
             profiles.append(ServiceProfile.from_document(entry))
-        except (KeyError, TypeError, ValueError, MalformedFixtureError) as exc:
-            raise MalformedFixtureError(f"service entry {i}: {exc}") from None
     return profiles
 
 
@@ -143,7 +141,7 @@ class PlacementPlan:
         fmt = doc.get("format") if isinstance(doc, dict) else None
         if fmt != PLAN_FORMAT:
             raise MalformedFixtureError(f"not a plan document (format={fmt!r})")
-        try:
+        with _refused("plan document"):
             assignments = []
             for i, a in enumerate(_typed(doc, "assignments", list, "plan")):
                 where = f"plan assignment {i}"
@@ -173,8 +171,6 @@ class PlacementPlan:
                 rejected=rejected,
                 unplaced=list(_typed(doc, "unplaced", list, "plan")),
             )
-        except (TypeError, ValueError) as exc:
-            raise MalformedFixtureError(f"plan document: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from .placement import (
 from .probing import FixtureProber, ProbeConfig, TracerouteProber, probe_many
 from .topology import (
     AggregationTree,
+    _refused,
     _typed,
     address_int,
     build_tree,
@@ -269,10 +270,8 @@ def load_json(path):
 def _parse_json(path, data: bytes):
     """Parse the bytes of the JSON file `path` as strict UTF-8, so a BOM or
     UTF-16 is rejected; MalformedFixtureError names the file."""
-    try:
+    with _refused(f"{path}: not valid JSON"):  # also a UnicodeDecodeError
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # also a UnicodeDecodeError
-        raise MalformedFixtureError(f"{path}: not valid JSON: {exc}") from None
 
 
 def parse_listen(value) -> tuple[str, int]:
@@ -287,19 +286,14 @@ def read_client_addresses(path) -> list[str]:
     """Client list file: one IPv4 address per line, # comments, duplicates
     collapsed in first-seen order."""
     clients: dict[str, None] = {}  # a dict keeps first-seen order
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise MalformedFixtureError(f"{path}: not UTF-8 text: {exc}") from None
+    with open(path, encoding="utf-8") as fh, _refused(f"{path}: not UTF-8 text"):
+        lines = fh.readlines()
     for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
+        with _refused(f"{path} line {line_no}"):
             address_int(line)
-        except ValueError as exc:
-            raise MalformedFixtureError(f"{path} line {line_no}: {exc}") from exc
         clients[line] = None
     return list(clients)
 
@@ -351,24 +345,26 @@ class RunSetup:
         }
 
     Relative paths resolve against the config file's directory. Capacity is
-    always fixture-backed. make_providers() re-reads every fixture file per
-    round and builds fresh providers from it, so capacity headroom lasts
-    exactly one round, with one exception: the trace file is re-parsed only
-    when its bytes differ from those of the last parse, and otherwise the
-    round gets that parse's FixtureProber again. Sharing it is safe, because
-    a FixtureProber and its Hops and ProbedPaths are read-only, and run_every
-    never overlaps rounds, so one RunSetup is used by one thread at a time.
-    The live flags are JSON booleans; "nameservers" lists the IPv4 addresses
-    of the recursive servers the live stub asks, and "probe" holds
-    ProbeConfig's fields.
+    always fixture-backed. Every key is checked here, at load, where each
+    provider's source is worked out once: the fixture file a key names, or
+    live. So a missing key, a key of the wrong type or a value out of range
+    raises MalformedFixtureError from load_run_config, and `edisco run`
+    exits 1 before anything binds.
+    make_providers() re-reads every fixture file per round and builds fresh
+    providers from it, so capacity headroom lasts exactly one round, with one
+    exception: the trace file is re-parsed only when its bytes differ from
+    those of the last parse, and otherwise the round gets that parse's
+    FixtureProber again. Sharing it is safe, because a FixtureProber and its
+    Hops and ProbedPaths are read-only, and run_every never overlaps rounds,
+    so one RunSetup is used by one thread at a time. The live flags are JSON
+    booleans; "nameservers" lists the IPv4 addresses of the recursive servers
+    the live stub asks, and "probe" holds ProbeConfig's fields.
     """
 
     def __init__(self, doc: dict, base_dir):
-        self.base = Path(base_dir)
         for key in ("root", "clients", "services", "capacity"):
             if key not in doc:
                 raise MalformedFixtureError(f"config is missing {key!r}")
-        self.doc = doc
         period_s = doc.get("period_s", 300)
         prefix_len = doc.get("prefix_len", 24)
         # type() rather than isinstance(): JSON true and false are no numbers
@@ -378,82 +374,63 @@ class RunSetup:
             raise MalformedFixtureError(
                 f"config 'prefix_len': {prefix_len!r} is not an integer from 0 to 32"
             )
-        try:
+        with _refused("config 'root'"):
             address_int(doc["root"])
-        except ValueError as exc:
-            raise MalformedFixtureError(f"config 'root': {exc}") from None
-        try:
+        with _refused("config 'listen'"):
             self.listen = parse_listen(doc.get("listen", "127.0.0.1:0"))
-        except ValueError as exc:
-            raise MalformedFixtureError(f"config 'listen': {exc}") from None
         for key in ("live_probe", "live_dns", "live_whois"):
             if type(doc.get(key, False)) is not bool:
                 raise MalformedFixtureError(f"config {key!r}: {doc[key]!r} is not true or false")
-        if "nameservers" in doc:
-            servers = doc["nameservers"]
-            if type(servers) is not list or not servers:
-                raise MalformedFixtureError(
-                    f"config 'nameservers': {servers!r} is not a non-empty list"
-                )
-            try:
-                for server in servers:
+        self.nameservers = doc.get("nameservers")
+        if self.nameservers is not None:
+            with _refused("config 'nameservers'"):
+                if type(self.nameservers) is not list or not self.nameservers:
+                    raise ValueError(f"{self.nameservers!r} is not a non-empty list")
+                for server in self.nameservers:
                     address_int(server)
-            except ValueError as exc:
-                raise MalformedFixtureError(f"config 'nameservers': {exc}") from None
-        try:
+        with _refused("config 'probe'"):
             self.probe = ProbeConfig(**doc.get("probe", {}))
-        except (TypeError, ValueError) as exc:
-            raise MalformedFixtureError(f"config 'probe': {exc}") from None
-        clients = read_client_addresses(self._path("clients"))
+
+        def fixture(key: str) -> Path:
+            """The file `key` names, relative to the config's directory."""
+            name = _typed(doc, key, str, "config")
+            if "\0" in name:  # open() would raise ValueError, which is no OSError
+                raise MalformedFixtureError(f"config {key!r}: {name!r} holds a NUL byte")
+            return Path(base_dir) / name
+
+        self.traces = None if doc.get("live_probe") else fixture("traces")  # None: probe live
+        self.zone = None if doc.get("live_dns") else fixture("zone")  # None: the live DNS stub
+        self.live_whois = doc.get("live_whois", False)
+        self.whois = fixture("whois") if "whois" in doc and not self.live_whois else None
+        self.capacity = fixture("capacity")
         self.config = RoundConfig(
             root_address=doc["root"],
-            clients=tuple(clients),
+            clients=tuple(read_client_addresses(fixture("clients"))),
             period_s=float(period_s),
             prefix_len=prefix_len,
         )
-        self.services = load_service_profiles(load_json(self._path("services")))
+        self.services = load_service_profiles(load_json(fixture("services")))
         self._traces: tuple[bytes, FixtureProber] | None = None  # the last parse
 
-    def _path(self, key: str) -> Path:
-        return self.base / _typed(self.doc, key, str, "config")
-
-    def _make_prober(self):
-        doc = self.doc
-        if doc.get("live_probe"):
-            return TracerouteProber(self.probe)
-        if "traces" not in doc:
-            raise MalformedFixtureError("config needs traces or live_probe")
-        path = self._path("traces")
-        data = path.read_bytes()
-        if self._traces is None or self._traces[0] != data:
-            self._traces = (data, FixtureProber(ingest_recorded_paths(_parse_json(path, data))))
-        return self._traces[1]
-
-    def _make_resolver(self) -> Resolver:
-        doc = self.doc
-        if doc.get("live_dns"):
-            return make_resolver(nameservers=doc.get("nameservers"))
-        if "zone" not in doc:
-            raise MalformedFixtureError("config needs zone or live_dns")
-        return make_resolver(self._path("zone"))
-
-    def _make_whois(self) -> WhoisService | None:
-        doc = self.doc
-        if doc.get("live_whois"):
-            return LiveWhois()
-        if "whois" not in doc:
-            return None
-        return FixtureWhois(load_json(self._path("whois")))
-
-    def _make_capacity(self) -> CapacityService:
-        return FixtureCapacityService(load_json(self._path("capacity")))
-
     def make_providers(self) -> RoundProviders:
+        if self.traces is None:
+            prober = TracerouteProber(self.probe)
+        else:
+            data = self.traces.read_bytes()
+            if self._traces is None or self._traces[0] != data:
+                paths = ingest_recorded_paths(_parse_json(self.traces, data))
+                self._traces = (data, FixtureProber(paths))
+            prober = self._traces[1]
+        whois = None
+        if self.live_whois:
+            whois = LiveWhois()
+        elif self.whois is not None:
+            whois = FixtureWhois(load_json(self.whois))
         return RoundProviders(
-            prober=self._make_prober(),
-            resolver=self._make_resolver(),
-            whois=self._make_whois(),
-            capacity=self._make_capacity(),
+            prober=prober,
+            resolver=make_resolver(self.zone, self.nameservers),
+            whois=whois,
+            capacity=FixtureCapacityService(load_json(self.capacity)),
         )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .dnswire import name_labels
 from .errors import MalformedSrvError, MalformedZoneError
 from .topology import address_int
 
@@ -34,6 +35,8 @@ FIELD_PORT = 8
 FIELD_TARGET = 9
 
 MAX_TTL = 2**31 - 1  # RFC 2181 section 8
+# (low, high) of each SRV number (RFC 2782), for every reader of SRV data
+SRV_RANGES = {"priority": (0, 65535), "weight": (0, 65535), "port": (1, 65535)}
 
 
 class Transport(str, Enum):
@@ -131,9 +134,9 @@ def parse_srv_rdata(values: list[str] | tuple[int, int, int, str]) -> tuple[int,
     trailing dot. Raises MalformedSrvError for fields 6 to 9, or without a
     field for trailing junk. Values are taken in order, so a line missing
     its port fails at field 8 whether its target is there or not."""
-    priority = _take_int(values, 0, FIELD_PRIORITY, "priority", 0, 65535)
-    weight = _take_int(values, 1, FIELD_WEIGHT, "weight", 0, 65535)
-    port = _take_int(values, 2, FIELD_PORT, "port", 1, 65535)
+    priority = _take_int(values, 0, FIELD_PRIORITY, "priority", *SRV_RANGES["priority"])
+    weight = _take_int(values, 1, FIELD_WEIGHT, "weight", *SRV_RANGES["weight"])
+    port = _take_int(values, 2, FIELD_PORT, "port", *SRV_RANGES["port"])
     target = _strip_dot(_take(values, 3, FIELD_TARGET, "target"))
     if not target:
         raise MalformedSrvError("empty target", FIELD_TARGET)
@@ -232,16 +235,26 @@ class ZoneData:
         return list(self._srv.get(_strip_dot(qname).lower(), ()))
 
 
+def _checked(name: str) -> str:
+    """`name`, or MalformedZoneError when DNS cannot carry it, so a zone
+    holds no name a live lookup could not ask for."""
+    try:
+        name_labels(name)
+    except ValueError as exc:
+        raise MalformedZoneError(str(exc)) from None
+    return name
+
+
 def _qualify(name: str, origin: str | None) -> str:
     if name.endswith("."):
-        return _strip_dot(name)
+        return _checked(_strip_dot(name))
     if name == "@":
         if origin is None:
             raise MalformedZoneError("'@' with no $ORIGIN in effect")
         return origin
     if origin is None:
         raise MalformedZoneError(f"relative name {name!r} with no $ORIGIN in effect")
-    return f"{name}.{origin}"
+    return _checked(f"{name}.{origin}")
 
 
 def parse_zone(text: str) -> ZoneData:
@@ -259,16 +272,14 @@ def parse_zone(text: str) -> ZoneData:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0].upper() == "$ORIGIN":
-            if len(tokens) != 2:
-                raise MalformedZoneError(f"line {line_no}: $ORIGIN takes one name")
-            origin = _strip_dot(tokens[1])
-            continue
-        if tokens[0].startswith("$"):
-            raise MalformedZoneError(
-                f"line {line_no}: unsupported directive {tokens[0]}"
-            )
         try:
+            if tokens[0].upper() == "$ORIGIN":
+                if len(tokens) != 2:
+                    raise MalformedZoneError("$ORIGIN takes one name")
+                origin = _checked(_strip_dot(tokens[1]))
+                continue
+            if tokens[0].startswith("$"):
+                raise MalformedZoneError(f"unsupported directive {tokens[0]}")
             record = _parse_record_line(tokens, origin)
         except MalformedZoneError as exc:  # a MalformedSrvError keeps its type and field
             exc.args = (f"line {line_no}: {exc}",)
@@ -311,9 +322,9 @@ def _parse_record_line(tokens: list[str], origin: str | None):
     rtype = rest.pop(0).upper()
     if rtype == "SRV":
         service, protocol, zone = parse_srv_owner(_qualify(owner, origin))
-        if len(rest) == 4:
-            rest[3] = _qualify(rest[3], origin)
-        return SrvRecord(service, protocol, zone, ttl, *parse_srv_rdata(rest))
+        priority, weight, port, _ = parse_srv_rdata(rest)  # target "." fails here, at field 9
+        target = _qualify(rest[3], origin)
+        return SrvRecord(service, protocol, zone, ttl, priority, weight, port, target)
     if rtype == "A":
         if len(rest) != 1:
             raise MalformedZoneError(f"A rdata must be one address, got {rest}")

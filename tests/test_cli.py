@@ -442,6 +442,48 @@ def test_run_exits_cleanly_on_a_second_sigterm_while_it_stops(bundle_dir, tmp_pa
     assert len(journal.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_serve_redirect_exits_0_while_a_stop_signal_repeats_through_its_exit(
+    bundle_dir, tmp_path, signum
+):
+    """SIGTERM (or Ctrl-C) every 5 ms from the first until the process is
+    gone: once the loop has stopped, the program ignores the signal for the
+    rest of its exit instead of letting the default action end it."""
+    directory, bundle = bundle_dir
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(bundle.expected["plan"]))
+    argv = [sys.executable, "-m", "edisco", "serve-redirect", "--plan", str(plan_file),
+            "--listen", "127.0.0.1:0"]
+    with subprocess.Popen(
+        argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    ) as proc:
+        watchdog = threading.Timer(30, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stderr.readline()
+            assert b" on http://127.0.0.1:" in banner, banner
+            while proc.poll() is None:
+                proc.send_signal(signum)
+                time.sleep(0.005)
+            rest = proc.stderr.read()
+        finally:
+            watchdog.cancel()
+    assert proc.returncode == 0, rest
+    assert b"Traceback" not in rest
+
+
+def test_run_refuses_a_config_without_traces_before_it_binds(bundle_dir):
+    directory, _ = bundle_dir
+    config = json.loads((directory / "config.json").read_text())
+    del config["traces"]
+    (directory / "no-traces.json").write_text(json.dumps(config))
+    argv = [sys.executable, "-m", "edisco", "run", "--config", str(directory / "no-traces.json")]
+    proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, timeout=10)
+    assert proc.returncode == 1
+    (line,) = proc.stderr.decode().splitlines()  # no banner: nothing was bound
+    assert line == "edisco: config: 'traces' is missing or not of type str"
+
+
 def test_serve_redirect_on_a_port_in_use_is_operational_error(bundle_dir, tmp_path):
     _, bundle = bundle_dir
     plan_file = tmp_path / "plan.json"

@@ -2,6 +2,7 @@ import asyncio
 import importlib.util
 import json
 import math
+import re
 import struct
 import time
 from collections import Counter
@@ -744,9 +745,30 @@ def test_config_needs_traces_or_live_flag(tmp_path):
     doc = json.loads(config_path.read_text())
     del doc["traces"]
     config_path.write_text(json.dumps(doc))
-    setup = load_run_config(config_path)
     with pytest.raises(MalformedFixtureError, match="traces"):
-        setup.make_providers()
+        load_run_config(config_path)
+
+
+@pytest.mark.parametrize(
+    "key, value, words",
+    [
+        ("zone", None, "config: 'zone' is missing or not of type str"),
+        ("whois", 7, "'whois' is missing or not of type str"),
+        ("capacity", ["capacity.json"], "'capacity' is missing or not of type str"),
+        ("clients", "clients\0.txt", "holds a NUL byte"),
+    ],
+)
+def test_a_config_is_refused_at_load(tmp_path, key, value, words):
+    """Each provider's source is worked out when the config loads, so a bad
+    one fails there and not in every round; None deletes the key."""
+    config_path = write_bundle(tmp_path)
+    doc = json.loads(config_path.read_text())
+    doc[key] = value
+    if value is None:
+        del doc[key]
+    config_path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedFixtureError, match=re.escape(words)):
+        load_run_config(config_path)
 
 
 def test_run_config_raises_only_declared_errors(tmp_path):

@@ -449,6 +449,24 @@ def test_ttl_above_2_31_minus_1_is_rejected_for_every_record_type(rtype, rdata):
         parse_zone(f"{owner} {2**31} IN {rtype} {rdata}")
 
 
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        ("_edge._tcp.a..b. 60 IN SRV 1 1 1 t.x.", "_edge._tcp.a..b"),
+        ("_edge._tcp.a.b. 60 IN SRV 1 1 1 t..x.", "t..x"),
+        ("h..x. 60 IN A 10.0.0.1", "h..x"),
+        ("1.0.0.10.in-addr.arpa. 60 IN PTR h..x.", "h..x"),
+        ("$ORIGIN .c.", ".c"),
+        ("$ORIGIN c.\nw..v 60 IN A 10.0.0.1", "w..v.c"),
+    ],
+)
+def test_a_name_with_an_empty_label_is_refused_with_its_line(line, name):
+    """A name the DNS encoder refuses is one no live lookup could ask for."""
+    with pytest.raises(MalformedZoneError) as err:
+        parse_zone(TCP_LINE + "\n" + line)
+    assert str(err.value) == f"line {line.count(chr(10)) + 2}: bad label '' in {name!r}"
+
+
 def test_relative_name_error_cites_its_line_once():
     with pytest.raises(MalformedZoneError) as err:
         parse_zone(TCP_LINE + "\nserverC 3600 IN A 203.0.113.9")
