@@ -37,7 +37,7 @@ from .topology import (
     export_dot,
     group_subnet,
 )
-from .zonefile import SrvRecord, Transport, parse_srv_line, parse_zone
+from .zonefile import SrvRecord, Transport, parse_zone
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "fold_client_paths",
     "generate_scenario",
     "group_subnet",
-    "parse_srv_line",
     "parse_zone",
     "plan_round",
     "query_edge_srv",

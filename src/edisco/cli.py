@@ -394,12 +394,17 @@ def main(argv=None) -> int:
 def program() -> int:
     """main() as the edisco program (console script, python -m edisco). Its
     Ctrl-C and SIGTERM act as Python's defaults until a serving loop owns
-    them, and are ignored once that loop has stopped (see _serve)."""
+    them, and are ignored once that loop has stopped (see _serve); a Ctrl-C
+    it has not handled ends it with one line and exit status 130."""
     defaults = {signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL}
     for sig, default in defaults.items():
         if signal.getsignal(sig) is default:  # not one the parent set to SIG_IGN
             signal.signal(sig, _exit_by_signal)
-    return main()
+    try:
+        return main()
+    except KeyboardInterrupt:
+        print("edisco: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

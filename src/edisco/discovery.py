@@ -160,20 +160,18 @@ class StubResolver:
 
     def lookup_ptr(self, address: str) -> PtrRecord | None:
         qname = reverse_pointer_name(address)
-        for answer in self._query(qname, dnswire.TYPE_PTR):
-            if answer.rtype == dnswire.TYPE_PTR:
-                return PtrRecord(
-                    address=address,
-                    ttl=answer.ttl,
-                    target=str(answer.data).rstrip("."),
-                )
+        for answer in self._query(qname, dnswire.TYPE_PTR):  # the first answer
+            return PtrRecord(
+                address=address,
+                ttl=answer.ttl,
+                target=str(answer.data).rstrip("."),
+            )
         return None
 
     def lookup_a(self, name: str) -> list[ARecord]:
         return [
             ARecord(name=name, ttl=a.ttl, address=str(a.data))
             for a in self._query(name, dnswire.TYPE_A)
-            if a.rtype == dnswire.TYPE_A
         ]
 
     def lookup_srv(self, qname: str) -> list[SrvRecord]:
@@ -182,8 +180,6 @@ class StubResolver:
         service, protocol, zone = parse_srv_owner(qname)
         records = []
         for answer in self._query(qname, dnswire.TYPE_SRV):
-            if answer.rtype != dnswire.TYPE_SRV:
-                continue
             try:
                 rdata = parse_srv_rdata(answer.data)  # type: ignore[arg-type]
             except MalformedSrvError:  # target "." or port 0

@@ -95,71 +95,69 @@ def build_query(qname: str, qtype: int, txid: int) -> bytes:
 
 @dataclass(frozen=True)
 class WireAnswer:
-    name: str
-    rtype: int
     ttl: int
     data: object  # str for A/PTR, (priority, weight, port, target) for SRV
 
 
-def parse_response(packet: bytes) -> tuple[int, int, list[WireAnswer]]:
-    """Decode header + answer section. Returns (txid, rcode, answers)."""
+def parse_response(
+    packet: bytes,
+) -> tuple[int, int, bool, tuple[str, int, int] | None, list[WireAnswer]]:
+    """Decode a reply in one pass: (txid, rcode, truncated, question, answers).
+
+    `question` is the (lower-case name, type, class) of the reply's only
+    question, else None. `answers` holds the answers of the question's type,
+    A, PTR or SRV, and class IN, in order; any other answer (a CNAME of a
+    chain, another class) is skipped undecoded, and so is the whole answer
+    section of a reply without exactly one question or with TC set (RFC 2181
+    section 9). ValueError or struct.error for anything undecodable."""
     if len(packet) < 12:
         raise ValueError("short DNS packet")
     txid, flags, qdcount, ancount, _, _ = struct.unpack(">HHHHHH", packet[:12])
-    rcode = flags & 0x000F
-    offset = 12
-    for _ in range(qdcount):
-        _, offset = decode_name(packet, offset)
-        offset += 4  # qtype + qclass
+    rcode, truncated = flags & 0x000F, bool(flags & FLAG_TC)
+    if qdcount != 1:
+        return txid, rcode, truncated, None, []
+    qname, offset = decode_name(packet, 12)
+    qtype, qclass = struct.unpack_from(">HH", packet, offset)
+    offset += 4
     answers = []
-    for _ in range(ancount):
-        name, offset = decode_name(packet, offset)
+    for _ in range(0 if truncated else ancount):
+        _, offset = decode_name(packet, offset)
         rtype, rclass, ttl, rdlength = struct.unpack_from(">HHIH", packet, offset)
-        offset += 10
-        rdata = packet[offset : offset + rdlength]
+        at, offset = offset + 10, offset + 10 + rdlength
+        rdata = packet[at:offset]
         if len(rdata) != rdlength:
             raise ValueError("truncated rdata")
+        if (rtype, rclass) != (qtype, CLASS_IN):
+            continue
         data: object
-        if rtype == TYPE_A and rclass == CLASS_IN:
+        if rtype == TYPE_A:
             if rdlength != 4:
                 raise ValueError("A rdata must be 4 bytes")
             data = socket.inet_ntoa(rdata)
         elif rtype == TYPE_PTR:
-            data, _ = decode_name(packet, offset)
+            data, _ = decode_name(packet, at)
         elif rtype == TYPE_SRV:
-            priority, weight, port = struct.unpack_from(">HHH", packet, offset)
-            target, _ = decode_name(packet, offset + 6)
+            priority, weight, port = struct.unpack_from(">HHH", packet, at)
+            target, _ = decode_name(packet, at + 6)
             data = (priority, weight, port, target)
-        else:
-            data = rdata
-        offset += rdlength
-        answers.append(WireAnswer(name=name, rtype=rtype, ttl=ttl, data=data))
-    return txid, rcode, answers
+        else:  # a type the stub never asks for
+            continue
+        answers.append(WireAnswer(ttl=ttl, data=data))
+    return txid, rcode, truncated, (qname.lower(), qtype, qclass), answers
 
 
-def _echoed_question(packet: bytes) -> tuple[str, int, int] | None:
-    """(lower-case qname, qtype, qclass) of a reply's only question, else None."""
-    if struct.unpack_from(">H", packet, 4)[0] != 1:
-        return None
-    name, offset = decode_name(packet, 12)
-    qtype, qclass = struct.unpack_from(">HH", packet, offset)
-    return name.lower(), qtype, qclass
-
-
-def is_truncated(packet: bytes) -> bool:
-    if len(packet) < 4:
-        return False
-    flags = struct.unpack(">H", packet[2:4])[0]
-    return bool(flags & FLAG_TC)
-
-
-def _query_udp(server: str, request: bytes, timeout: float) -> bytes:
-    """Connected, so the kernel drops replies from any other address or port."""
+def _query_udp(server: str, request: bytes, deadline: float) -> bytes:
+    """The first datagram that carries the request's transaction id. The
+    socket is connected, so the kernel drops replies from any other address
+    or port; a datagram with another id is dropped here, and the wait goes
+    on until the time.monotonic() `deadline` (RFC 5452 section 9.1)."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout)
+        sock.settimeout(time_left(deadline))
         sock.connect((server, DNS_PORT))
         sock.send(request)
-        return sock.recv(MAX_PACKET)
+        while (packet := sock.recv(MAX_PACKET))[:2] != request[:2]:
+            sock.settimeout(time_left(deadline))
+        return packet
 
 
 def _query_tcp(server: str, request: bytes, deadline: float) -> bytes:
@@ -197,24 +195,24 @@ def query(
     back as []; transport failures, undecodable replies, replies to another
     transaction id or question, server failures and a reply not complete
     within `timeout` seconds, over UDP and TCP together, raise
-    ResolverUnreachableError. Names compare without case (RFC 5452). A name
-    that cannot be encoded raises MalformedNameError before any socket opens."""
+    ResolverUnreachableError, except that a UDP datagram with another
+    transaction id is dropped while the wait goes on. Names compare without
+    case (RFC 5452). A name that cannot be encoded raises MalformedNameError
+    before any socket opens."""
     try:
         request = build_query(qname, qtype, txid)
     except ValueError as exc:
         raise MalformedNameError(str(exc)) from None
     deadline = time.monotonic() + timeout
     try:
-        packet = _query_udp(server, request, timeout)
-        if is_truncated(packet):
-            packet = _query_tcp(server, request, deadline)
+        reply = parse_response(_query_udp(server, request, deadline))
+        if reply[2]:  # truncated: TCP carries the whole reply
+            reply = parse_response(_query_tcp(server, request, deadline))
     except OSError as exc:
         raise ResolverUnreachableError(f"{server}: {exc}") from None
-    try:
-        got_txid, rcode, answers = parse_response(packet)
-        question = _echoed_question(packet)
     except (ValueError, struct.error) as exc:
         raise ResolverUnreachableError(f"{server}: malformed reply: {exc}") from None
+    got_txid, rcode, _, question, answers = reply
     if got_txid != txid:
         raise ResolverUnreachableError(f"{server}: transaction id mismatch")
     if question != (qname.rstrip(".").lower(), qtype, CLASS_IN):

@@ -28,8 +28,9 @@ class MalformedZoneError(EdiscoError):
 
 class MalformedSrvError(MalformedZoneError):
     """An SRV line is invalid. `field` is the 1-based position of the bad
-    field in the canonical layout (service, protocol.name, TTL, class, SRV,
-    priority, weight, port, target), when identifiable."""
+    field in ``_service._proto.zone. TTL IN SRV priority weight port target``
+    when identifiable: 1 (service), 2 (protocol or zone), 6 (priority),
+    7 (weight), 8 (port) or 9 (target)."""
 
     def __init__(self, message: str, field: int | None = None):
         super().__init__(message)

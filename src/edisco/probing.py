@@ -70,14 +70,6 @@ def build_echo_request(ident: int, seq: int) -> bytes:
     return packed + payload
 
 
-def parse_icmp(packet: bytes) -> tuple[int, int]:
-    """(type, code) of an ICMP message carried in a raw IP packet."""
-    if len(packet) < 21:
-        raise ValueError("short ICMP packet")
-    ihl = (packet[0] & 0x0F) * 4
-    return packet[ihl], packet[ihl + 1]
-
-
 def reply_type(packet: bytes, client: str, proto: int, ids: bytes) -> int | None:
     """The ICMP type of `packet` when it answers the probe sent to `client`
     whose `proto` header holds the 4 bytes `ids`, else None.
@@ -86,13 +78,12 @@ def reply_type(packet: bytes, client: str, proto: int, ids: bytes) -> int | None
     and seq of an echo request. A Time Exceeded or Destination Unreachable
     counts when the datagram it quotes is the probe, and an echo reply when
     it carries the probe's ident and seq. Every raw ICMP socket sees all of
-    the host's ICMP, so anything else, another probe's answer included,
-    gives None."""
-    try:
-        icmp_type, _code = parse_icmp(packet)
-    except ValueError:
+    the host's ICMP, so anything else, another probe's answer or a message
+    too short to hold an ICMP header included, gives None."""
+    icmp = packet[(packet[0] & 0x0F) * 4 :] if packet else b""  # past the IP header
+    if len(icmp) < 8:
         return None
-    icmp = packet[(packet[0] & 0x0F) * 4 :]
+    icmp_type = icmp[0]
     if icmp_type == ICMP_ECHO_REPLY:
         return icmp_type if proto == socket.IPPROTO_ICMP and icmp[4:8] == ids else None
     if icmp_type not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE) or len(icmp) < 28:

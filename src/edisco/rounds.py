@@ -347,9 +347,9 @@ class RunSetup:
     Relative paths resolve against the config file's directory. Capacity is
     always fixture-backed. Every key is checked here, at load, where each
     provider's source is worked out once: the fixture file a key names, or
-    live. So a missing key, a key of the wrong type or a value out of range
-    raises MalformedFixtureError from load_run_config, and `edisco run`
-    exits 1 before anything binds.
+    live. So a missing key, a key of the wrong type, a value out of range
+    (MalformedFixtureError) or a fixture file that does not open (OSError)
+    fails in load_run_config, and `edisco run` exits 1 before anything binds.
     make_providers() re-reads every fixture file per round and builds fresh
     providers from it, so capacity headroom lasts exactly one round, with one
     exception: the trace file is re-parsed only when its bytes differ from
@@ -392,11 +392,14 @@ class RunSetup:
             self.probe = ProbeConfig(**doc.get("probe", {}))
 
         def fixture(key: str) -> Path:
-            """The file `key` names, relative to the config's directory."""
+            """The file `key` names, relative to the config's directory, if it opens."""
             name = _typed(doc, key, str, "config")
             if "\0" in name:  # open() would raise ValueError, which is no OSError
                 raise MalformedFixtureError(f"config {key!r}: {name!r} holds a NUL byte")
-            return Path(base_dir) / name
+            path = Path(base_dir) / name
+            with open(path, "rb"):  # the rounds read it; it must open now
+                pass
+            return path
 
         self.traces = None if doc.get("live_probe") else fixture("traces")  # None: probe live
         self.zone = None if doc.get("live_dns") else fixture("zone")  # None: the live DNS stub

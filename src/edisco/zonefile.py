@@ -21,14 +21,11 @@ from .dnswire import name_labels
 from .errors import MalformedSrvError, MalformedZoneError
 from .topology import address_int
 
-# Canonical SRV field positions, used in malformed-srv diagnostics:
-# 1=_service 2=_protocol.name 3=TTL 4=class 5=SRV 6=priority 7=weight
-# 8=port 9=target
+# SRV field positions in ``_service._proto.zone. TTL IN SRV priority weight
+# port target``, used in malformed-srv diagnostics. The TTL, class and type
+# (3 to 5) are read for every record type, and their errors cite no field.
 FIELD_SERVICE = 1
 FIELD_PROTOCOL_NAME = 2
-FIELD_TTL = 3
-FIELD_CLASS = 4
-FIELD_TYPE = 5
 FIELD_PRIORITY = 6
 FIELD_WEIGHT = 7
 FIELD_PORT = 8
@@ -143,29 +140,6 @@ def parse_srv_rdata(values: list[str] | tuple[int, int, int, str]) -> tuple[int,
     if len(values) > 4:
         raise MalformedSrvError(f"trailing junk: {list(values[4:])}", None)
     return priority, weight, port, target
-
-
-def parse_srv_line(line: str) -> SrvRecord:
-    """Parse one SRV line in the canonical nine-field layout; the owner may
-    also come as two tokens (``_edge.  _tcp.domainA.com.``). Whitespace runs
-    are tolerated and trailing dots on names are normalized away. Raises
-    MalformedSrvError with the failing field position.
-    """
-    tokens = line.split()
-    if not tokens:
-        raise MalformedSrvError("empty line", None)
-    owner, rest = tokens[0], tokens[1:]
-    if "._" not in owner and rest:
-        owner, rest = f"{_strip_dot(owner)}.{rest[0]}", rest[1:]
-    service, protocol, zone = parse_srv_owner(owner)
-    ttl = _take_int(rest, 0, FIELD_TTL, "TTL", 0, MAX_TTL)
-    rr_class = _take(rest, 1, FIELD_CLASS, "class")
-    if rr_class.upper() != "IN":
-        raise MalformedSrvError(f"unsupported class {rr_class!r}", FIELD_CLASS)
-    rtype = _take(rest, 2, FIELD_TYPE, "record type")
-    if rtype.upper() != "SRV":
-        raise MalformedSrvError(f"not an SRV record: {rtype!r}", FIELD_TYPE)
-    return SrvRecord(service, protocol, zone, ttl, *parse_srv_rdata(rest[3:]))
 
 
 def render_srv_line(record: SrvRecord) -> str:

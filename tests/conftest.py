@@ -17,12 +17,17 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from edisco import discovery, dnswire
 from edisco.redirect import FrontEnd
 from edisco.simharness import ScenarioBundle, ScenarioSpec, generate_scenario
 from edisco.topology import Hop, ProbedPath
+
+# CI's fuzz job runs the totality tests with --hypothesis-profile=ci; tier-1
+# keeps hypothesis' defaults.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # Reference zone: two edge servers in one /24, advertised for both
 # transports. A-line spacing is intentionally uneven; parsers must not care.
@@ -163,9 +168,11 @@ def response_packet(
     return header + question + b"".join(answers)
 
 
-def record(rtype: int, rdata: bytes, ttl: int = 3600) -> bytes:
-    """One IN answer whose owner name points back to the question's."""
-    return struct.pack(">H", 0xC000 | 12) + struct.pack(">HHIH", rtype, 1, ttl, len(rdata)) + rdata
+def record(rtype: int, rdata: bytes, ttl: int = 3600, rclass: int = 1) -> bytes:
+    """One answer, of class IN unless `rclass` says otherwise, whose owner
+    name points back to the question's."""
+    header = struct.pack(">HHIH", rtype, rclass, ttl, len(rdata))
+    return struct.pack(">H", 0xC000 | 12) + header + rdata
 
 
 FORGED_ADDRESS = "192.0.2.66"
@@ -186,8 +193,10 @@ class LoopbackResponder:
     txid and question with the A answer FORGED_ADDRESS from another port.
     `faults` maps one DNS question name or whois address to one fault:
     - DNS "servfail", "garbage" (a reply's txid and flags, then 5 bytes of
-      junk), "wrong_question" (the right answers under another question)
-      and "drop" (no reply);
+      junk), "wrong_question" (the right answers under another question),
+      "drop" (no reply) and "other_txid_first" (first, from the right
+      port, the question with the A answer FORGED_ADDRESS under another
+      txid, then the reply);
     - "drip": DNS sets TC over UDP and, like whois, sends its TCP reply
       one byte every DRIP_S from a thread of its own, until the client
       hangs up;
@@ -276,13 +285,15 @@ class LoopbackResponder:
             reply = self.answer(query, echo="elsewhere." + qname)
         else:
             reply = self.answer(query, tc=self.truncate_udp or fault == "drip")
+        forged = [record(dnswire.TYPE_A, socket.inet_aton(FORGED_ADDRESS))]
         if self.forge_from_other_port:
-            forged = response_packet(
-                txid, 0, [record(dnswire.TYPE_A, socket.inet_aton(FORGED_ADDRESS))], qname=qname, qtype=qtype
-            )
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as forger:
                 forger.bind(("127.0.0.1", 0))
-                forger.sendto(forged, client)
+                forger.sendto(response_packet(txid, 0, forged, qname=qname, qtype=qtype), client)
+            self.counts["forged"] += 1
+        if fault == "other_txid_first":
+            other = response_packet(txid ^ 0xFFFF, 0, forged, qname=qname, qtype=qtype)
+            self.udp.sendto(other, client)
             self.counts["forged"] += 1
         self.udp.sendto(reply, client)
 

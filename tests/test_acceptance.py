@@ -46,7 +46,7 @@ from edisco.topology import (
     group_subnet,
     ingest_recorded_paths,
 )
-from edisco.zonefile import Transport, parse_srv_line, parse_zone, render_a_line, render_srv_line
+from edisco.zonefile import Transport, parse_zone, render_a_line, render_srv_line
 
 from conftest import REFERENCE_ZONE, FrontEndThread, make_path
 
@@ -65,7 +65,7 @@ def test_criterion_01_reference_zone_parses_and_round_trips():
     lines = [line for line in REFERENCE_ZONE.splitlines() if line.strip()]
     assert len(lines) == 6
 
-    first = parse_srv_line(lines[0])
+    first = parse_zone(lines[0]).srv_records[0]
     assert (first.priority, first.weight, first.port) == (10, 30, 5060)
     assert first.target == "serverA.domainA.com"
     assert first.protocol is Transport.TCP

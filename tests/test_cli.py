@@ -484,6 +484,53 @@ def test_run_refuses_a_config_without_traces_before_it_binds(bundle_dir):
     assert line == "edisco: config: 'traces' is missing or not of type str"
 
 
+def test_run_refuses_a_config_naming_a_missing_fixture_file_before_it_binds(bundle_dir):
+    directory, _ = bundle_dir
+    config = json.loads((directory / "config.json").read_text())
+    config["zone"] = "nope.txt"
+    (directory / "no-zone.json").write_text(json.dumps(config))
+    argv = [sys.executable, "-m", "edisco", "run", "--config", str(directory / "no-zone.json")]
+    proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, timeout=10)
+    assert proc.returncode == 1
+    (line,) = proc.stderr.decode().splitlines()  # no banner: nothing was bound
+    assert line.startswith("edisco: ") and "nope.txt" in line
+
+
+SLOW_LOAD = """
+import sys, time
+import edisco.cli
+
+load_run_config = edisco.cli.load_run_config
+
+def slow_load(*args, **kwargs):
+    print("loading", file=sys.stderr, flush=True)
+    time.sleep(30)
+    return load_run_config(*args, **kwargs)
+
+edisco.cli.load_run_config = slow_load
+sys.exit(edisco.cli.program())
+"""
+
+
+def test_ctrl_c_before_the_serving_loop_owns_it_ends_the_program_with_one_line(bundle_dir):
+    directory, _ = bundle_dir
+    argv = [sys.executable, "-c", SLOW_LOAD, "run", "--config", str(directory / "config.json")]
+    with subprocess.Popen(
+        argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    ) as proc:
+        watchdog = threading.Timer(30, proc.kill)
+        watchdog.start()
+        try:
+            assert proc.stderr.readline() == b"loading\n"
+            proc.send_signal(signal.SIGINT)
+            rest = proc.stderr.read()
+            code = proc.wait()
+        finally:
+            watchdog.cancel()
+    assert code == 130, rest
+    assert rest == b"edisco: interrupted\n"
+
+
 def test_serve_redirect_on_a_port_in_use_is_operational_error(bundle_dir, tmp_path):
     _, bundle = bundle_dir
     plan_file = tmp_path / "plan.json"

@@ -4,6 +4,7 @@ import ipaddress
 import logging
 import random
 import socket
+import struct
 from collections import Counter
 
 import pytest
@@ -39,7 +40,16 @@ from edisco.rounds import discover_phase
 from edisco.topology import build_tree, compute_centrality, group_subnet
 from edisco.zonefile import PtrRecord, Transport, parse_zone, reverse_pointer_name
 
-from conftest import OverlapGauge, make_path, mutated, small_bundle
+from conftest import (
+    LoopbackResponder,
+    OverlapGauge,
+    hand_name,
+    make_path,
+    mutated,
+    record,
+    response_packet,
+    small_bundle,
+)
 
 
 @pytest.fixture
@@ -272,6 +282,25 @@ def test_live_whois_skips_a_mail_address_without_domain(monkeypatch):
     )
 
 
+WHOIS_KEYS = ["domain", "Domain ", "OrgAbuseEmail", "e-mail", "mailbox", "OrgName", "%"]
+whois_line = st.builds(
+    "{}:{}".format,
+    st.sampled_from(WHOIS_KEYS) | st.text(max_size=6),
+    st.text(alphabet="@.: \tab\u00e4\x00-", max_size=16) | st.text(max_size=16),
+) | st.text(max_size=16)
+
+
+@given(st.lists(whois_line, max_size=8), st.sampled_from(["\r\n", "\n", "\r"]))
+def test_live_whois_domains_for_never_raises(lines, newline):
+    """Whatever text a registry sends, the answer is a sorted list of
+    names, each with no empty label."""
+    whois = LiveWhois(server="whois.example")
+    whois._raw_query = lambda address: newline.join(lines)
+    domains = whois.domains_for("198.51.100.7")
+    assert type(domains) is list and domains == sorted(set(domains))
+    assert all(type(d) is str and "" not in d.split(".") for d in domains)
+
+
 def test_live_whois_rejects_an_oversized_reply(monkeypatch):
     reply = b"domain: example.net\r\n" * (WHOIS_MAX_BYTES // 10)
     monkeypatch.setattr(socket, "create_connection", lambda *a, **k: FakeWhoisSocket(reply))
@@ -441,19 +470,16 @@ def test_select_deterministic_per_seed():
 # --- the stub resolver ---
 
 
-def wire(qname, rtype, ttl, data):
-    return dnswire.WireAnswer(name=qname, rtype=rtype, ttl=ttl, data=data)
+wire = dnswire.WireAnswer
 
 
 REFERENCE_WIRE = {
     ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [
-        wire(
-            "_edge._tcp.domainA.com", dnswire.TYPE_SRV, 3600, (10, 30, 5060, "serverA.domainA.com.")
-        )
+        wire(3600, (10, 30, 5060, "serverA.domainA.com."))
     ],
     ("servera.domaina.com", dnswire.TYPE_A): [
-        wire("serverA.domainA.com", dnswire.TYPE_A, 90000, "192.168.121.30"),
-        wire("serverA.domainA.com", dnswire.TYPE_A, 86400, "192.168.121.31"),
+        wire(90000, "192.168.121.30"),
+        wire(86400, "192.168.121.31"),
     ],
 }
 
@@ -499,10 +525,10 @@ def test_srv_target_root_means_not_available(monkeypatch):
     The round completes and the node carries no edge servers."""
     answers = {
         (reverse_pointer_name("192.168.121.30").lower(), dnswire.TYPE_PTR): [
-            wire("", dnswire.TYPE_PTR, 3600, "r1.domainA.com.")
+            wire(3600, "r1.domainA.com.")
         ],
         ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [
-            wire("_edge._tcp.domainA.com", dnswire.TYPE_SRV, 3600, (0, 0, 0, ""))
+            wire(3600, (0, 0, 0, ""))
         ],
     }
     stub = fake_stub(monkeypatch, FakeDns(answers))
@@ -519,7 +545,7 @@ def test_srv_answer_with_port_0_is_dropped(monkeypatch):
     server cannot be read back: only the answer with a port is kept."""
     answers = dict(REFERENCE_WIRE)
     answers["_edge._tcp.domaina.com", dnswire.TYPE_SRV] = [
-        wire("_edge._tcp.domainA.com", dnswire.TYPE_SRV, 3600, (5, 50, 0, "serverA.domainA.com.")),
+        wire(3600, (5, 50, 0, "serverA.domainA.com.")),
         *REFERENCE_WIRE["_edge._tcp.domaina.com", dnswire.TYPE_SRV],
     ]
     stub = fake_stub(monkeypatch, FakeDns(answers))
@@ -552,14 +578,7 @@ def test_stub_refuses_an_srv_qname_of_another_shape_before_it_sends(monkeypatch,
 
 
 def test_stub_resolver_maps_srv_answers(monkeypatch):
-    answers = [
-        dnswire.WireAnswer(
-            name="_edge._tcp.domainA.com",
-            rtype=dnswire.TYPE_SRV,
-            ttl=3600,
-            data=(10, 30, 5060, "serverA.domainA.com."),
-        )
-    ]
+    answers = [wire(3600, (10, 30, 5060, "serverA.domainA.com."))]
     monkeypatch.setattr(dnswire, "query", lambda *a, **k: answers)
     stub = StubResolver(servers=["203.0.113.1"])
     records = stub.lookup_srv("_edge._tcp.domainA.com")
@@ -571,16 +590,8 @@ def test_stub_resolver_maps_srv_answers(monkeypatch):
 def test_stub_resolver_maps_ptr_and_a(monkeypatch):
     def fake_query(server, qname, qtype, timeout=2.0, txid=0):
         if qtype == dnswire.TYPE_PTR:
-            return [
-                dnswire.WireAnswer(
-                    name=qname, rtype=dnswire.TYPE_PTR, ttl=60, data="r1.domainA.com."
-                )
-            ]
-        return [
-            dnswire.WireAnswer(
-                name=qname, rtype=dnswire.TYPE_A, ttl=60, data="192.168.121.30"
-            )
-        ]
+            return [wire(60, "r1.domainA.com.")]
+        return [wire(60, "192.168.121.30")]
 
     monkeypatch.setattr(dnswire, "query", fake_query)
     stub = StubResolver(servers=["203.0.113.1"])
@@ -601,6 +612,61 @@ def test_stub_resolver_tries_next_server(monkeypatch):
     stub = StubResolver(servers=["203.0.113.1", "203.0.113.2"])
     assert stub.lookup_a("x.example") == []
     assert attempts == ["203.0.113.1", "203.0.113.2"]
+
+
+CLASS_CH = 3
+HOP = "192.168.121.30"
+
+
+def wire_stub(monkeypatch, answers) -> StubResolver:
+    """A StubResolver whose UDP exchange answers each question from
+    `answers`, a map of (name, type) to the answers' `record` arguments."""
+
+    def exchange(server, request, deadline):
+        txid, qname, qtype = LoopbackResponder.question(request)
+        found = [record(*answer) for answer in answers.get((qname, qtype), [])]
+        return response_packet(txid, 0, found, qname=qname, qtype=qtype)
+
+    monkeypatch.setattr(dnswire, "_query_udp", exchange)
+    return StubResolver(servers=["203.0.113.1"])
+
+
+def in_ptr(name):
+    return [(dnswire.TYPE_PTR, hand_name(*name.split(".")))]
+
+
+SRV_RDATA = struct.pack(">HHH", 10, 30, 5060) + hand_name("serverA", "domainA", "com")
+
+
+def test_an_a_answer_of_another_class_leaves_the_round_complete_without_edge_servers(monkeypatch):
+    """The only A answer for the SRV target is of class CH: no address, so
+    the target is dropped, and discovery finishes with the hop's domain."""
+    stub = wire_stub(
+        monkeypatch,
+        {
+            (reverse_pointer_name(HOP), dnswire.TYPE_PTR): in_ptr("r1.domainA.com"),
+            ("_edge._tcp.domainA.com", dnswire.TYPE_SRV): [(dnswire.TYPE_SRV, SRV_RDATA)],
+            ("serverA.domainA.com", dnswire.TYPE_A): [
+                (dnswire.TYPE_A, bytes([192, 0, 2, 1]), 60, CLASS_CH)
+            ],
+        },
+    )
+    assert stub.lookup_a("serverA.domainA.com") == []
+    tree = compute_centrality(build_tree([make_path("172.16.0.9", HOP)], "10.0.0.1"))
+    discover_phase(tree, stub)
+    hop = next(n for n in tree.nodes.values() if HOP in n.member_addresses)
+    assert hop.domains == {"domainA.com"}
+    assert all(node.edge_servers == [] for node in tree.nodes.values())
+
+
+def test_a_ptr_answer_of_another_class_gives_no_identity(monkeypatch):
+    ptr = (reverse_pointer_name(HOP), dnswire.TYPE_PTR)
+    ch_ptr = (dnswire.TYPE_PTR, hand_name("r1", "isp", "test"), 60, CLASS_CH)
+    stub = wire_stub(monkeypatch, {ptr: [ch_ptr]})
+    assert stub.lookup_ptr(HOP) is None
+    assert reverse_lookup(HOP, stub) == DomainIdentity(address=HOP)
+    stub = wire_stub(monkeypatch, {ptr: in_ptr("r1.isp.test")})
+    assert reverse_lookup(HOP, stub).domain == "isp.test"
 
 
 # --- annotation ---

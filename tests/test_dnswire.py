@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import socket
 import struct
+import time
 
 import pytest
 from hypothesis import example, given
@@ -78,9 +80,9 @@ def a_answer(address: bytes) -> bytes:
 
 def test_parse_a_answer():
     packet = response_packet(7, 0, [a_answer(bytes([192, 168, 121, 30]))])
-    txid, rcode, answers = dnswire.parse_response(packet)
-    assert (txid, rcode) == (7, 0)
-    assert answers[0].name == "domainA.com"
+    txid, rcode, truncated, question, answers = dnswire.parse_response(packet)
+    assert (txid, rcode, truncated) == (7, 0, False)
+    assert question == ("domaina.com", dnswire.TYPE_A, dnswire.CLASS_IN)
     assert answers[0].ttl == 86400
     assert answers[0].data == "192.168.121.30"
 
@@ -93,7 +95,7 @@ def test_parse_srv_answer_with_compressed_target():
         + struct.pack(">HHIH", dnswire.TYPE_SRV, 1, 3600, len(rdata))
         + rdata
     )
-    _, _, answers = dnswire.parse_response(response_packet(1, 0, [answer]))
+    answers = dnswire.parse_response(response_packet(1, 0, [answer], qtype=dnswire.TYPE_SRV))[4]
     assert answers[0].data == (10, 30, 5060, "domainA.com")
 
 
@@ -104,7 +106,7 @@ def test_parse_ptr_answer():
         + struct.pack(">HHIH", dnswire.TYPE_PTR, 1, 3600, len(rdata))
         + rdata
     )
-    _, _, answers = dnswire.parse_response(response_packet(1, 0, [answer]))
+    answers = dnswire.parse_response(response_packet(1, 0, [answer], qtype=dnswire.TYPE_PTR))[4]
     assert answers[0].data == "serverA.domainA.com"
 
 
@@ -113,11 +115,50 @@ def test_parse_rejects_short_packet():
         dnswire.parse_response(b"\x00" * 4)
 
 
+CNAME = 5
+CLASS_CH = 3
+ADDRESS = bytes([203, 0, 113, 9])
+OTHER_ANSWERS = [
+    record(CNAME, hand_name("alias", "domainA", "com")),  # a chain's first link
+    record(dnswire.TYPE_A, ADDRESS, rclass=CLASS_CH),
+    record(dnswire.TYPE_PTR, hand_name("r1", "isp", "test")),
+    record(dnswire.TYPE_A, b"\xff" * 7, rclass=CLASS_CH),  # never decoded, so never refused
+]
+
+
+def test_parse_response_returns_only_answers_of_the_question_type_and_class_in():
+    packet = response_packet(1, 0, [*OTHER_ANSWERS, record(dnswire.TYPE_A, ADDRESS, ttl=60)])
+    assert dnswire.parse_response(packet)[4] == [dnswire.WireAnswer(ttl=60, data="203.0.113.9")]
+    assert dnswire.parse_response(response_packet(1, 0, OTHER_ANSWERS))[4] == []
+
+
+def test_parse_response_reads_no_answer_of_a_truncated_reply():
+    """RFC 2181 section 9: a reply with TC set is asked again over TCP, so
+    its answers, perhaps cut short, are not read."""
+    cut = record(dnswire.TYPE_A, ADDRESS)[:-2]
+    assert dnswire.parse_response(response_packet(1, 0, [cut], tc=True))[2:] == (
+        True, ("domaina.com", dnswire.TYPE_A, dnswire.CLASS_IN), []
+    )
+
+
 FUZZ_SEEDS = [
     response_packet(7, 0, [a_answer(bytes([192, 168, 121, 30]))]),
-    response_packet(1, 0, [record(dnswire.TYPE_SRV, struct.pack(">HHH", 10, 30, 5060) + hand_name("s", "d"))]),
-    response_packet(1, 0, [record(dnswire.TYPE_PTR, hand_name("serverA", "domainA", "com"))]),
+    response_packet(
+        1,
+        0,
+        [record(dnswire.TYPE_SRV, struct.pack(">HHH", 10, 30, 5060) + hand_name("s", "d"))],
+        qtype=dnswire.TYPE_SRV,
+    ),
+    response_packet(
+        1,
+        0,
+        [record(dnswire.TYPE_PTR, hand_name("serverA", "domainA", "com"))],
+        qtype=dnswire.TYPE_PTR,
+    ),
+    response_packet(1, 0, [*OTHER_ANSWERS, a_answer(ADDRESS)]),
 ]
+
+ANSWER_SHAPE = {dnswire.TYPE_A: str, dnswire.TYPE_PTR: str, dnswire.TYPE_SRV: tuple}
 
 
 def mutate(packet: bytes, edits: list[tuple[int, int]], cut: int) -> bytes:
@@ -138,15 +179,26 @@ def mutate(packet: bytes, edits: list[tuple[int, int]], cut: int) -> bytes:
 )
 @example(FUZZ_SEEDS[0][: len(FUZZ_SEEDS[0]) - 12])  # cut after the answer's owner name
 def test_parse_response_raises_only_what_query_wraps(packet):
+    """Every answer it returns is of the question's type: an address for A,
+    a name for PTR, the four SRV fields for SRV, and none for another type."""
     try:
-        dnswire.parse_response(packet)
+        _, _, _, question, answers = dnswire.parse_response(packet)
     except (ValueError, struct.error):
-        pass
+        return
+    if question is None:
+        assert answers == []
+        return
+    for answer in answers:
+        assert isinstance(answer.data, ANSWER_SHAPE[question[1]])
+        if question[1] == dnswire.TYPE_A:
+            assert socket.inet_ntoa(socket.inet_aton(answer.data)) == answer.data
+        if question[1] == dnswire.TYPE_SRV:
+            assert [type(value) for value in answer.data] == [int, int, int, str]
 
 
 def test_truncation_flag():
-    assert dnswire.is_truncated(response_packet(1, 0, [], tc=True))
-    assert not dnswire.is_truncated(response_packet(1, 0, []))
+    assert dnswire.parse_response(response_packet(1, 0, [], tc=True))[2]
+    assert not dnswire.parse_response(response_packet(1, 0, []))[2]
 
 
 def test_query_returns_empty_on_nxdomain(monkeypatch):
@@ -220,19 +272,36 @@ class FakeUdpSocket:
 
     def recv(self, size):
         self.calls.append(("recv", size))
-        return b"reply"
+        return FakeUdpSocket.inbox.pop(0)
+
+
+def udp_exchange(monkeypatch, inbox) -> list:
+    """What _query_udp does with its socket while it reads `inbox`; the
+    timeouts it sets are rounded to 0.1 s."""
+    FakeUdpSocket.made, FakeUdpSocket.inbox = [], list(inbox)
+    monkeypatch.setattr(dnswire.socket, "socket", FakeUdpSocket)
+    deadline = time.monotonic() + 1.5
+    assert dnswire._query_udp("203.0.113.1", b"\x12\x34request", deadline) == inbox[-1]
+    (sock,) = FakeUdpSocket.made
+    return [("settimeout", round(c[1], 1)) if c[0] == "settimeout" else c for c in sock.calls]
 
 
 def test_udp_query_takes_replies_only_from_the_server(monkeypatch):
-    FakeUdpSocket.made = []
-    monkeypatch.setattr(dnswire.socket, "socket", FakeUdpSocket)
-    assert dnswire._query_udp("203.0.113.1", b"request", 1.5) == b"reply"
-    (sock,) = FakeUdpSocket.made
-    assert sock.calls == [
+    assert udp_exchange(monkeypatch, [b"\x12\x34reply"]) == [
         ("socket", dnswire.socket.AF_INET, dnswire.socket.SOCK_DGRAM),
         ("settimeout", 1.5),
         ("connect", ("203.0.113.1", 53)),
-        ("send", b"request"),
+        ("send", b"\x12\x34request"),
+        ("recv", dnswire.MAX_PACKET),
+        ("close",),
+    ]
+
+
+def test_udp_query_drops_a_datagram_with_another_txid_and_waits_on(monkeypatch):
+    """RFC 5452 section 9.1: a forged reply must not end the wait for the
+    true one, which may still come within the same deadline."""
+    calls = udp_exchange(monkeypatch, [b"\x12\x35forged", b"", b"\x12\x34reply"])
+    assert calls[4:] == [("recv", dnswire.MAX_PACKET), ("settimeout", 1.5)] * 2 + [
         ("recv", dnswire.MAX_PACKET),
         ("close",),
     ]

@@ -94,6 +94,17 @@ def test_a_reply_from_another_port_is_never_delivered(serve):
     assert FORGED_ADDRESS not in REFERENCE_ZONE
 
 
+def test_a_reply_with_another_txid_is_dropped_and_the_true_one_taken(serve):
+    """The forged reply comes from the server's own address and port, ahead
+    of the true one, but under another transaction id (RFC 5452 section
+    9.1): the stub drops it and waits on within the same timeout."""
+    responder = serve(REFERENCE_ZONE)
+    responder.faults["serverA.domainA.com"] = "other_txid_first"
+    stub = StubResolver(["127.0.0.1"])
+    assert [r.address for r in stub.lookup_a("serverA.domainA.com")] == ["192.168.121.30"]
+    assert [responder.counts[key] for key in ("forged", "udp", "tcp")] == [1, 1, 0]
+
+
 def test_each_concurrent_lookup_gets_its_own_answer(serve):
     """Eight workers, more than the cores, share one stub under fast
     switching: every lookup gets its own name's answer."""

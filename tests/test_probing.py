@@ -4,6 +4,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from edisco.errors import ProbePermissionError, ProbeTimeoutError
 from edisco.probing import (
@@ -16,8 +18,8 @@ from edisco.probing import (
     TracerouteProber,
     build_echo_request,
     checksum,
-    parse_icmp,
     probe_many,
+    reply_type,
 )
 from conftest import OverlapGauge, make_path
 
@@ -65,15 +67,39 @@ def test_echo_request_layout():
     assert checksum(zeroed) == check
 
 
-def test_parse_icmp_skips_ip_header():
-    ip_header = bytes([0x45]) + bytes(19)
-    icmp = struct.pack(">BBHHH", ICMP_TIME_EXCEEDED, 0, 0, 0, 0)
-    assert parse_icmp(ip_header + icmp) == (ICMP_TIME_EXCEEDED, 0)
+def test_reply_type_skips_ip_header():
+    """A 24-byte IP header (IHL 6) puts the echo reply's ident and seq at
+    bytes 28 to 31."""
+    header = bytes([0x46]) + bytes(23)
+    icmp = struct.pack(">BBHHH", ICMP_ECHO_REPLY, 0, 0, 0xBEEF, 7)
+    ids = struct.pack(">HH", 0xBEEF, 7)
+    assert reply_type(header + icmp, "172.16.0.9", socket.IPPROTO_ICMP, ids) == ICMP_ECHO_REPLY
+    misread = bytes([0x45]) + header[1:]  # IHL 5: the reply read 4 bytes early
+    assert reply_type(misread + icmp, "172.16.0.9", socket.IPPROTO_ICMP, ids) is None
 
 
-def test_parse_icmp_rejects_short_packet():
-    with pytest.raises(ValueError):
-        parse_icmp(b"\x45" + bytes(10))
+@pytest.mark.parametrize(
+    "packet",
+    [b"", b"\x45" + bytes(10), b"\x45" + bytes(20), b"\x4f" + bytes(30)],
+    ids=["empty", "ihl5-10", "ihl5-20", "ihl15-30"],
+)
+def test_reply_type_ignores_a_packet_too_short_for_an_icmp_header(packet):
+    """Less than an ICMP header follows the IP header whose length (IHL 5:
+    20 bytes, IHL 15: 60) the first byte gives."""
+    assert reply_type(packet, "172.16.0.9", socket.IPPROTO_UDP, bytes(4)) is None
+
+
+@given(
+    st.binary(max_size=80),
+    st.sampled_from([socket.IPPROTO_UDP, socket.IPPROTO_ICMP]),
+    st.binary(min_size=4, max_size=4),
+)
+@example(b"\x45" + bytes(20), socket.IPPROTO_UDP, bytes(4))
+@example(b"\x4f" + bytes(30), socket.IPPROTO_ICMP, bytes(4))
+def test_reply_type_never_raises(packet, proto, ids):
+    assert reply_type(packet, "0.0.0.0", proto, ids) in (
+        None, ICMP_ECHO_REPLY, ICMP_DEST_UNREACHABLE, ICMP_TIME_EXCEEDED
+    )
 
 
 # -- config validation ------------------------------------------------------

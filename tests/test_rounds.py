@@ -771,6 +771,18 @@ def test_a_config_is_refused_at_load(tmp_path, key, value, words):
         load_run_config(config_path)
 
 
+@pytest.mark.parametrize("key", ["traces", "zone", "whois", "capacity"])
+def test_a_config_naming_a_fixture_file_that_does_not_open_is_refused_at_load(tmp_path, key):
+    """The rounds re-read these files, but each must open when the config
+    loads, so a missing one fails there and not in every round."""
+    config_path = write_bundle(tmp_path)
+    doc = json.loads(config_path.read_text())
+    doc[key] = "nope.txt"
+    config_path.write_text(json.dumps(doc))
+    with pytest.raises(FileNotFoundError, match="nope.txt"):
+        load_run_config(config_path)
+
+
 def test_run_config_raises_only_declared_errors(tmp_path):
     """A config names files, so a mutated one may also name a file that is
     not there, which is an OSError; the CLI reports both kinds in one line."""
