@@ -12,7 +12,6 @@ from .discovery import (
     EdgeServer,
     Provenance,
     discover_local_edges,
-    query_edge_srv,
     reverse_lookup,
     select_server,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "group_subnet",
     "parse_zone",
     "plan_round",
-    "query_edge_srv",
     "reverse_lookup",
     "run_every",
     "run_round",

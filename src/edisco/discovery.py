@@ -1,6 +1,8 @@
 """Map path hops to domains and retrieve `_edge` SRV records per domain.
 
-Identification prefers PTR records and falls back to whois. All DNS goes
+Each step is one function: `reverse_lookup` identifies one address (PTR
+first, whois as the fallback) and `discover_local_edges` asks one domain
+for its servers over TCP, then UDP. All DNS goes
 through a pluggable resolver so the whole flow runs against a parsed zone
 fixture (`ZoneData`) offline, or against a real recursive server via the
 wire-format stub.
@@ -97,7 +99,7 @@ class EdgeServer:
             -self.weight,
             self.zone,
             self.protocol.value,
-            address_int(self.address),
+            subnet_sort_key(self.address),
             self.port,
         )
 
@@ -225,7 +227,7 @@ class FixtureWhois:
         self.masks = [(n, -1 << (32 - n)) for n in {n for n, _ in self.networks}]
 
     def domains_for(self, address: str) -> list[str]:
-        value = address_int(address)
+        value = subnet_sort_key(address)
         found = (self.networks.get((n, value & mask)) for n, mask in self.masks)
         return sorted({domain for domain in found if domain is not None})
 
@@ -280,10 +282,20 @@ class LiveWhois:
         return sorted(d for d in domains if "" not in d.split("."))
 
 
-def whois_fallback(address: str, whois: WhoisService) -> DomainIdentity:
-    """Registry lookup once PTR has failed. Ambiguity resolves to the
-    lexicographically smallest domain, with a warning."""
-    domains = whois.domains_for(address)
+def reverse_lookup(
+    address: str, resolver: Resolver, whois: WhoisService | None = None
+) -> DomainIdentity:
+    """PTR first; the registry when the resolver has nothing. An ambiguous
+    registry answer resolves to the lexicographically smallest domain, with
+    a warning."""
+    record = resolver.lookup_ptr(address)
+    if record is not None:
+        return DomainIdentity(
+            address=address,
+            domain=registrable_domain(record.target),
+            provenance=Provenance.PTR,
+        )
+    domains = whois.domains_for(address) if whois is not None else []
     if not domains:
         return DomainIdentity(address=address)
     if len(domains) > 1:
@@ -298,72 +310,47 @@ def whois_fallback(address: str, whois: WhoisService) -> DomainIdentity:
     )
 
 
-def reverse_lookup(
-    address: str, resolver: Resolver, whois: WhoisService | None = None
-) -> DomainIdentity:
-    """PTR first; registry fallback when the resolver has nothing."""
-    record = resolver.lookup_ptr(address)
-    if record is not None:
-        return DomainIdentity(
-            address=address,
-            domain=registrable_domain(record.target),
-            provenance=Provenance.PTR,
-        )
-    if whois is not None:
-        return whois_fallback(address, whois)
-    return DomainIdentity(address=address)
-
-
 def identify_addresses(
     addresses: Iterable[str],
     resolver: Resolver,
     whois: WhoisService | None = None,
 ) -> dict[str, DomainIdentity]:
     """Concurrent reverse_lookup over many addresses, keyed in address order."""
-    unique = sorted(set(addresses), key=address_int)
+    unique = sorted(set(addresses), key=subnet_sort_key)
     identities = map_in_threads(
         lambda address: reverse_lookup(address, resolver, whois), unique, LOOKUP_CONCURRENCY
     )
     return {identity.address: identity for identity in identities}
 
 
-def query_edge_srv(domain: str, protocol: Transport, resolver: Resolver) -> list[EdgeServer]:
-    """SRV lookup for one domain and transport, targets resolved to
-    addresses. Targets without an A record are dropped loudly. An empty
-    result is a normal outcome."""
-    if not domain:
-        raise ValueError("domain must be non-empty")
-    qname = f"_{EDGE_SERVICE}._{protocol.value}.{domain}"
-    servers = []
-    for record in resolver.lookup_srv(qname):
-        a_records = resolver.lookup_a(record.target)
-        if not a_records:
-            logger.warning(
-                "SRV target %s (zone %s) has no A record; dropped",
-                record.target,
-                record.zone,
-            )
-            continue
-        address = sorted(a.address for a in a_records)[0]
-        servers.append(
-            EdgeServer(
-                zone=record.zone,
-                protocol=record.protocol,
-                priority=record.priority,
-                weight=record.weight,
-                address=address,
-                port=record.port,
-            )
-        )
-    return sorted(servers, key=lambda s: s.sort_key)
-
-
 def discover_local_edges(own_domain: str, resolver: Resolver) -> list[EdgeServer]:
-    """Client-side discovery: both transports for the caller's own domain."""
-    merged = query_edge_srv(own_domain, Transport.TCP, resolver) + query_edge_srv(
-        own_domain, Transport.UDP, resolver
-    )
-    return sorted(merged, key=lambda s: s.sort_key)
+    """The `_edge` servers one domain advertises over TCP, then UDP, each
+    target resolved to an address, in sort_key order. Targets without an A
+    record are dropped loudly. An empty result is a normal outcome."""
+    if not own_domain:
+        raise ValueError("domain must be non-empty")
+    servers = []
+    for protocol in Transport:
+        for record in resolver.lookup_srv(f"_{EDGE_SERVICE}._{protocol.value}.{own_domain}"):
+            a_records = resolver.lookup_a(record.target)
+            if not a_records:
+                logger.warning(
+                    "SRV target %s (zone %s) has no A record; dropped",
+                    record.target,
+                    record.zone,
+                )
+                continue
+            servers.append(
+                EdgeServer(
+                    zone=record.zone,
+                    protocol=record.protocol,
+                    priority=record.priority,
+                    weight=record.weight,
+                    address=min(a.address for a in a_records),
+                    port=record.port,
+                )
+            )
+    return sorted(servers, key=lambda s: s.sort_key)
 
 
 def select_server(servers: list[EdgeServer], rng) -> EdgeServer:

@@ -29,12 +29,14 @@ MAX_PACKET = 4096
 
 
 def name_labels(name: str) -> list[str]:
-    """The labels of a name DNS can carry, trailing dots ignored; ValueError
-    for an empty, over-long or non-ASCII label."""
-    labels = name.rstrip(".").split(".")
+    """The labels of a name DNS can carry, one trailing dot ignored;
+    ValueError for an empty, over-long or non-ASCII label, so also for a
+    name that ends in two dots."""
+    bare = name.removesuffix(".")
+    labels = bare.split(".")
     for label in labels:
         if not (0 < len(label) < 64 and label.isascii()):
-            raise ValueError(f"bad label {label!r} in {name!r}")
+            raise ValueError(f"bad label {label!r} in {bare!r}")
     return labels
 
 

@@ -22,7 +22,7 @@ import time
 
 from .errors import MalformedFixtureError
 from .placement import PlacementPlan
-from .topology import address_int
+from .topology import address_int, subnet_sort_key
 
 
 class RedirectService:
@@ -46,9 +46,8 @@ class RedirectService:
         for assignment in plan.assignments:
             url = f"http://{assignment.server.address}:{assignment.server.port}"
             for prefix in assignment.covered_prefixes:  # checked where the plan was made or read
-                address, _, length = prefix.partition("/")
-                lengths.add(int(length))
-                table[(assignment.service_id, address_int(address))] = url
+                lengths.add(int(prefix.partition("/")[2]))
+                table[(assignment.service_id, subnet_sort_key(prefix))] = url
         if len(lengths) > 1:
             raise MalformedFixtureError(f"coverage mixes prefix lengths {sorted(lengths)}")
         self._rules = (table, -1 << (32 - (lengths.pop() if lengths else 24)), round_deadline)
@@ -58,19 +57,15 @@ class RedirectService:
     def rule_count(self) -> int:
         return len(self._rules[0])
 
-    def resolve(
-        self, client: str, service_id: str, now: float | None = None
-    ) -> tuple[str, int] | None:
+    def resolve(self, client: str, service_id: str) -> tuple[str, int] | None:
         """Covered and unexpired -> (target URL, remaining TTL rounded up to
-        whole seconds), otherwise None: pass through. At now = expires_at
-        exactly the rule is already dead."""
+        whole seconds), otherwise None: pass through. When the clock reads
+        expires_at exactly the rule is already dead."""
         table, mask, expires_at = self._rules  # one read; never mutated in place
         url = table.get((service_id, address_int(client) & mask))
         if url is None:
             return None
-        if now is None:
-            now = self.clock()
-        remaining = expires_at - now
+        remaining = expires_at - self.clock()
         if remaining <= 0:
             return None
         return url, math.ceil(remaining)

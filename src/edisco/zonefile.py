@@ -210,18 +210,18 @@ class ZoneData:
 
 
 def _checked(name: str) -> str:
-    """`name`, or MalformedZoneError when DNS cannot carry it, so a zone
-    holds no name a live lookup could not ask for."""
+    """`name` without its trailing dot, or MalformedZoneError when DNS
+    cannot carry it, so a zone holds no name a live lookup could not ask for."""
     try:
         name_labels(name)
     except ValueError as exc:
         raise MalformedZoneError(str(exc)) from None
-    return name
+    return _strip_dot(name)
 
 
 def _qualify(name: str, origin: str | None) -> str:
     if name.endswith("."):
-        return _checked(_strip_dot(name))
+        return _checked(name)
     if name == "@":
         if origin is None:
             raise MalformedZoneError("'@' with no $ORIGIN in effect")
@@ -250,7 +250,7 @@ def parse_zone(text: str) -> ZoneData:
             if tokens[0].upper() == "$ORIGIN":
                 if len(tokens) != 2:
                     raise MalformedZoneError("$ORIGIN takes one name")
-                origin = _checked(_strip_dot(tokens[1]))
+                origin = _checked(tokens[1])
                 continue
             if tokens[0].startswith("$"):
                 raise MalformedZoneError(f"unsupported directive {tokens[0]}")

@@ -14,7 +14,7 @@ import pytest
 from edisco.cli import main
 from edisco.errors import ProbePermissionError
 from edisco.simharness import ScenarioSpec, generate_scenario
-from edisco.topology import AggregationTree
+from edisco.topology import AggregationTree, paths_to_document
 
 from conftest import REFERENCE_ZONE, make_path
 
@@ -72,6 +72,17 @@ def test_tree_emits_valid_document(bundle_dir, capsys):
     assert doc["format"] == "edisco-tree/1"
     tree = AggregationTree.from_document(doc)
     assert len(tree.client_paths) == len(bundle.clients)
+
+
+def test_tree_refuses_conflicting_duplicate_traces(tmp_path, capsys):
+    traces = tmp_path / "traces.json"
+    traces.write_text(json.dumps(paths_to_document(
+        [make_path("172.16.0.9", "10.1.0.1"), make_path("172.16.0.9", "10.2.0.1")]
+    )))
+    assert main(["tree", "--traces", str(traces), "--root", "240.0.0.1"]) == 1
+    assert capsys.readouterr().err == (
+        "edisco: entry 1: conflicting duplicate path for client 172.16.0.9, first in entry 0\n"
+    )
 
 
 def test_tree_out_writes_file(bundle_dir, tmp_path, capsys):
@@ -529,6 +540,51 @@ def test_ctrl_c_before_the_serving_loop_owns_it_ends_the_program_with_one_line(b
             watchdog.cancel()
     assert code == 130, rest
     assert rest == b"edisco: interrupted\n"
+
+
+SLOW_PTR = """
+import sys, threading, time
+import edisco.cli
+from edisco.zonefile import ZoneData
+
+lookup_ptr = ZoneData.lookup_ptr
+first_call = threading.Lock()
+
+def slow_lookup_ptr(self, address):
+    if first_call.acquire(blocking=False):  # never released: one line only
+        print("looking up", file=sys.stderr, flush=True)
+    time.sleep(2)
+    return lookup_ptr(self, address)
+
+ZoneData.lookup_ptr = slow_lookup_ptr
+sys.exit(edisco.cli.program())
+"""
+
+
+def test_ctrl_c_during_a_rounds_lookups_ends_it_after_the_lookups_in_flight(tmp_path):
+    """A round of 85 PTR lookups on at most 8 threads, each lookup 2 s, as
+    a slow recursive server gives: Ctrl-C once the first has started ends
+    the program after the lookups in flight, not after the rest of the 85
+    (20 s or more)."""
+    generate_scenario(ScenarioSpec(clients=30, seed=7, services=3)).write(tmp_path)
+    argv = [sys.executable, "-c", SLOW_PTR, "run", "--once", "--config", str(tmp_path / "config.json")]
+    with subprocess.Popen(
+        argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    ) as proc:
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            assert proc.stderr.readline() == b"looking up\n"
+            proc.send_signal(signal.SIGINT)
+            interrupted = time.monotonic()
+            rest = proc.stderr.read()
+            code = proc.wait(timeout=60)
+            elapsed = time.monotonic() - interrupted
+        finally:
+            watchdog.cancel()
+    assert code == 130, rest
+    assert rest.endswith(b"edisco: interrupted\n") and b"Traceback" not in rest, rest
+    assert elapsed < 6, elapsed
 
 
 def test_serve_redirect_on_a_port_in_use_is_operational_error(bundle_dir, tmp_path):

@@ -25,7 +25,7 @@ def test_encode_name_rejects_oversize_label():
         dnswire.encode_name("a" * 64 + ".com")
 
 
-BAD_NAMES = ["a" * 64 + ".com", "isp..test", ".test", "ex\u00e4mple.com"]
+BAD_NAMES = ["a" * 64 + ".com", "isp..test", ".test", "ex\u00e4mple.com", "test.."]
 
 
 @pytest.mark.parametrize("name", BAD_NAMES)

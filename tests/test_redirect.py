@@ -32,6 +32,16 @@ def edge(address="10.2.0.30", port=8080):
     )
 
 
+class Clock:
+    """A settable clock: it reads `now` until a test sets another time."""
+
+    def __init__(self, now: float = 0.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
 def plan_with(*assignments) -> PlacementPlan:
     return PlacementPlan(round_id=1, assignments=list(assignments))
 
@@ -60,10 +70,12 @@ def test_empty_plan_all_pass_through():
 
 
 def test_pass_through_is_one_shared_decision():
-    service = RedirectService()
+    clock = Clock()
+    service = RedirectService(clock=clock)
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.9.9", "svc-video", now=0.0) is None
-    assert service.resolve("172.16.0.9", "svc-video", now=300.0) is None
+    assert service.resolve("172.16.9.9", "svc-video") is None
+    clock.now = 300.0
+    assert service.resolve("172.16.0.9", "svc-video") is None
 
 
 def test_reinstall_same_plan_identical_table():
@@ -74,9 +86,9 @@ def test_reinstall_same_plan_identical_table():
 
 
 def test_covered_client_gets_redirect_with_remaining_ttl():
-    service = RedirectService()
+    service = RedirectService(clock=Clock(120.0))
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    redirect = service.resolve("172.16.0.9", "svc-video", now=120.0)
+    redirect = service.resolve("172.16.0.9", "svc-video")
     assert redirect is not None
     url, ttl_seconds = redirect
     assert url == "http://10.2.0.30:8080"
@@ -84,44 +96,46 @@ def test_covered_client_gets_redirect_with_remaining_ttl():
 
 
 def test_uncovered_subnet_passes_through():
-    service = RedirectService()
+    service = RedirectService(clock=Clock())
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.9.9", "svc-video", now=0.0) is None
+    assert service.resolve("172.16.9.9", "svc-video") is None
 
 
 def test_unknown_service_passes_through():
-    service = RedirectService()
+    service = RedirectService(clock=Clock())
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.0.9", "svc-other", now=0.0) is None
+    assert service.resolve("172.16.0.9", "svc-other") is None
 
 
 def test_expiry_boundary_is_pass_through():
-    service = RedirectService()
+    clock = Clock(300.0)
+    service = RedirectService(clock=clock)
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
-    assert service.resolve("172.16.0.9", "svc-video", now=300.0) is None
-    assert service.resolve("172.16.0.9", "svc-video", now=301.0) is None
+    assert service.resolve("172.16.0.9", "svc-video") is None
+    clock.now = 301.0
+    assert service.resolve("172.16.0.9", "svc-video") is None
 
 
 def test_ttl_never_nonpositive():
-    service = RedirectService()
+    service = RedirectService(clock=Clock(299.6))
     service.install_rules(plan_with(assignment()), round_deadline=300.0)
     # just inside the deadline: ceil keeps the ttl at 1, never 0
-    _, ttl_seconds = service.resolve("172.16.0.9", "svc-video", now=299.6)
+    _, ttl_seconds = service.resolve("172.16.0.9", "svc-video")
     assert ttl_seconds == 1
 
 
 def test_new_table_replaces_old_completely():
-    service = RedirectService()
+    service = RedirectService(clock=Clock())
     service.install_rules(plan_with(assignment("svc-a")), round_deadline=300.0)
     service.install_rules(
         plan_with(assignment("svc-b", prefixes=("172.16.5.0/24",))), round_deadline=600.0
     )
-    assert service.resolve("172.16.0.9", "svc-a", now=0.0) is None
-    assert service.resolve("172.16.5.9", "svc-b", now=0.0) is not None
+    assert service.resolve("172.16.0.9", "svc-a") is None
+    assert service.resolve("172.16.5.9", "svc-b") is not None
 
 
 def test_concurrent_resolves_see_whole_tables_only():
-    service = RedirectService()
+    service = RedirectService(clock=Clock())
     plan_a = plan_with(
         Assignment("svc-x", edge("10.1.0.1", 81), "10.1.0.0/24", ("172.16.0.0/24",))
     )
@@ -134,7 +148,7 @@ def test_concurrent_resolves_see_whole_tables_only():
 
     def reader():
         while not stop.is_set():
-            redirect = service.resolve("172.16.0.5", "svc-x", now=0.0)
+            redirect = service.resolve("172.16.0.5", "svc-x")
             if redirect is not None:
                 seen.add(redirect[0])
 
@@ -156,8 +170,8 @@ def test_concurrent_resolves_see_whole_tables_only():
 
 def test_rules_from_plan_document_round_trip():
     plan = plan_with(assignment())
-    service = rules_from_plan_document(plan.to_document(), round_deadline=300.0)
-    assert service.resolve("172.16.1.7", "svc-video", now=10.0) is not None
+    service = rules_from_plan_document(plan.to_document(), round_deadline=300.0, clock=Clock(10.0))
+    assert service.resolve("172.16.1.7", "svc-video") is not None
 
 
 @pytest.mark.parametrize("prefixes", [("172.16.0.0/24", "172.16.2.0/23")])
@@ -228,15 +242,15 @@ def test_integer_keys_resolve_like_prefix_text_keys(length, covered, requests, d
     for service_id, packed in covered:
         by_service.setdefault(service_id, []).append(group_subnet(int_to_address(packed), length))
     plan = plan_with(*(assignment(sid, prefixes) for sid, prefixes in sorted(by_service.items())))
-    service = RedirectService()
-    service.install_rules(plan, round_deadline=deadline)
     now = deadline - left
+    service = RedirectService(clock=Clock(now))
+    service.install_rules(plan, round_deadline=deadline)
     for service_id, pick, packed, flip in requests:
         if covered and pick < 4:  # near a covered address
             packed = covered[pick % len(covered)][1] ^ flip
         client = int_to_address(packed)
         expected = string_keyed_resolve(plan, deadline, client, service_id, now)
-        assert service.resolve(client, service_id, now=now) == expected
+        assert service.resolve(client, service_id) == expected
 
 
 # --- live HTTP round trip ---

@@ -146,6 +146,17 @@ def test_ingest_rejects_out_of_order_indices():
         ingest_recorded_paths(doc)
 
 
+def test_ingest_refuses_a_conflicting_duplicate_and_keeps_an_identical_one():
+    first = make_path("172.16.0.9", "10.1.0.1")
+    other = make_path("172.16.1.1", "10.1.0.1")
+    doc = paths_to_document([first, other, first])
+    assert ingest_recorded_paths(doc) == [first, other, first]
+    doc += paths_to_document([make_path("172.16.0.9", "10.2.0.1")])
+    with pytest.raises(MalformedFixtureError) as err:
+        ingest_recorded_paths(doc)
+    assert str(err.value) == "entry 3: conflicting duplicate path for client 172.16.0.9, first in entry 0"
+
+
 def test_ingest_rejects_empty_fixture():
     with pytest.raises(EmptyFixtureError):
         ingest_recorded_paths([])
@@ -198,7 +209,8 @@ def trace_documents(draw):
 
 def build_directly(document):
     """Each entry's Hops and ProbedPath built one by one: the paths, or the
-    message ingest must give for the first failure."""
+    message ingest must give for the first failure, which may also be a
+    client's path whose known addresses differ from its first path's."""
     paths = []
     for i, entry in enumerate(document):
         hops = []
@@ -208,9 +220,13 @@ def build_directly(document):
             except (KeyError, ValueError, TypeError) as exc:
                 return f"entry {i}, hop {j}: {exc}"
         try:
-            paths.append(ProbedPath(client=entry["client"], hops=tuple(hops)))
+            path = ProbedPath(client=entry["client"], hops=tuple(hops))
         except (ValueError, TypeError) as exc:
             return f"entry {i}: {exc}"
+        first = next((k for k, p in enumerate(paths) if p.client == path.client), i)
+        if first != i and paths[first].known_addresses != path.known_addresses:
+            return f"entry {i}: conflicting duplicate path for client {path.client}, first in entry {first}"
+        paths.append(path)
     return paths
 
 

@@ -440,10 +440,16 @@ def test_ttl_above_2_31_minus_1_is_rejected_for_every_record_type(rtype, rdata):
         ("1.0.0.10.in-addr.arpa. 60 IN PTR h..x.", "h..x"),
         ("$ORIGIN .c.", ".c"),
         ("$ORIGIN c.\nw..v 60 IN A 10.0.0.1", "w..v.c"),
+        ("_edge._tcp.a.b.. 60 IN SRV 1 1 1 t.x.", "_edge._tcp.a.b."),
+        ("_edge._tcp.a.b. 60 IN SRV 1 1 1 t.x..", "t.x."),
+        ("h.x... 60 IN A 10.0.0.1", "h.x.."),
+        ("$ORIGIN c..", "c."),
     ],
 )
 def test_a_name_with_an_empty_label_is_refused_with_its_line(line, name):
-    """A name the DNS encoder refuses is one no live lookup could ask for."""
+    """A name the DNS encoder refuses is one no live lookup could ask for;
+    only one trailing dot is the root's, so a name ending in two has an
+    empty last label."""
     with pytest.raises(MalformedZoneError) as err:
         parse_zone(TCP_LINE + "\n" + line)
     assert str(err.value) == f"line {line.count(chr(10)) + 2}: bad label '' in {name!r}"
