@@ -403,6 +403,25 @@ def test_discover_local_edges_rejects_empty_domain(resolver):
         discover_local_edges("", resolver)
 
 
+def test_query_edge_srv_rejects_empty_domain(resolver):
+    """An empty domain is refused before any `_edge` SRV query is asked, so
+    no `_edge._tcp.` or `_edge._udp.` name goes to the resolver."""
+    asked = []
+
+    class Recording:
+        def lookup_srv(self, qname):
+            asked.append(qname)
+            return resolver.lookup_srv(qname)
+
+        def lookup_a(self, name):
+            asked.append(name)
+            return resolver.lookup_a(name)
+
+    with pytest.raises(ValueError, match="domain must be non-empty"):
+        discover_local_edges("", Recording())
+    assert asked == []
+
+
 # --- selection ---
 
 
