@@ -2,7 +2,8 @@
 
 Covers exactly what edge discovery needs: build one-question queries and
 decode A, PTR, and SRV answers, with name-compression support on the read
-side. Queries go over UDP with a TCP retry when the server sets TC.
+side. Queries go over UDP, sent again with backoff while no reply comes,
+with a TCP retry when the server sets TC.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ RCODE_NOERROR = 0
 RCODE_NXDOMAIN = 3
 
 MAX_PACKET = 4096
+RETRANSMIT_S = 0.5  # the first wait for a UDP reply before it is asked again; later waits double
 
 
 def name_labels(name: str) -> list[str]:
@@ -162,6 +164,23 @@ def _query_udp(server: str, request: bytes, deadline: float) -> bytes:
         return packet
 
 
+def _exchange_udp(server: str, request: bytes, deadline: float) -> bytes:
+    """_query_udp, with the request sent again, unchanged, each time a wait
+    of RETRANSMIT_S, then twice that, and so on, passes without its reply,
+    until the deadline (RFC 1035 section 4.2.1, RFC 1123 section 6.1.3.3).
+    Each transmission has a socket, and so a source port, of its own, so a
+    reply to an earlier one that comes after its wait is not read."""
+    wait = RETRANSMIT_S
+    while True:
+        resend_at = time.monotonic() + wait
+        try:
+            return _query_udp(server, request, min(resend_at, deadline))
+        except TimeoutError:
+            if resend_at >= deadline:
+                raise
+        wait *= 2
+
+
 def _query_tcp(server: str, request: bytes, deadline: float) -> bytes:
     with socket.create_connection((server, DNS_PORT), timeout=time_left(deadline)) as sock:
         sock.sendall(struct.pack(">H", len(request)) + request)
@@ -198,7 +217,8 @@ def query(
     transaction id or question, server failures and a reply not complete
     within `timeout` seconds, over UDP and TCP together, raise
     ResolverUnreachableError, except that a UDP datagram with another
-    transaction id is dropped while the wait goes on. Names compare without
+    transaction id is dropped while the wait goes on, and a UDP request
+    without a reply is sent again within the timeout. Names compare without
     case (RFC 5452). A name that cannot be encoded raises MalformedNameError
     before any socket opens."""
     try:
@@ -207,7 +227,7 @@ def query(
         raise MalformedNameError(str(exc)) from None
     deadline = time.monotonic() + timeout
     try:
-        reply = parse_response(_query_udp(server, request, deadline))
+        reply = parse_response(_exchange_udp(server, request, deadline))
         if reply[2]:  # truncated: TCP carries the whole reply
             reply = parse_response(_query_tcp(server, request, deadline))
     except OSError as exc:

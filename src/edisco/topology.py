@@ -16,7 +16,6 @@ Downstream code trusts it and reads it with `subnet_sort_key`, built on
 from __future__ import annotations
 
 import hashlib
-import json
 import queue
 import re
 import socket
@@ -24,6 +23,8 @@ from collections import Counter
 from contextlib import suppress
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
@@ -370,10 +371,41 @@ class AggregationTree:
             )
 
     def digest(self) -> str:
-        canonical = json.dumps(  # the document is acyclic by construction
-            self.to_document(), sort_keys=True, separators=(",", ":"), check_circular=False
+        """SHA-256 hex of the canonical JSON text of to_document(): sorted
+        keys, no spaces, ASCII with \\u escapes, as json.dumps(doc,
+        sort_keys=True, separators=(",", ":")) writes it. The text is written
+        straight from the tree, without building the document."""
+
+        def strings(items) -> str:
+            return "[" + ",".join(map(_json_string, items)) + "]"
+
+        nodes = []
+        for subnet in self.sorted_subnets():
+            node = self.nodes[subnet]
+            servers = ",".join(
+                f'{{"address":{_json_string(s.address)},"port":{s.port},'
+                f'"priority":{s.priority},"protocol":{_json_string(s.protocol.value)},'
+                f'"weight":{s.weight},"zone":{_json_string(s.zone)}}}'
+                for s in node.edge_servers
+            )
+            nodes.append(
+                f'{{"centrality":{node.centrality},"domains":{strings(sorted(node.domains))},'
+                f'"edge_servers":[{servers}],"is_client":{"true" if node.is_client else "false"},'
+                f'"members":{strings(sorted(node.member_addresses, key=socket.inet_aton))},'
+                f'"subnet":{_json_string(node.subnet)}}}'
+            )
+        edges = ",".join(f"[{_json_string(a)},{_json_string(b)}]" for a, b in sorted(self.edges))
+        paths = ",".join(
+            f"{_json_string(client)}:{strings(self.client_paths[client])}"
+            for client in sorted(self.client_paths)
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        canonical = (
+            f'{{"client_paths":{{{paths}}},"edges":[{edges}],'
+            f'"format":{_json_string(TREE_FORMAT)},"nodes":[{",".join(nodes)}],'
+            f'"prefix_len":{self.prefix_len},"root_address":{_json_string(self.root_address)},'
+            f'"root_subnet":{_json_string(self.root_subnet)}}}'
+        )
+        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 def build_tree(
@@ -401,17 +433,15 @@ def build_tree(
     subnet_of: dict[str, str] = {}  # each distinct address is grouped once
     subnet_at = {subnet_sort_key(root_subnet): root_subnet}  # one text per network
 
-    def group(address: str) -> str:
-        """The address's subnet; on first sight it also joins that node."""
-        subnet = subnet_of.get(address)
+    def join(address: str) -> str:
+        """The subnet of an address seen for the first time, whose node it joins."""
+        network = int.from_bytes(socket.inet_aton(address), "big") & mask
+        subnet = subnet_at.get(network)
         if subnet is None:
-            network = int.from_bytes(socket.inet_aton(address), "big") & mask
-            subnet = subnet_at.get(network)
-            if subnet is None:
-                subnet = subnet_at[network] = _prefix_text(network, prefix_len)
-                nodes[subnet] = SubnetNode(subnet=subnet)
-            subnet_of[address] = subnet
-            nodes[subnet].member_addresses.add(address)
+            subnet = subnet_at[network] = _prefix_text(network, prefix_len)
+            nodes[subnet] = SubnetNode(subnet=subnet)
+        subnet_of[address] = subnet
+        nodes[subnet].member_addresses.add(address)
         return subnet
 
     for path in paths:
@@ -425,13 +455,12 @@ def build_tree(
         sequence = [root_subnet]
         for hop in path.hops:
             if hop.address is not None:
-                subnet = group(hop.address)
+                subnet = subnet_of.get(hop.address) or join(hop.address)
                 if subnet != sequence[-1]:
                     sequence.append(subnet)
-        for parent, child in zip(sequence, sequence[1:]):
-            edges.add((parent, child))
-        if not path.truncated:
-            nodes[group(path.client)].is_client = True
+        edges.update(zip(sequence, sequence[1:]))
+        if not path.truncated:  # the last known hop is the client: its subnet ends the sequence
+            nodes[sequence[-1]].is_client = True
             client_paths[path.client] = tuple(sequence)
     return AggregationTree(
         root_address=root_address,
@@ -449,10 +478,7 @@ def compute_centrality(tree: AggregationTree) -> AggregationTree:
     A client node counts its own path, so client nodes have centrality >= 1
     and the root carries the count of reachable clients. Idempotent.
     """
-    counts: Counter[str] = Counter()
-    for path in tree.client_paths.values():
-        for subnet in set(path):
-            counts[subnet] += 1
+    counts = Counter(chain.from_iterable(map(set, tree.client_paths.values())))
     for node in tree.nodes.values():
         node.centrality = counts.get(node.subnet, 0)
     return tree

@@ -194,14 +194,15 @@ class LoopbackResponder:
     `faults` maps one DNS question name or whois address to one fault:
     - DNS "servfail", "garbage" (a reply's txid and flags, then 5 bytes of
       junk), "wrong_question" (the right answers under another question),
-      "drop" (no reply) and "other_txid_first" (first, from the right
+      "drop" (no reply), "drop_first" (no reply to the first UDP query,
+      then the fault is off) and "other_txid_first" (first, from the right
       port, the question with the A answer FORGED_ADDRESS under another
       txid, then the reply);
     - "drip": DNS sets TC over UDP and, like whois, sends its TCP reply
       one byte every DRIP_S from a thread of its own, until the client
       hangs up;
     - whois "oversize": the reply, then WHOIS_MAX_BYTES of comment lines.
-    `counts` tallies udp, tcp, forged and whois. A test points
+    `counts` tallies udp, tcp, forged, dropped and whois. A test points
     dnswire.DNS_PORT at `dns_port` and discovery.WHOIS_PORT at
     `whois_port`. close() stops the threads and raises what a handler
     raised; it also runs as a context manager."""
@@ -275,7 +276,10 @@ class LoopbackResponder:
         self.counts["udp"] += 1
         txid, qname, qtype = self.question(query)
         fault = self.faults.get(qname)
-        if fault == "drop":
+        if fault in ("drop", "drop_first"):
+            self.counts["dropped"] += 1
+            if fault == "drop_first":
+                del self.faults[qname]  # the retransmission is answered
             return
         if fault == "servfail":
             reply = response_packet(txid, SERVFAIL, [], qname=qname, qtype=qtype)

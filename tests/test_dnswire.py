@@ -3,13 +3,14 @@ from __future__ import annotations
 import socket
 import struct
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edisco import dnswire
-from edisco.errors import MalformedNameError
+from edisco.errors import MalformedNameError, ResolverUnreachableError
 
 from conftest import hand_name, record, response_packet
 
@@ -305,6 +306,56 @@ def test_udp_query_drops_a_datagram_with_another_txid_and_waits_on(monkeypatch):
         ("recv", dnswire.MAX_PACKET),
         ("close",),
     ]
+
+
+def udp_transmissions(monkeypatch, outcomes: list) -> tuple[list, Exception | None]:
+    """Runs dnswire.query on a clock that stands still while _query_udp is
+    stood in for: each transmission takes the next of `outcomes`, a reply to
+    return or an exception to raise; a TimeoutError first moves the clock to
+    the transmission's deadline. Returns (sent at, request, deadline) of
+    each transmission, and the ResolverUnreachableError the query raised."""
+    clock, sent = [0.0], []
+
+    def transmit(server, request, deadline):
+        sent.append((clock[0], request, deadline))
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, bytes):
+            return outcome
+        if isinstance(outcome, TimeoutError):
+            clock[0] = deadline
+        raise outcome
+
+    monkeypatch.setattr(dnswire, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(dnswire, "_query_udp", transmit)
+    try:
+        dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A, timeout=2.0)
+    except ResolverUnreachableError as exc:
+        return sent, exc
+    return sent, None
+
+
+def test_a_udp_request_without_reply_is_sent_again_with_backoff(monkeypatch):
+    """RFC 1035 section 4.2.1, RFC 1123 section 6.1.3.3: the same request
+    goes again after 0.5 s, then after 1 s more, and the last wait ends at
+    the query's timeout."""
+    sent, error = udp_transmissions(monkeypatch, [TimeoutError("timed out") for _ in range(3)])
+    assert "timed out" in str(error)
+    assert [(at, deadline) for at, _, deadline in sent] == [(0.0, 0.5), (0.5, 1.5), (1.5, 2.0)]
+    assert {request for _, request, _ in sent} == {dnswire.build_query("domainA.com", dnswire.TYPE_A, 0x1234)}
+
+
+def test_the_reply_to_a_retransmission_is_taken(monkeypatch):
+    reply = response_packet(0x1234, 0, [record(dnswire.TYPE_A, socket.inet_aton("192.0.2.1"))])
+    sent, error = udp_transmissions(monkeypatch, [TimeoutError("timed out"), reply])
+    assert error is None
+    assert [deadline for _, _, deadline in sent] == [0.5, 1.5]
+
+
+def test_a_refused_udp_request_is_not_sent_again(monkeypatch):
+    """Only silence is worth another transmission; an error is not."""
+    sent, error = udp_transmissions(monkeypatch, [ConnectionRefusedError("refused"), b"never read"])
+    assert "refused" in str(error)
+    assert len(sent) == 1
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,18 @@ def test_a_reply_with_another_txid_is_dropped_and_the_true_one_taken(serve):
     assert [responder.counts[key] for key in ("forged", "udp", "tcp")] == [1, 1, 0]
 
 
+def test_a_lost_datagram_is_sent_again_and_answered_well_within_the_timeout(serve):
+    """The first query's datagram is lost; the stub sends the same request
+    again after dnswire.RETRANSMIT_S, long before the query's 2.0 s."""
+    responder = serve(REFERENCE_ZONE)
+    responder.faults["serverA.domainA.com"] = "drop_first"
+    mark = time.monotonic()
+    records = StubResolver(["127.0.0.1"]).lookup_a("serverA.domainA.com")
+    assert dnswire.RETRANSMIT_S <= time.monotonic() - mark < 1.0
+    assert [r.address for r in records] == ["192.168.121.30"]
+    assert [responder.counts[key] for key in ("dropped", "udp", "tcp")] == [1, 2, 0]
+
+
 def test_each_concurrent_lookup_gets_its_own_answer(serve):
     """Eight workers, more than the cores, share one stub under fast
     switching: every lookup gets its own name's answer."""
@@ -218,3 +230,9 @@ def test_a_faulty_peer_leaves_only_its_node_unknown(monkeypatch, fault_free_doma
     expected = dict(fault_free_domains)
     expected[group_subnet(address)] = set()
     assert seed42_round(monkeypatch, {key: fault}) == expected
+
+
+def test_a_lost_ptr_reply_leaves_the_node_identified(monkeypatch, fault_free_domains):
+    """With the first PTR datagram lost, the retransmission is answered, so
+    the round names the node as it does without a fault."""
+    assert seed42_round(monkeypatch, {reverse_pointer_name(PTR_NODE): "drop_first"}) == fault_free_domains

@@ -1,11 +1,16 @@
 import asyncio
+import gc
 import importlib.util
 import json
 import math
 import re
 import struct
+import sys
+import threading
 import time
+import weakref
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -30,6 +35,7 @@ from edisco.placement import FixtureCapacityService, ServiceProfile
 from edisco.probing import FixtureProber
 from edisco.redirect import RedirectService
 from edisco.rounds import (
+    ROUND_GEN0_THRESHOLD,
     RoundConfig,
     RoundProviders,
     RoundRecord,
@@ -442,6 +448,156 @@ def test_read_client_addresses_rejects_garbage(tmp_path):
     listing.write_text("172.16.0.9\nnot-an-address\n")
     with pytest.raises(MalformedFixtureError, match="line 2"):
         read_client_addresses(listing)
+
+
+# -- the cyclic collector during a round -----------------------------------------
+
+
+class WatchingProber:
+    """Probes from fixtures and notes the collector's thresholds as each
+    probe sees them; `then(client)`, if given, runs after each probe."""
+
+    def __init__(self, paths=None, then=None):
+        self.inner = FixtureProber(world_paths() if paths is None else paths)
+        self.then = then
+        self.thresholds = []
+
+    def probe(self, client):
+        self.thresholds.append(gc.get_threshold())
+        path = self.inner.probe(client)
+        if self.then is not None:
+            self.then(client)
+        return path
+
+
+def failing_probe(client):
+    raise RuntimeError("a prober bug")
+
+
+@pytest.fixture(params=[(True, None), (False, (1234, 5, 6))], ids=["default", "disabled"])
+def caller_collector(request):
+    """The collector as the caller set it, enabled with the test's own
+    thresholds, or disabled with others; put back at teardown."""
+    enabled, thresholds = request.param
+    saved = gc.isenabled(), gc.get_threshold()
+    if thresholds is not None:
+        gc.set_threshold(*thresholds)
+    if not enabled:
+        gc.disable()
+    try:
+        yield gc.isenabled(), gc.get_threshold()
+    finally:
+        gc.set_threshold(*saved[1])
+        (gc.enable if saved[0] else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "paths, then, raised",
+    [(None, None, None), ([], None, RoundAbortedError), (None, failing_probe, RuntimeError)],
+    ids=["returns", "aborts", "raises"],
+)
+def test_a_round_defers_the_young_collection_and_puts_the_collector_back(
+    caller_collector, paths, then, raised
+):
+    """While the round runs, gen-0 collections wait for ROUND_GEN0_THRESHOLD
+    allocations; when it returns or raises, the thresholds and the switch
+    are as the caller had them."""
+    prober = WatchingProber(paths, then)
+    providers = make_providers()
+    providers.prober = prober
+    with pytest.raises(raised) if raised else nullcontext():
+        run_round(make_config(), [video_service()], providers)
+    found = caller_collector[1]
+    assert prober.thresholds == [(ROUND_GEN0_THRESHOLD, *found[1:])] * len(prober.thresholds)
+    assert (gc.isenabled(), gc.get_threshold()) == caller_collector
+
+
+def run_on_thread(fn) -> tuple[threading.Thread, list]:
+    """fn() started on a thread of its own; the list gets what it raised."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:  # handed to the test, which asserts on it
+            raised.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, raised
+
+
+def test_overlapping_rounds_leave_the_thresholds_as_found():
+    """Round A starts and ends inside round B, on another thread: the
+    threshold stays raised until B ends, then is the caller's again."""
+    found = gc.get_threshold()
+    both_in, b_may_end = threading.Barrier(2), threading.Event()
+    one_client = make_config(clients=CLIENTS[:1])
+
+    def round_with(then):
+        providers = make_providers()
+        providers.prober = WatchingProber(then=then)
+        run_round(one_client, [video_service()], providers)
+
+    b, b_raised = run_on_thread(lambda: round_with(lambda _: (both_in.wait(5), b_may_end.wait(5))))
+    a, a_raised = run_on_thread(lambda: round_with(lambda _: both_in.wait(5)))
+    a.join(10)
+    assert not a.is_alive() and not a_raised
+    assert gc.get_threshold() == (ROUND_GEN0_THRESHOLD, *found[1:])
+    b_may_end.set()
+    b.join(10)
+    assert not b.is_alive() and not b_raised
+    assert gc.get_threshold() == found
+
+
+def test_many_rounds_on_more_threads_than_cores_keep_the_deferral_count():
+    """Eight threads run rounds under fast switching: every probe sees the
+    raised threshold, and the last round out puts the caller's back. A lost
+    update of the shared count would let a probe see the caller's."""
+    found = gc.get_threshold()
+    probers = []
+
+    def rounds():
+        for _ in range(20):
+            providers = make_providers()
+            providers.prober = WatchingProber()
+            probers.append(providers.prober)
+            run_round(make_config(), [video_service()], providers)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [run_on_thread(rounds) for _ in range(8)]
+        for thread, _ in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() or raised for thread, raised in threads)
+    seen = {threshold for prober in probers for threshold in prober.thresholds}
+    assert seen == {(ROUND_GEN0_THRESHOLD, *found[1:])}
+    assert gc.get_threshold() == found
+
+
+def test_a_cycle_a_provider_makes_is_collected_before_the_next_round_returns(tmp_path):
+    """The round defers the young collection, it does not skip it: a
+    reference cycle made during a round is gone when that round returns,
+    and so before the next one does."""
+    setup = load_run_config(write_bundle(tmp_path))
+    collected = []
+
+    class Cycle:
+        def __init__(self, client):
+            self.itself = self
+            weakref.finalize(self, collected.append, client)
+
+    providers = setup.make_providers()
+    providers.prober = WatchingProber(then=Cycle)
+    run_round(setup.config, setup.services, providers)
+    assert sorted(collected) == sorted(CLIENTS)
+    providers = setup.make_providers()
+    providers.prober = WatchingProber(then=Cycle)
+    run_round(setup.config, setup.services, providers, round_id=2)
+    assert sorted(collected) == sorted(CLIENTS * 2)
 
 
 # -- scheduler -------------------------------------------------------------------

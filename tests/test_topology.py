@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 import time
@@ -10,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import edisco.topology as topology
-from edisco.discovery import FixtureWhois
+from edisco.discovery import EdgeServer, FixtureWhois
 from edisco.errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
 from edisco.rounds import discover_phase
 from edisco.simharness import ScenarioSpec, generate_scenario
@@ -18,6 +20,7 @@ from edisco.topology import (
     AggregationTree,
     Hop,
     ProbedPath,
+    SubnetNode,
     address_int,
     build_tree,
     compute_centrality,
@@ -29,7 +32,7 @@ from edisco.topology import (
     paths_to_document,
     subnet_sort_key,
 )
-from edisco.zonefile import parse_zone
+from edisco.zonefile import Transport, parse_zone
 
 from conftest import make_path, mutated, random_paths, small_bundle
 
@@ -388,6 +391,84 @@ def test_build_tree_permutation_invariant():
         assert compute_centrality(build_tree(shuffled, ROOT)).to_document() == reference
 
 
+def reference_tree(paths, root: str, prefix_len: int) -> dict:
+    """build_tree and compute_centrality the plain way, with IPv4Network:
+    every node's members, the edges, the client paths, the client nodes and
+    every node's centrality."""
+
+    def subnet(address):
+        return str(IPv4Network(f"{address}/{prefix_len}", strict=False))
+
+    members = {subnet(root): {root}}
+    edges, client_paths, clients = set(), {}, set()
+    for path in paths:  # a repeated entry for a client adds nothing new
+        sequence = [subnet(root)]
+        for hop in path.hops:
+            if hop.address is not None:
+                members.setdefault(subnet(hop.address), set()).add(hop.address)
+                if subnet(hop.address) != sequence[-1]:
+                    sequence.append(subnet(hop.address))
+        for i in range(len(sequence) - 1):
+            edges.add((sequence[i], sequence[i + 1]))
+        if not path.truncated:
+            clients.add(subnet(path.client))
+            client_paths[path.client] = tuple(sequence)
+    centrality = {s: sum(s in p for p in client_paths.values()) for s in members}
+    return {
+        "members": members,
+        "edges": edges,
+        "client_paths": client_paths,
+        "clients": clients,
+        "centrality": centrality,
+    }
+
+
+@st.composite
+def path_sets(draw):
+    """(paths, root, prefix_len): a few clients whose hops come from a small
+    pool of addresses near the root and near two other networks, so subnets
+    repeat along a path with others in between, and a client may sit in the
+    root's subnet. Hops may be unknown, probes may stop short, and a client
+    may be probed twice with the same result."""
+    prefix_len = draw(st.integers(0, 32))
+    bases = draw(st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
+    near = st.builds(
+        lambda base, low: str(IPv4Address(base ^ low)), st.sampled_from(bases), st.integers(0, 0x1FF)
+    )
+    root = str(IPv4Address(bases[0]))
+    pool = draw(st.lists(near, min_size=1, max_size=6, unique=True))
+    hops = st.lists(st.none() | st.sampled_from(pool), min_size=1, max_size=6)
+    clients = draw(st.lists(near, min_size=1, max_size=6, unique=True))
+    paths = [make_path(c, *draw(hops), complete=draw(st.booleans())) for c in clients]
+    paths += draw(st.lists(st.sampled_from(paths), max_size=2))
+    return paths, root, prefix_len
+
+
+@given(path_sets())
+@example(
+    (
+        [
+            # the 10.1.0.0/24 subnet twice, with 10.2.0.0/24 and an unknown hop between
+            make_path("172.16.0.9", "10.1.0.1", None, "10.2.0.1", "10.1.0.2"),
+            make_path("10.0.0.7", "10.1.0.1"),  # a client in the root's subnet
+            make_path("172.16.1.9", "10.2.0.1", None, complete=False),
+        ],
+        ROOT,
+        24,
+    )
+)
+def test_build_tree_and_centrality_match_a_plain_reference(case):
+    paths, root, prefix_len = case
+    tree = compute_centrality(build_tree(paths, root, prefix_len))
+    assert reference_tree(paths, root, prefix_len) == {
+        "members": {s: n.member_addresses for s, n in tree.nodes.items()},
+        "edges": tree.edges,
+        "client_paths": tree.client_paths,
+        "clients": {s for s, n in tree.nodes.items() if n.is_client},
+        "centrality": {s: n.centrality for s, n in tree.nodes.items()},
+    }
+
+
 # --- centrality ---
 
 
@@ -462,6 +543,74 @@ def test_tree_document_round_trip():
     again = AggregationTree.from_document(tree.to_document())
     assert again.to_document() == tree.to_document()
     assert again.digest() == tree.digest()
+
+
+# text that JSON must escape or that is not ASCII: quotes, backslashes,
+# control characters, non-ASCII letters, astral characters, lone surrogates
+awkward_text = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800\udfff'),
+    max_size=12,
+)
+addresses = st.integers(0, 2**32 - 1).map(lambda n: str(IPv4Address(n)))
+edge_servers = st.builds(
+    EdgeServer,
+    zone=awkward_text,
+    protocol=st.sampled_from(Transport),
+    priority=st.integers(0, 0xFFFF),
+    weight=st.integers(0, 0xFFFF),
+    address=addresses,
+    port=st.integers(1, 0xFFFF),
+)
+
+
+@st.composite
+def trees(draw):
+    """An AggregationTree built field by field: node domains and edge server
+    zones hold awkward text, as whois fixture values reach the digest
+    unchecked; there may be no node but the root."""
+    prefix_len = draw(st.integers(0, 32))
+    subnets = draw(
+        st.lists(addresses.map(lambda a: f"{a}/{prefix_len}"), min_size=1, max_size=6, unique=True)
+    )
+    nodes = {
+        subnet: SubnetNode(
+            subnet=subnet,
+            member_addresses=draw(st.sets(addresses, max_size=4)),
+            domains=draw(st.sets(awkward_text, max_size=3)),
+            centrality=draw(st.integers(0, 10**6)),
+            is_client=draw(st.booleans()),
+            edge_servers=draw(st.lists(edge_servers, max_size=3)),
+        )
+        for subnet in subnets
+    }
+    return AggregationTree(
+        root_address=draw(addresses),
+        root_subnet=subnets[0],
+        prefix_len=prefix_len,
+        nodes=nodes,
+        edges=draw(st.sets(st.tuples(st.sampled_from(subnets), st.sampled_from(subnets)), max_size=6)),
+        client_paths=draw(
+            st.dictionaries(addresses, st.lists(st.sampled_from(subnets), min_size=1).map(tuple), max_size=4)
+        ),
+    )
+
+
+@given(trees())
+@example(
+    AggregationTree(
+        root_address=ROOT,
+        root_subnet="10.0.0.0/24",
+        prefix_len=24,
+        nodes={"10.0.0.0/24": SubnetNode(subnet="10.0.0.0/24", member_addresses={ROOT})},
+        edges=set(),
+        client_paths={},
+    )
+)
+def test_digest_hashes_the_canonical_document_text(tree):
+    """digest() writes the text itself; it must be the bytes json.dumps
+    writes for to_document(), the tree's export."""
+    canonical = json.dumps(tree.to_document(), sort_keys=True, separators=(",", ":"))
+    assert tree.digest() == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_from_document_rejects_unknown_format():
