@@ -152,33 +152,28 @@ def parse_response(
 
 def _query_udp(server: str, request: bytes, deadline: float) -> bytes:
     """The first datagram that carries the request's transaction id. The
-    socket is connected, so the kernel drops replies from any other address
-    or port; a datagram with another id is dropped here, and the wait goes
-    on until the time.monotonic() `deadline` (RFC 5452 section 9.1)."""
+    request goes out, unchanged, again each time a wait of RETRANSMIT_S,
+    then twice that, and so on, passes without its reply (RFC 1035 section
+    4.2.1, RFC 1123 section 6.1.3.3). All go from one socket, so a late
+    reply to any of them is taken until the time.monotonic() `deadline`.
+    The socket is connected, so the kernel drops replies from any other
+    address or port; a datagram with another id is dropped here, and the
+    wait goes on (RFC 5452 section 9.1)."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(time_left(deadline))
         sock.connect((server, DNS_PORT))
-        sock.send(request)
-        while (packet := sock.recv(MAX_PACKET))[:2] != request[:2]:
-            sock.settimeout(time_left(deadline))
-        return packet
-
-
-def _exchange_udp(server: str, request: bytes, deadline: float) -> bytes:
-    """_query_udp, with the request sent again, unchanged, each time a wait
-    of RETRANSMIT_S, then twice that, and so on, passes without its reply,
-    until the deadline (RFC 1035 section 4.2.1, RFC 1123 section 6.1.3.3).
-    Each transmission has a socket, and so a source port, of its own, so a
-    reply to an earlier one that comes after its wait is not read."""
-    wait = RETRANSMIT_S
-    while True:
-        resend_at = time.monotonic() + wait
-        try:
-            return _query_udp(server, request, min(resend_at, deadline))
-        except TimeoutError:
-            if resend_at >= deadline:
-                raise
-        wait *= 2
+        resend_at, wait = time.monotonic(), RETRANSMIT_S
+        while True:
+            now, left = time.monotonic(), time_left(deadline)
+            if now >= resend_at:
+                sock.send(request)
+                resend_at, wait = now + wait, wait * 2
+            sock.settimeout(min(resend_at - now, left))
+            try:
+                packet = sock.recv(MAX_PACKET)
+            except TimeoutError:
+                continue
+            if packet[:2] == request[:2]:
+                return packet
 
 
 def _query_tcp(server: str, request: bytes, deadline: float) -> bytes:
@@ -227,7 +222,7 @@ def query(
         raise MalformedNameError(str(exc)) from None
     deadline = time.monotonic() + timeout
     try:
-        reply = parse_response(_exchange_udp(server, request, deadline))
+        reply = parse_response(_query_udp(server, request, deadline))
         if reply[2]:  # truncated: TCP carries the whole reply
             reply = parse_response(_query_tcp(server, request, deadline))
     except OSError as exc:

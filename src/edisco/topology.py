@@ -16,6 +16,7 @@ Downstream code trusts it and reads it with `subnet_sort_key`, built on
 from __future__ import annotations
 
 import hashlib
+import json
 import queue
 import re
 import socket
@@ -374,7 +375,8 @@ class AggregationTree:
         """SHA-256 hex of the canonical JSON text of to_document(): sorted
         keys, no spaces, ASCII with \\u escapes, as json.dumps(doc,
         sort_keys=True, separators=(",", ":")) writes it. The text is written
-        straight from the tree, without building the document."""
+        straight from the tree, without building the document, but for the
+        edge servers, few to a node, which EdgeServer.to_document() writes."""
 
         def strings(items) -> str:
             return "[" + ",".join(map(_json_string, items)) + "]"
@@ -383,9 +385,7 @@ class AggregationTree:
         for subnet in self.sorted_subnets():
             node = self.nodes[subnet]
             servers = ",".join(
-                f'{{"address":{_json_string(s.address)},"port":{s.port},'
-                f'"priority":{s.priority},"protocol":{_json_string(s.protocol.value)},'
-                f'"weight":{s.weight},"zone":{_json_string(s.zone)}}}'
+                json.dumps(s.to_document(), sort_keys=True, separators=(",", ":"))
                 for s in node.edge_servers
             )
             nodes.append(

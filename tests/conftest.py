@@ -178,6 +178,7 @@ def record(rtype: int, rdata: bytes, ttl: int = 3600, rclass: int = 1) -> bytes:
 FORGED_ADDRESS = "192.0.2.66"
 SERVFAIL = 2
 DRIP_S = 0.1  # a dripping peer sends one byte this often
+SLOW_S = 1.2  # a slow DNS peer sends each UDP reply this long after its query
 
 
 class LoopbackResponder:
@@ -195,9 +196,10 @@ class LoopbackResponder:
     - DNS "servfail", "garbage" (a reply's txid and flags, then 5 bytes of
       junk), "wrong_question" (the right answers under another question),
       "drop" (no reply), "drop_first" (no reply to the first UDP query,
-      then the fault is off) and "other_txid_first" (first, from the right
-      port, the question with the A answer FORGED_ADDRESS under another
-      txid, then the reply);
+      then the fault is off), "slow" (each UDP reply SLOW_S after its
+      query, from a thread of its own) and "other_txid_first" (first, from
+      the right port, the question with the A answer FORGED_ADDRESS under
+      another txid, then the reply);
     - "drip": DNS sets TC over UDP and, like whois, sends its TCP reply
       one byte every DRIP_S from a thread of its own, until the client
       hangs up;
@@ -213,7 +215,7 @@ class LoopbackResponder:
         self.faults: dict[str, str] = {}
         self.counts: Counter = Counter()
         self.errors: list[Exception] = []
-        self._drips: list[threading.Thread] = []
+        self._senders: list[threading.Thread] = []
         self.udp, self.tcp = self._dns_sockets()
         self.whois_listener = socket.create_server(("127.0.0.1", 0))
         self.dns_port = self.udp.getsockname()[1]
@@ -299,7 +301,16 @@ class LoopbackResponder:
             other = response_packet(txid ^ 0xFFFF, 0, forged, qname=qname, qtype=qtype)
             self.udp.sendto(other, client)
             self.counts["forged"] += 1
+        if fault == "slow":
+            thread = threading.Thread(target=self._send_late, args=(reply, client), daemon=True)
+            self._senders.append(thread)
+            thread.start()
+            return
         self.udp.sendto(reply, client)
+
+    def _send_late(self, reply: bytes, client):
+        if not self._stop.wait(SLOW_S):
+            self.udp.sendto(reply, client)
 
     def _tcp(self):
         conn, _ = self.tcp.accept()
@@ -332,7 +343,7 @@ class LoopbackResponder:
         responder's."""
         if fault == "drip":
             thread = threading.Thread(target=self._drip, args=(conn.dup(), data), daemon=True)
-            self._drips.append(thread)
+            self._senders.append(thread)
             thread.start()
             return
         with suppress(ConnectionError):
@@ -350,7 +361,7 @@ class LoopbackResponder:
 
     def close(self):
         self._stop.set()
-        for thread in [self._thread, *self._drips]:
+        for thread in [self._thread, *self._senders]:
             thread.join(timeout=5)
             assert not thread.is_alive(), "responder did not stop"
         for sock in (self.udp, self.tcp, self.whois_listener):

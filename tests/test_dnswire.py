@@ -249,10 +249,15 @@ def test_query_turns_a_malformed_reply_into_unreachable(monkeypatch):
 
 
 class FakeUdpSocket:
-    """Records what _query_udp does with its socket and answers one reply."""
+    """Records what _query_udp does with its socket, on a clock that stands
+    still but for a wait that times out. Each recv takes the next of
+    `inbox`: a datagram to return or an exception to raise; a TimeoutError
+    first moves the clock on by the timeout set. `sent` holds the clock
+    time of each send."""
 
     def __init__(self, family, kind):
         self.calls = [("socket", family, kind)]
+        self.timeout = None
         FakeUdpSocket.made.append(self)
 
     def __enter__(self):
@@ -262,37 +267,48 @@ class FakeUdpSocket:
         self.calls.append(("close",))
 
     def settimeout(self, timeout):
-        self.calls.append(("settimeout", timeout))
+        self.timeout = timeout
+        self.calls.append(("settimeout", round(timeout, 1)))
 
     def connect(self, address):
         self.calls.append(("connect", address))
 
     def send(self, data):
         self.calls.append(("send", data))
+        FakeUdpSocket.sent.append(FakeUdpSocket.clock)
         return len(data)
 
     def recv(self, size):
         self.calls.append(("recv", size))
-        return FakeUdpSocket.inbox.pop(0)
+        outcome = FakeUdpSocket.inbox.pop(0)
+        if isinstance(outcome, bytes):
+            return outcome
+        if isinstance(outcome, TimeoutError):
+            FakeUdpSocket.clock += self.timeout
+        raise outcome
+
+
+def fake_udp(monkeypatch, inbox) -> None:
+    FakeUdpSocket.made, FakeUdpSocket.inbox, FakeUdpSocket.sent, FakeUdpSocket.clock = [], list(inbox), [], 0.0
+    monkeypatch.setattr(dnswire.socket, "socket", FakeUdpSocket)
+    monkeypatch.setattr(dnswire, "time", SimpleNamespace(monotonic=lambda: FakeUdpSocket.clock))
 
 
 def udp_exchange(monkeypatch, inbox) -> list:
-    """What _query_udp does with its socket while it reads `inbox`; the
-    timeouts it sets are rounded to 0.1 s."""
-    FakeUdpSocket.made, FakeUdpSocket.inbox = [], list(inbox)
-    monkeypatch.setattr(dnswire.socket, "socket", FakeUdpSocket)
-    deadline = time.monotonic() + 1.5
-    assert dnswire._query_udp("203.0.113.1", b"\x12\x34request", deadline) == inbox[-1]
+    """What _query_udp does with its socket while it reads `inbox`, within
+    1.5 s; the timeouts it sets are rounded to 0.1 s."""
+    fake_udp(monkeypatch, inbox)
+    assert dnswire._query_udp("203.0.113.1", b"\x12\x34request", 1.5) == inbox[-1]
     (sock,) = FakeUdpSocket.made
-    return [("settimeout", round(c[1], 1)) if c[0] == "settimeout" else c for c in sock.calls]
+    return sock.calls
 
 
 def test_udp_query_takes_replies_only_from_the_server(monkeypatch):
     assert udp_exchange(monkeypatch, [b"\x12\x34reply"]) == [
         ("socket", dnswire.socket.AF_INET, dnswire.socket.SOCK_DGRAM),
-        ("settimeout", 1.5),
         ("connect", ("203.0.113.1", 53)),
         ("send", b"\x12\x34request"),
+        ("settimeout", dnswire.RETRANSMIT_S),
         ("recv", dnswire.MAX_PACKET),
         ("close",),
     ]
@@ -302,60 +318,57 @@ def test_udp_query_drops_a_datagram_with_another_txid_and_waits_on(monkeypatch):
     """RFC 5452 section 9.1: a forged reply must not end the wait for the
     true one, which may still come within the same deadline."""
     calls = udp_exchange(monkeypatch, [b"\x12\x35forged", b"", b"\x12\x34reply"])
-    assert calls[4:] == [("recv", dnswire.MAX_PACKET), ("settimeout", 1.5)] * 2 + [
+    assert calls[2:] == [("send", b"\x12\x34request")] + [
+        ("settimeout", dnswire.RETRANSMIT_S),
         ("recv", dnswire.MAX_PACKET),
-        ("close",),
-    ]
+    ] * 3 + [("close",)]
 
 
-def udp_transmissions(monkeypatch, outcomes: list) -> tuple[list, Exception | None]:
-    """Runs dnswire.query on a clock that stands still while _query_udp is
-    stood in for: each transmission takes the next of `outcomes`, a reply to
-    return or an exception to raise; a TimeoutError first moves the clock to
-    the transmission's deadline. Returns (sent at, request, deadline) of
-    each transmission, and the ResolverUnreachableError the query raised."""
-    clock, sent = [0.0], []
-
-    def transmit(server, request, deadline):
-        sent.append((clock[0], request, deadline))
-        outcome = outcomes.pop(0)
-        if isinstance(outcome, bytes):
-            return outcome
-        if isinstance(outcome, TimeoutError):
-            clock[0] = deadline
-        raise outcome
-
-    monkeypatch.setattr(dnswire, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-    monkeypatch.setattr(dnswire, "_query_udp", transmit)
+def udp_query(monkeypatch, inbox: list) -> ResolverUnreachableError | None:
+    """Runs dnswire.query, with a 2.0 s timeout, against FakeUdpSocket
+    reading `inbox`; returns the ResolverUnreachableError it raised."""
+    fake_udp(monkeypatch, inbox)
     try:
         dnswire.query("203.0.113.1", "domainA.com", dnswire.TYPE_A, timeout=2.0)
     except ResolverUnreachableError as exc:
-        return sent, exc
-    return sent, None
+        return exc
+    return None
 
 
 def test_a_udp_request_without_reply_is_sent_again_with_backoff(monkeypatch):
     """RFC 1035 section 4.2.1, RFC 1123 section 6.1.3.3: the same request
     goes again after 0.5 s, then after 1 s more, and the last wait ends at
     the query's timeout."""
-    sent, error = udp_transmissions(monkeypatch, [TimeoutError("timed out") for _ in range(3)])
+    error = udp_query(monkeypatch, [TimeoutError("timed out") for _ in range(3)])
     assert "timed out" in str(error)
-    assert [(at, deadline) for at, _, deadline in sent] == [(0.0, 0.5), (0.5, 1.5), (1.5, 2.0)]
-    assert {request for _, request, _ in sent} == {dnswire.build_query("domainA.com", dnswire.TYPE_A, 0x1234)}
+    assert FakeUdpSocket.sent == [0.0, 0.5, 1.5]
+    (sock,) = FakeUdpSocket.made
+    request = dnswire.build_query("domainA.com", dnswire.TYPE_A, 0x1234)
+    assert {call[1] for call in sock.calls if call[0] == "send"} == {request}
+    assert [call[1] for call in sock.calls if call[0] == "settimeout"] == [0.5, 1.0, 0.5]
 
 
 def test_the_reply_to_a_retransmission_is_taken(monkeypatch):
     reply = response_packet(0x1234, 0, [record(dnswire.TYPE_A, socket.inet_aton("192.0.2.1"))])
-    sent, error = udp_transmissions(monkeypatch, [TimeoutError("timed out"), reply])
-    assert error is None
-    assert [deadline for _, _, deadline in sent] == [0.5, 1.5]
+    assert udp_query(monkeypatch, [TimeoutError("timed out"), reply]) is None
+    assert FakeUdpSocket.sent == [0.0, 0.5]
+
+
+def test_every_transmission_goes_from_one_socket(monkeypatch):
+    """A reply to an early transmission that comes after a later one has
+    gone is read as well, so a server slower than RETRANSMIT_S is heard
+    whichever request it answers."""
+    reply = response_packet(0x1234, 0, [record(dnswire.TYPE_A, socket.inet_aton("192.0.2.1"))])
+    assert udp_query(monkeypatch, [TimeoutError("timed out")] * 2 + [reply]) is None
+    assert len(FakeUdpSocket.made) == 1
+    assert len(FakeUdpSocket.sent) == 3
 
 
 def test_a_refused_udp_request_is_not_sent_again(monkeypatch):
     """Only silence is worth another transmission; an error is not."""
-    sent, error = udp_transmissions(monkeypatch, [ConnectionRefusedError("refused"), b"never read"])
+    error = udp_query(monkeypatch, [ConnectionRefusedError("refused"), b"never read"])
     assert "refused" in str(error)
-    assert len(sent) == 1
+    assert FakeUdpSocket.sent == [0.0]
 
 
 @pytest.mark.parametrize(

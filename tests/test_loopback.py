@@ -26,7 +26,7 @@ from edisco.topology import (
 )
 from edisco.zonefile import parse_zone, reverse_pointer_name
 
-from conftest import FORGED_ADDRESS, REFERENCE_ZONE, LoopbackResponder, make_path
+from conftest import FORGED_ADDRESS, REFERENCE_ZONE, SLOW_S, LoopbackResponder, make_path
 
 GOLDEN_ROUND = Path(__file__).parent / "data" / "golden_round_seed42.json"
 
@@ -115,6 +115,18 @@ def test_a_lost_datagram_is_sent_again_and_answered_well_within_the_timeout(serv
     assert dnswire.RETRANSMIT_S <= time.monotonic() - mark < 1.0
     assert [r.address for r in records] == ["192.168.121.30"]
     assert [responder.counts[key] for key in ("dropped", "udp", "tcp")] == [1, 2, 0]
+
+
+def test_a_reply_slower_than_the_resend_is_taken_whichever_request_it_answers(serve):
+    """Each reply comes SLOW_S after its query, later than the first
+    resend: the reply to the first request is read, well within 2.0 s."""
+    responder = serve(REFERENCE_ZONE)
+    responder.faults["serverA.domainA.com"] = "slow"
+    mark = time.monotonic()
+    records = StubResolver(["127.0.0.1"]).lookup_a("serverA.domainA.com")
+    assert SLOW_S <= time.monotonic() - mark < SLOW_S + dnswire.RETRANSMIT_S
+    assert [r.address for r in records] == ["192.168.121.30"]
+    assert responder.counts["tcp"] == 0
 
 
 def test_each_concurrent_lookup_gets_its_own_answer(serve):
