@@ -79,10 +79,6 @@ class PlacementCandidate:
     client_distance: float
     covered_prefixes: tuple[str, ...]  # the service's prefixes routed through node
 
-    def __post_init__(self):
-        if self.server not in self.node.edge_servers:
-            raise ValueError(f"server {self.server.address} not on node {self.node.subnet}")
-
 
 @dataclass(frozen=True)
 class Assignment:

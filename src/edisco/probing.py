@@ -6,7 +6,6 @@ required; the fixture prober carries every offline flow.
 """
 from __future__ import annotations
 
-import logging
 import math
 import os
 import select
@@ -16,10 +15,11 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .errors import EdiscoError, ProbePermissionError, ProbeTimeoutError
+from .errors import ProbePermissionError, ProbeTimeoutError
 from .topology import Hop, ProbedPath, map_in_threads
 
-logger = logging.getLogger(__name__)
+BASE_PORT = 33434  # a UDP probe at TTL t goes to port BASE_PORT + t - 1, as traceroute's do
+PROBE_CONCURRENCY = 8  # probes in flight at once in probe_many
 
 ICMP_ECHO_REPLY = 0
 ICMP_DEST_UNREACHABLE = 3
@@ -33,7 +33,6 @@ class ProbeConfig:
     probes_per_hop: int = 3
     timeout_s: float = 1.0
     max_ttl: int = 30
-    base_port: int = 33434
 
     def __post_init__(self):
         # type() rather than isinstance(): JSON true and false are no numbers
@@ -45,11 +44,6 @@ class ProbeConfig:
             raise ValueError(f"timeout_s {self.timeout_s!r} is not a positive number")
         if type(self.max_ttl) is not int or not 1 <= self.max_ttl <= 255:
             raise ValueError(f"max_ttl {self.max_ttl!r} is not an integer from 1 to 255")
-        if type(self.base_port) is not int or not 1 <= self.base_port <= 65536 - self.max_ttl:
-            raise ValueError(
-                f"base_port {self.base_port!r} is not an integer from 1 to {65536 - self.max_ttl}"
-                f" (the last probe port base_port + max_ttl - 1 must be at most 65535)"
-            )
 
 
 def checksum(data: bytes) -> int:
@@ -131,7 +125,7 @@ class TracerouteProber:
             if udp:
                 sender.bind(("", 0))
                 payload = b"edisco-probe"
-                port = config.base_port + ttl - 1
+                port = BASE_PORT + ttl - 1
                 proto, ids = socket.IPPROTO_UDP, struct.pack(">HH", sender.getsockname()[1], port)
             else:
                 seq = self._next_seq()
@@ -174,7 +168,7 @@ class TracerouteProber:
             if reached:
                 break
         if not answered_any:
-            raise ProbeTimeoutError(f"{client}: no hop answered any probe")
+            raise ProbeTimeoutError("no hop answered any probe")
         return ProbedPath(client=client, hops=tuple(hops))
 
 
@@ -187,22 +181,14 @@ class FixtureProber:
     def probe(self, client: str) -> ProbedPath:
         path = self.by_client.get(client)
         if path is None:
-            raise ProbeTimeoutError(f"{client}: no recorded path")
+            raise ProbeTimeoutError("no recorded path")
         return path
 
 
-def probe_many(clients, prober, concurrency: int = 8) -> list[ProbedPath]:
-    """Fan probes out over a bounded pool. Clients whose probe fails with
-    an EdiscoError (a timeout, a refused raw socket) or at the socket (an
-    OSError such as ENETUNREACH from sendto) are logged and skipped; the
-    round decides what zero paths means."""
-
-    def one(client: str) -> ProbedPath | None:
-        try:
-            return prober.probe(client)
-        except (EdiscoError, OSError) as exc:
-            logger.warning("probe failed: %s", exc)
-            return None
-
-    results = map_in_threads(one, list(clients), concurrency)
+def probe_many(clients, prober) -> list[ProbedPath]:
+    """The clients' paths, in client order, probed on PROBE_CONCURRENCY
+    threads. It does not degrade: a probe's exception is raised here, and a
+    client whose probe gives None is left out, as rounds._Degrading answers
+    for a failed probe."""
+    results = map_in_threads(prober.probe, list(clients), PROBE_CONCURRENCY)
     return [path for path in results if path is not None]

@@ -10,7 +10,9 @@ which the next install replaces atomically.
 
 Every external dependency (prober, resolver, whois, capacity, clock) is an
 injected provider with both live and fixture implementations, so a full
-round runs offline from a scenario bundle.
+round runs offline from a scenario bundle. A round aborts only when
+probing obtains zero paths; _Degrading is the one policy that decides
+which failures of the prober, resolver and whois service a round survives.
 
 `edisco run` repeats rounds with run_every, a coroutine on the same asyncio
 loop that serves the redirects; each round runs on a worker thread so the
@@ -88,14 +90,27 @@ ROUND_GEN0_THRESHOLD = 100_000  # the collector's young-generation trigger durin
 
 @dataclass(frozen=True)
 class RoundConfig:
+    """A round's settings, checked here and nowhere else. A bad period
+    raises InvalidPeriodError, no clients EmptyInputError, a bad prefix
+    length or root ValueError; each message names its run-config key."""
+
     root_address: str
     clients: tuple[str, ...]
     period_s: float = 300.0
     prefix_len: int = 24
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise InvalidPeriodError(f"period must be positive, got {self.period_s}")
+        # type() rather than isinstance(): JSON true and false are no numbers
+        if type(self.period_s) not in (int, float) or not 0 < self.period_s < math.inf:
+            raise InvalidPeriodError(f"'period_s': {self.period_s!r} is not a positive number")
+        if type(self.prefix_len) is not int or not 0 <= self.prefix_len <= 32:
+            raise ValueError(f"'prefix_len': {self.prefix_len!r} is not an integer from 0 to 32")
+        try:
+            address_int(self.root_address)
+        except ValueError as exc:
+            raise ValueError(f"'root': {exc}") from None
+        if not self.clients:
+            raise EmptyInputError("'clients': no client addresses configured")
 
 
 @dataclass
@@ -116,10 +131,6 @@ class RoundRecord:
     plan: PlacementPlan
     phase_durations: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.finished_at < self.started_at:
-            raise ValueError("finished_at precedes started_at")
-
     def to_document(self) -> dict:
         return {
             "format": ROUND_FORMAT,
@@ -133,12 +144,13 @@ class RoundRecord:
 
 
 class _Degrading:
-    """Turns lookup failures into empty answers around a resolver or a
-    whois service, whichever methods of the four it has.
+    """The one place that decides which provider failures a round survives:
+    around a prober, a resolver or a whois service, whichever methods of
+    the five it has, it turns a failure into an empty answer.
 
-    A dead resolver or registry must not abort a round; the affected nodes
-    simply stay unknown and carry no edge servers. Any EdiscoError or
-    OSError counts as a failure; anything else propagates.
+    A client whose probe fails drops out; a node a dead resolver or registry
+    cannot identify stays unknown and carries no edge servers. Any
+    EdiscoError or OSError counts as a failure; anything else propagates.
     """
 
     def __init__(self, inner):
@@ -149,20 +161,23 @@ class _Degrading:
         try:
             return lookup(key)
         except (EdiscoError, OSError) as exc:
-            logger.warning("%s lookup failed for %s: %s", kind, key, exc)
+            logger.warning("%s failed for %s: %s", kind, key, exc)
             return empty
 
+    def probe(self, client: str):
+        return self._try("probe", self.inner.probe, client, None)
+
     def lookup_ptr(self, address: str):
-        return self._try("ptr", self.inner.lookup_ptr, address, None)
+        return self._try("ptr lookup", self.inner.lookup_ptr, address, None)
 
     def lookup_a(self, name: str):
-        return self._try("a", self.inner.lookup_a, name, [])
+        return self._try("a lookup", self.inner.lookup_a, name, [])
 
     def lookup_srv(self, qname: str):
-        return self._try("srv", self.inner.lookup_srv, qname, [])
+        return self._try("srv lookup", self.inner.lookup_srv, qname, [])
 
     def domains_for(self, address: str):
-        return self._try("whois", self.inner.domains_for, address, [])
+        return self._try("whois lookup", self.inner.domains_for, address, [])
 
 
 class _YoungCollectionDeferral:
@@ -262,11 +277,9 @@ def run_round(
     """One full round: discovery phase, then deployment phase.
 
     Probe and lookup failures degrade (the affected client or node drops
-    out); only a round that obtains zero paths aborts. When a redirect
-    service is passed, the new rules expire at start + period.
+    out, see _Degrading); only a round that obtains zero paths aborts. When
+    a redirect service is passed, the new rules expire at start + period.
     """
-    if not config.clients:
-        raise EmptyInputError("no client addresses configured")
     with _young_collection_deferred:  # collects once _run_round's frame, and its tree, is gone
         return _run_round(config, services, providers, redirect, round_id)
 
@@ -276,7 +289,7 @@ def _run_round(config, services, providers, redirect, round_id) -> RoundRecord:
     durations: dict[str, float] = {}
 
     with _timed(durations, "probe"):
-        paths = probe_many(config.clients, providers.prober)
+        paths = probe_many(config.clients, _Degrading(providers.prober))
     if not paths:
         raise RoundAbortedError(f"round {round_id}: zero paths obtained")
 
@@ -403,9 +416,10 @@ class RunSetup:
         }
 
     Relative paths resolve against the config file's directory. Capacity is
-    always fixture-backed. Every key is checked here, at load, where each
-    provider's source is worked out once: the fixture file a key names, or
-    live. So a missing key, a key of the wrong type, a value out of range
+    always fixture-backed. Every key is checked here, at load (the round's
+    settings by RoundConfig), where each provider's source is worked out
+    once: the fixture file a key names, or live. So a missing key, a key of
+    the wrong type, a value out of range, an empty client list
     (MalformedFixtureError) or a fixture file that does not open (OSError)
     fails in load_run_config, and `edisco run` exits 1 before anything binds.
     make_providers() re-reads every fixture file per round and builds fresh
@@ -423,17 +437,6 @@ class RunSetup:
         for key in ("root", "clients", "services", "capacity"):
             if key not in doc:
                 raise MalformedFixtureError(f"config is missing {key!r}")
-        period_s = doc.get("period_s", 300)
-        prefix_len = doc.get("prefix_len", 24)
-        # type() rather than isinstance(): JSON true and false are no numbers
-        if type(period_s) not in (int, float) or not 0 < period_s < math.inf:
-            raise MalformedFixtureError(f"config 'period_s': {period_s!r} is not a positive number")
-        if type(prefix_len) is not int or not 0 <= prefix_len <= 32:
-            raise MalformedFixtureError(
-                f"config 'prefix_len': {prefix_len!r} is not an integer from 0 to 32"
-            )
-        with _refused("config 'root'"):
-            address_int(doc["root"])
         with _refused("config 'listen'"):
             self.listen = parse_listen(doc.get("listen", "127.0.0.1:0"))
         for key in ("live_probe", "live_dns", "live_whois"):
@@ -464,12 +467,12 @@ class RunSetup:
         self.live_whois = doc.get("live_whois", False)
         self.whois = fixture("whois") if "whois" in doc and not self.live_whois else None
         self.capacity = fixture("capacity")
-        self.config = RoundConfig(
-            root_address=doc["root"],
-            clients=tuple(read_client_addresses(fixture("clients"))),
-            period_s=float(period_s),
-            prefix_len=prefix_len,
-        )
+        with _refused("config", InvalidPeriodError, EmptyInputError):
+            self.config = RoundConfig(
+                root_address=doc["root"],
+                clients=tuple(read_client_addresses(fixture("clients"))),
+                **{key: doc[key] for key in ("period_s", "prefix_len") if key in doc},
+            )
         self.services = load_service_profiles(load_json(fixture("services")))
         self._traces: tuple[bytes, FixtureProber] | None = None  # the last parse
 

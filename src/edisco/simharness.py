@@ -149,14 +149,8 @@ def bundle_providers(bundle: ScenarioBundle) -> RoundProviders:
     )
 
 
-def bundle_round_config(
-    bundle: ScenarioBundle, period_s: float = DEFAULT_PERIOD_S
-) -> RoundConfig:
-    return RoundConfig(
-        root_address=bundle.root_address,
-        clients=tuple(bundle.clients),
-        period_s=period_s,
-    )
+def bundle_round_config(bundle: ScenarioBundle) -> RoundConfig:
+    return RoundConfig(bundle.root_address, tuple(bundle.clients), period_s=DEFAULT_PERIOD_S)
 
 
 def compute_expected(bundle: ScenarioBundle) -> dict:

@@ -745,7 +745,7 @@ def test_run_rejects_unknown_probe_setting(bundle_dir, capsys):
         ("probe", {"timeout_s": "1"}, ("'probe'", "timeout_s")),
         ("probe", {"max_ttl": 0}, ("'probe'", "max_ttl")),
         ("probe", {"max_ttl": 256}, ("'probe'", "max_ttl")),
-        ("probe", {"base_port": 65507}, ("'probe'", "base_port")),
+        ("probe", {"base_port": 33434}, ("'probe'", "'base_port'")),  # no field any more
     ],
 )
 def test_run_rejects_bad_config_value(bundle_dir, capsys, key, value, words):
@@ -755,6 +755,17 @@ def test_run_rejects_bad_config_value(bundle_dir, capsys, key, value, words):
     (directory / "bad.json").write_text(json.dumps(config))
     assert main(["run", "--config", str(directory / "bad.json"), "--once"]) == 1
     assert_one_error_line(capsys.readouterr(), *words)
+
+
+def test_run_with_an_empty_client_list_fails_before_it_binds(bundle_dir, capsys, monkeypatch):
+    def no_bind(*args, **kwargs):
+        raise AssertionError("the front end bound")
+
+    monkeypatch.setattr("edisco.cli.socket.create_server", no_bind)
+    directory, _ = bundle_dir
+    (directory / "clients.txt").write_text("# no clients\n")
+    assert main(["run", "--config", str(directory / "config.json")]) == 1
+    assert_one_error_line(capsys.readouterr(), "'clients'", "no client addresses")
 
 
 def test_run_once_is_deterministic(bundle_dir, capsys):

@@ -13,7 +13,6 @@ from edisco.placement import (
     Assignment,
     CapacityResponse,
     FixtureCapacityService,
-    PlacementCandidate,
     PlacementPlan,
     ServiceProfile,
     fold_client_paths,
@@ -137,18 +136,6 @@ def test_transport_filter():
     equip(tree, "10.2.0.0/24", edge("10.2.0.31", proto=Transport.UDP))
     ranked = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, proto=Transport.UDP))
     assert [c.server.address for c in ranked] == ["10.2.0.31"]
-
-
-def test_candidate_requires_server_on_node():
-    tree = two_branch_tree()
-    with pytest.raises(ValueError):
-        PlacementCandidate(
-            node=tree.nodes["10.1.0.0/24"],
-            server=edge("203.0.113.1"),
-            centrality=1,
-            client_distance=0.0,
-            covered_prefixes=(),
-        )
 
 
 def oracle_key(tree, svc, candidate):

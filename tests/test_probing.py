@@ -1,4 +1,3 @@
-import errno
 import select
 import socket
 import struct
@@ -7,8 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import edisco.probing
 from edisco.errors import ProbePermissionError, ProbeTimeoutError
 from edisco.probing import (
+    BASE_PORT,
     ICMP_DEST_UNREACHABLE,
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
@@ -127,9 +128,6 @@ def test_config_rejects_zero_ttl():
         ("timeout_s", True),
         ("max_ttl", 256),
         ("max_ttl", "3"),
-        ("base_port", 0),
-        ("base_port", 65507),  # its last probe port, 65507 + 30 - 1, is past 65535
-        ("base_port", None),
     ],
 )
 def test_config_rejects_a_field_of_the_wrong_type_or_range(field, value):
@@ -138,8 +136,8 @@ def test_config_rejects_a_field_of_the_wrong_type_or_range(field, value):
 
 
 def test_config_takes_the_edges_of_each_range():
-    config = ProbeConfig(timeout_s=0.001, max_ttl=255, base_port=65536 - 255, probes_per_hop=1)
-    assert config.base_port + config.max_ttl - 1 == 65535
+    config = ProbeConfig(timeout_s=0.001, max_ttl=255, probes_per_hop=1)
+    assert BASE_PORT + config.max_ttl - 1 <= 65535  # the last probe port
     assert ProbeConfig(timeout_s=2).timeout_s == 2
 
 
@@ -356,54 +354,27 @@ def test_fixture_prober_times_out_unknown_client():
 # -- fan-out -----------------------------------------------------------------
 
 
-def test_probe_many_skips_failures(caplog):
-    paths = [
-        make_path("172.16.0.9", "10.0.0.1"),
-        make_path("172.16.1.9", "10.0.0.1"),
-    ]
-    prober = FixtureProber(paths)
-    clients = ["172.16.0.9", "172.16.9.9", "172.16.1.9"]
-    with caplog.at_level("WARNING", logger="edisco.probing"):
-        results = probe_many(clients, prober, concurrency=2)
-    assert sorted(p.client for p in results) == ["172.16.0.9", "172.16.1.9"]
-    assert any("172.16.9.9" in rec.message for rec in caplog.records)
-
-
-class UnreachableProber:
-    """A prober whose sendto fails with ENETUNREACH for the clients in
-    `unreachable`."""
-
-    def __init__(self, unreachable):
-        self.unreachable = set(unreachable)
-
-    def probe(self, client):
-        if client in self.unreachable:
-            raise OSError(errno.ENETUNREACH, "Network is unreachable")
-        return make_path(client, "10.0.0.1")
-
-
-def test_probe_many_skips_a_client_whose_probe_raises_oserror(caplog):
-    clients = ["172.16.0.9", "172.16.9.9", "172.16.1.9"]
-    with caplog.at_level("WARNING", logger="edisco.probing"):
-        results = probe_many(clients, UnreachableProber({"172.16.9.9"}), concurrency=2)
-    assert [p.client for p in results] == ["172.16.0.9", "172.16.1.9"]
-    assert any("unreachable" in rec.getMessage() for rec in caplog.records)
-
-
 def test_probe_many_empty_clients():
-    assert probe_many([], FixtureProber([]), concurrency=4) == []
+    assert probe_many([], FixtureProber([])) == []
+
+
+def test_probe_many_raises_a_failed_probe():
+    """probe_many does not degrade; a round's prober does (rounds._Degrading)."""
+    with pytest.raises(ProbeTimeoutError):
+        probe_many(["172.16.5.5"], FixtureProber([]))
 
 
 def test_probe_many_preserves_order_of_successes():
     paths = [make_path(f"172.16.{i}.9", "10.0.0.1") for i in range(6)]
     prober = FixtureProber(paths)
     clients = [p.client for p in paths]
-    results = probe_many(clients, prober, concurrency=3)
+    results = probe_many(clients, prober)
     assert [p.client for p in results] == clients
 
 
 class GaugedProber:
-    """A slow prober; clients in `failing` time out."""
+    """A slow prober; clients in `failing` get None, the answer a round's
+    prober gives for a failed probe."""
 
     def __init__(self, gauge, failing=()):
         self.gauge = gauge
@@ -411,16 +382,15 @@ class GaugedProber:
 
     def probe(self, client):
         with self.gauge.call():
-            if client in self.failing:
-                raise ProbeTimeoutError(f"{client}: no hop answered any probe")
-            return make_path(client, "10.0.0.1")
+            return None if client in self.failing else make_path(client, "10.0.0.1")
 
 
 @pytest.mark.parametrize("width, n", [(4, 10), (8, 19), (8, 3)])
-def test_probe_many_fills_its_width_and_keeps_input_order(width, n):
+def test_probe_many_fills_its_width_and_keeps_input_order(monkeypatch, width, n):
+    monkeypatch.setattr(edisco.probing, "PROBE_CONCURRENCY", width)
     clients = [f"172.16.{i}.9" for i in reversed(range(n))]
     failing = set(clients[1::3])
     gauge = OverlapGauge(min(width, n))
-    results = probe_many(clients, GaugedProber(gauge, failing), concurrency=width)
+    results = probe_many(clients, GaugedProber(gauge, failing))
     assert gauge.most_in_flight == min(width, n)
     assert [p.client for p in results] == [c for c in clients if c not in failing]

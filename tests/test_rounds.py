@@ -1,4 +1,5 @@
 import asyncio
+import errno
 import gc
 import importlib.util
 import json
@@ -23,6 +24,7 @@ from edisco.discovery import EdgeServer, FixtureWhois, StubResolver
 from edisco.errors import (
     EdiscoError,
     EmptyInputError,
+    InvalidPeriodError,
     MalformedFixtureError,
     MalformedZoneError,
     ProbePermissionError,
@@ -38,7 +40,6 @@ from edisco.rounds import (
     ROUND_GEN0_THRESHOLD,
     RoundConfig,
     RoundProviders,
-    RoundRecord,
     append_journal,
     load_run_config,
     read_client_addresses,
@@ -101,19 +102,6 @@ def make_config(**overrides):
 
 
 # -- record type -------------------------------------------------------------
-
-
-def test_record_rejects_reversed_timestamps():
-    from edisco.placement import PlacementPlan
-
-    with pytest.raises(ValueError):
-        RoundRecord(
-            round_id=1,
-            started_at=10.0,
-            finished_at=9.0,
-            tree_digest="0" * 64,
-            plan=PlacementPlan(round_id=1),
-        )
 
 
 def test_record_document_shape():
@@ -188,16 +176,18 @@ def test_zero_paths_aborts():
 
 
 class DeniedProber:
-    """Refuses the raw socket for the clients in `denied`, as the operating
-    system does without CAP_NET_RAW, and probes the others from fixtures."""
+    """Fails the probe of the clients in `denied` with error(), by default
+    the refused raw socket the operating system gives without CAP_NET_RAW,
+    and probes the others from fixtures."""
 
-    def __init__(self, denied):
+    def __init__(self, denied, error=lambda: ProbePermissionError("raw socket refused")):
         self.denied = set(denied)
+        self.error = error
         self.inner = FixtureProber(world_paths())
 
     def probe(self, client):
         if client in self.denied:
-            raise ProbePermissionError(f"{client}: raw socket refused")
+            raise self.error()
         return self.inner.probe(client)
 
 
@@ -222,6 +212,30 @@ def test_partial_probe_failure_degrades():
     assert record.plan.assignments[0].covered_prefixes == ("172.16.0.0/24",)
 
 
+def assert_one_warning_names_once(caplog, client):
+    warnings = [r.getMessage() for r in caplog.records if client in r.getMessage()]
+    assert len(warnings) == 1 and warnings[0].count(client) == 1, warnings
+
+
+def test_a_client_whose_probe_times_out_drops_out_of_the_round(caplog):
+    providers = make_providers(paths=[world_paths()[0]])  # CLIENTS[1] has no recorded path
+    with caplog.at_level("WARNING", logger="edisco.rounds"):
+        record = run_round(make_config(), [video_service()], providers)
+    assert record.plan.assignments[0].covered_prefixes == ("172.16.0.0/24",)
+    assert_one_warning_names_once(caplog, CLIENTS[1])
+
+
+def test_a_client_whose_probe_raises_oserror_drops_out_of_the_round(caplog):
+    providers = make_providers()
+    unreachable = lambda: OSError(errno.ENETUNREACH, "Network is unreachable")  # as sendto's
+    providers.prober = DeniedProber(CLIENTS[1:], unreachable)
+    with caplog.at_level("WARNING", logger="edisco.rounds"):
+        record = run_round(make_config(), [video_service()], providers)
+    assert record.plan.assignments[0].covered_prefixes == ("172.16.0.0/24",)
+    assert_one_warning_names_once(caplog, CLIENTS[1])
+    assert "Network is unreachable" in caplog.text
+
+
 def test_no_srv_records_round_completes_unplaced():
     bare_zone = (
         "serverA.domainA.com.  86400 IN A 192.168.121.30\n"
@@ -240,8 +254,26 @@ def test_no_srv_records_round_completes_unplaced():
 
 
 def test_empty_client_list_rejected():
-    with pytest.raises(EmptyInputError):
-        run_round(make_config(clients=()), [video_service()], make_providers())
+    with pytest.raises(EmptyInputError):  # by RoundConfig, so no round starts without clients
+        make_config(clients=())
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        *[("period_s", p, InvalidPeriodError) for p in (math.nan, math.inf, -math.inf, 0, -5, True)],
+        *[("prefix_len", n, ValueError) for n in (33, -1, True)],
+        ("root_address", "x", ValueError),
+    ],
+)
+def test_round_config_refuses_a_bad_setting(field, value, error):
+    with pytest.raises(error):
+        make_config(**{field: value})
+
+
+def test_round_config_takes_the_edges_of_each_range():
+    assert make_config(period_s=0.5, prefix_len=0).prefix_len == 0
+    assert make_config(period_s=300, prefix_len=32).period_s == 300
 
 
 class DeadResolver:
