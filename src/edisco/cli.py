@@ -91,18 +91,24 @@ def cmd_probe(args) -> int:
         print(f"edisco probe: {exc}", file=sys.stderr)
         return 2
     prober = TracerouteProber(config)
-    paths = [prober.probe(client) for client in args.clients]
+    paths = []
+    for client in args.clients:
+        try:
+            paths.append(prober.probe(client))
+        except (EdiscoError, OSError) as exc:
+            print(f"edisco probe: {client}: {exc}", file=sys.stderr)
+            return 1
     if args.json:
         _emit_document(args, paths_to_document(paths))
         return 0
     lines = []
     for path in paths:
         lines.append(f"# {path.client}" + (" (truncated)" if path.truncated else ""))
-        for hop in path.hops:
+        for ttl, hop in enumerate(path.hops, start=1):
             if hop.known:
-                lines.append(f"{hop.index:3d}  {hop.address:<15s}  {hop.rtt_ms:.2f} ms")
+                lines.append(f"{ttl:3d}  {hop.address:<15s}  {hop.rtt_ms:.2f} ms")
             else:
-                lines.append(f"{hop.index:3d}  *")
+                lines.append(f"{ttl:3d}  *")
     _emit(args, "\n".join(lines))
     return 0
 

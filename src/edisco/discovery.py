@@ -150,8 +150,8 @@ class StubResolver:
     def __init__(self, servers: list[str] | None = None):
         self.servers = servers or dnswire.resolv_nameservers()
 
-    def _query(self, qname: str, qtype: int) -> list[dnswire.WireAnswer]:
-        """The first answer list a server gives; the last error when none does."""
+    def _query(self, qname: str, qtype: int) -> list:
+        """The first answer data a server gives; the last error when none does."""
         error: Exception | None = None
         for server in self.servers:
             try:
@@ -161,32 +161,26 @@ class StubResolver:
         raise error  # type: ignore[misc]  # servers is never empty
 
     def lookup_ptr(self, address: str) -> PtrRecord | None:
-        qname = reverse_pointer_name(address)
-        for answer in self._query(qname, dnswire.TYPE_PTR):  # the first answer
-            return PtrRecord(
-                address=address,
-                ttl=answer.ttl,
-                target=str(answer.data).rstrip("."),
-            )
+        """The first answer that names a host; an answer naming the root
+        names no domain and is skipped."""
+        for target in self._query(reverse_pointer_name(address), dnswire.TYPE_PTR):
+            if target:
+                return PtrRecord(address=address, target=target)
         return None
 
     def lookup_a(self, name: str) -> list[ARecord]:
-        return [
-            ARecord(name=name, ttl=a.ttl, address=str(a.data))
-            for a in self._query(name, dnswire.TYPE_A)
-        ]
+        return [ARecord(name=name, address=a) for a in self._query(name, dnswire.TYPE_A)]
 
     def lookup_srv(self, qname: str) -> list[SrvRecord]:
         """Raises MalformedSrvError for a qname that is not _service._proto.zone
         before any packet is sent; drops each answer parse_srv_rdata refuses."""
         service, protocol, zone = parse_srv_owner(qname)
         records = []
-        for answer in self._query(qname, dnswire.TYPE_SRV):
+        for rdata in self._query(qname, dnswire.TYPE_SRV):
             try:
-                rdata = parse_srv_rdata(answer.data)  # type: ignore[arg-type]
+                records.append(SrvRecord(service, protocol, zone, *parse_srv_rdata(rdata)))
             except MalformedSrvError:  # target "." or port 0
                 continue
-            records.append(SrvRecord(service, protocol, zone, answer.ttl, *rdata))
         return records
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from dataclasses import dataclass
 
 from .errors import MalformedNameError, ResolverUnreachableError
 
@@ -97,20 +96,16 @@ def build_query(qname: str, qtype: int, txid: int) -> bytes:
     return header + encode_name(qname) + struct.pack(">HH", qtype, CLASS_IN)
 
 
-@dataclass(frozen=True)
-class WireAnswer:
-    ttl: int
-    data: object  # str for A/PTR, (priority, weight, port, target) for SRV
-
-
 def parse_response(
     packet: bytes,
-) -> tuple[int, int, bool, tuple[str, int, int] | None, list[WireAnswer]]:
+) -> tuple[int, int, bool, tuple[str, int, int] | None, list]:
     """Decode a reply in one pass: (txid, rcode, truncated, question, answers).
 
     `question` is the (lower-case name, type, class) of the reply's only
-    question, else None. `answers` holds the answers of the question's type,
-    A, PTR or SRV, and class IN, in order; any other answer (a CNAME of a
+    question, else None. `answers` holds the data of the answers of the
+    question's type and class IN, in order: the address or name, a str, of
+    an A or PTR answer, the (priority, weight, port, target) of an SRV
+    answer. Their TTLs are not read. Any other answer (a CNAME of a
     chain, another class) is skipped undecoded, and so is the whole answer
     section of a reply without exactly one question or with TC set (RFC 2181
     section 9). ValueError or struct.error for anything undecodable."""
@@ -126,14 +121,14 @@ def parse_response(
     answers = []
     for _ in range(0 if truncated else ancount):
         _, offset = decode_name(packet, offset)
-        rtype, rclass, ttl, rdlength = struct.unpack_from(">HHIH", packet, offset)
+        rtype, rclass, _, rdlength = struct.unpack_from(">HHIH", packet, offset)
         at, offset = offset + 10, offset + 10 + rdlength
         rdata = packet[at:offset]
         if len(rdata) != rdlength:
             raise ValueError("truncated rdata")
         if (rtype, rclass) != (qtype, CLASS_IN):
             continue
-        data: object
+        data: str | tuple[int, int, int, str]
         if rtype == TYPE_A:
             if rdlength != 4:
                 raise ValueError("A rdata must be 4 bytes")
@@ -146,7 +141,7 @@ def parse_response(
             data = (priority, weight, port, target)
         else:  # a type the stub never asks for
             continue
-        answers.append(WireAnswer(ttl=ttl, data=data))
+        answers.append(data)
     return txid, rcode, truncated, (qname.lower(), qtype, qclass), answers
 
 
@@ -206,8 +201,9 @@ def _read_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
 
 def query(
     server: str, qname: str, qtype: int, timeout: float = 2.0, txid: int = 0x1234
-) -> list[WireAnswer]:
-    """One question against one server. NXDOMAIN and empty answers both come
+) -> list:
+    """The data of the answers to one question against one server, as
+    parse_response gives them. NXDOMAIN and empty answers both come
     back as []; transport failures, undecodable replies, replies to another
     transaction id or question, server failures and a reply not complete
     within `timeout` seconds, over UDP and TCP together, raise

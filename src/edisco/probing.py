@@ -162,7 +162,7 @@ class TracerouteProber:
                 responder, rtt_ms, reached = self._single_probe(client, ttl)
                 if responder is not None:
                     break
-            hops.append(Hop(index=ttl, address=responder, rtt_ms=rtt_ms))
+            hops.append(Hop(address=responder, rtt_ms=rtt_ms))  # the hop at position ttl
             if responder is not None:
                 answered_any = True
             if reached:

@@ -67,7 +67,6 @@ class ScenarioSpec:
 
 @dataclass
 class ScenarioBundle:
-    spec: ScenarioSpec
     root_address: str
     clients: list[str]
     traces: list[dict]
@@ -257,7 +256,7 @@ def generate_scenario(
             priority = 10 if n == 1 else rng.choice([10, 10, 20])
             weight = rng.choice([10, 20, 30])
             server_addresses.append(address)
-            a_records.append(ARecord(name=host, ttl=86400, address=address))
+            a_records.append(ARecord(name=host, address=address))
             for transport in (Transport.TCP, Transport.UDP):
                 if transport is Transport.UDP and not advertise_udp:
                     continue
@@ -266,7 +265,6 @@ def generate_scenario(
                         service="edge",
                         protocol=transport,
                         zone=org,
-                        ttl=86400,
                         priority=priority,
                         weight=weight,
                         port=port,
@@ -283,21 +281,13 @@ def generate_scenario(
                 continue
             suffix = "" if iface == 0 else "-b"
             target = f"r{router.router_id}{suffix}.{router.org}"
-            ptr_records.append(
-                PtrRecord(address=address, ttl=86400, target=target)
-            )
+            ptr_records.append(PtrRecord(address=address, target=target))
             ptr_domains.add(router.org)
     for group, leaf in group_order:
         if rng.random() < 0.5:
             continue
         for n, address in enumerate(group["members"]):
-            ptr_records.append(
-                PtrRecord(
-                    address=address,
-                    ttl=86400,
-                    target=f"h{n}.{leaf.org}",
-                )
-            )
+            ptr_records.append(PtrRecord(address=address, target=f"h{n}.{leaf.org}"))
             ptr_domains.add(leaf.org)
 
     whois: dict[str, str] = {}
@@ -368,7 +358,6 @@ def generate_scenario(
         traces.append({"client": address, "hops": hops})
 
     bundle = ScenarioBundle(
-        spec=spec,
         root_address=root_address,
         clients=clients,
         traces=traces,

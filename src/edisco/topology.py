@@ -89,20 +89,20 @@ def _prefix_text(network: int, prefix_len: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Hop:
-    """One TTL step on a probed path.
+    """One TTL step on a probed path; its TTL is its 1-based position in
+    the path's hops, so it stores none. A trace document's hop "index" must
+    run 1..n in order, and paths_to_document (so also `edisco probe --json`)
+    writes it from the position.
 
     A hop that never answered is recorded as unknown: no address and no rtt.
     """
 
-    index: int
     address: str | None = None
     rtt_ms: float | None = None
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"hop index must be >= 1, got {self.index}")
         if self.address is None and self.rtt_ms is not None:
-            raise ValueError(f"hop {self.index}: rtt without address")
+            raise ValueError("rtt without address")
         if self.address is not None:
             address_int(self.address)
 
@@ -127,12 +127,6 @@ class ProbedPath:
         address_int(self.client)
         if not self.hops:
             raise ValueError("path has no hops")
-        for position, hop in enumerate(self.hops, start=1):
-            if hop.index != position:
-                raise ValueError(
-                    f"hop indices must be 1..n without gaps; "
-                    f"position {position} has index {hop.index}"
-                )
         last_known = next((h.address for h in reversed(self.hops) if h.known), None)
         object.__setattr__(self, "truncated", last_known != self.client)
 
@@ -212,10 +206,12 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
 
     The document is the already-loaded JSON value: a list of
     ``{"client": str, "hops": [{"index", "address", "rtt_ms"}, ...]}``.
-    Every Hop and ProbedPath is built by its constructor, so an entry fails
-    exactly when building them directly would fail, with the same message
-    and its location cited. An entry for a client named before must have
-    the same known addresses as the first.
+    A hop's "index" must equal its 1-based position, so they run 1..n in
+    order (1.0 and true pass as 1); it is checked here, first, since a Hop
+    stores none. Then every Hop and ProbedPath is built by its constructor,
+    so an entry fails exactly when building them directly would fail, with
+    the same message and its location cited. An entry for a client named
+    before must have the same known addresses as the first.
     """
     if not isinstance(document, list):
         raise MalformedFixtureError("trace fixture must be a top-level list")
@@ -230,8 +226,12 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
         for position, raw in enumerate(_typed(entry, "hops", list, where)):
             if not isinstance(raw, dict):
                 raise MalformedFixtureError(f"{where}, hop {position}: not an object")
+            if (index := raw.get("index")) != position + 1:
+                raise MalformedFixtureError(
+                    f"{where}, hop {position}: 'index' must be {position + 1}, got {index!r}"
+                )
             with _refused(f"{where}, hop {position}"):
-                hops.append(Hop(raw["index"], raw.get("address"), raw.get("rtt_ms")))
+                hops.append(Hop(raw.get("address"), raw.get("rtt_ms")))
         with _refused(where):
             paths.append(ProbedPath(client=client, hops=tuple(hops)))
         first = first_entry.setdefault(client, i)
@@ -243,13 +243,14 @@ def ingest_recorded_paths(document) -> list[ProbedPath]:
 
 
 def paths_to_document(paths: Iterable[ProbedPath]) -> list[dict]:
-    """Serialize paths back to the recorded-trace fixture shape."""
+    """Serialize paths back to the recorded-trace fixture shape; each hop's
+    "index" is its 1-based position."""
     return [
         {
             "client": p.client,
             "hops": [
-                {"index": h.index, "address": h.address, "rtt_ms": h.rtt_ms}
-                for h in p.hops
+                {"index": index, "address": h.address, "rtt_ms": h.rtt_ms}
+                for index, h in enumerate(p.hops, start=1)
             ],
         }
         for p in paths

@@ -4,8 +4,11 @@ Handles the three record types the discovery flow needs: SRV lines in the
 ``_edge._tcp.zone. TTL IN SRV priority weight port target`` layout, A lines,
 and PTR lines under in-addr.arpa. Zone text is line oriented; ``;`` starts a
 comment and ``$ORIGIN`` qualifies relative names. IN is the only class the
-grammar takes, so no record stores its class. A parsed zone (`ZoneData`) is
-also the resolver that offline rounds query.
+grammar takes, so no record stores its class. Each line's TTL is checked
+(ASCII digits, at most MAX_TTL, exactly one) but not kept: caching is the
+recursive server's business, and no round reads a TTL. Rendered, and so
+generated, lines carry RENDERED_TTL, 86400. A parsed zone (`ZoneData`) is also the resolver that
+offline rounds query.
 
 Every SRV record, from a zone line or a live DNS answer, is read by
 `parse_srv_owner` and `parse_srv_rdata`. So the live stub drops an answer
@@ -32,6 +35,7 @@ FIELD_PORT = 8
 FIELD_TARGET = 9
 
 MAX_TTL = 2**31 - 1  # RFC 2181 section 8
+RENDERED_TTL = 86400  # the TTL of every line render_*_line writes
 # (low, high) of each SRV number (RFC 2782), for every reader of SRV data
 SRV_RANGES = {"priority": (0, 65535), "weight": (0, 65535), "port": (1, 65535)}
 
@@ -53,7 +57,6 @@ class SrvRecord:
     service: str
     protocol: Transport
     zone: str
-    ttl: int
     priority: int
     weight: int
     port: int
@@ -67,14 +70,12 @@ class SrvRecord:
 @dataclass(frozen=True, slots=True)
 class ARecord:
     name: str
-    ttl: int
     address: str
 
 
 @dataclass(frozen=True, slots=True)
 class PtrRecord:
     address: str
-    ttl: int
     target: str
 
 
@@ -144,17 +145,17 @@ def parse_srv_rdata(values: list[str] | tuple[int, int, int, str]) -> tuple[int,
 
 def render_srv_line(record: SrvRecord) -> str:
     return (
-        f"{record.qname}. {record.ttl} IN SRV "
+        f"{record.qname}. {RENDERED_TTL} IN SRV "
         f"{record.priority} {record.weight} {record.port} {record.target}."
     )
 
 
 def render_a_line(record: ARecord) -> str:
-    return f"{record.name}. {record.ttl} IN A {record.address}"
+    return f"{record.name}. {RENDERED_TTL} IN A {record.address}"
 
 
 def render_ptr_line(record: PtrRecord) -> str:
-    return f"{reverse_pointer_name(record.address)}. {record.ttl} IN PTR {record.target}."
+    return f"{reverse_pointer_name(record.address)}. {RENDERED_TTL} IN PTR {record.target}."
 
 
 def reverse_pointer_name(address: str) -> str:
@@ -272,7 +273,7 @@ def _parse_record_line(tokens: list[str], origin: str | None):
         raise MalformedZoneError(f"too few fields: {' '.join(tokens)!r}")
     owner = tokens[0]
     rest = tokens[1:]
-    # TTL and class may appear in either order.
+    # TTL and class may appear in either order. The TTL is checked, not kept.
     ttl: int | None = None
     has_class = False  # IN, the only class taken
     while rest and (_is_decimal(rest[0]) or rest[0].upper() == "IN"):
@@ -298,7 +299,7 @@ def _parse_record_line(tokens: list[str], origin: str | None):
         service, protocol, zone = parse_srv_owner(_qualify(owner, origin))
         priority, weight, port, _ = parse_srv_rdata(rest)  # target "." fails here, at field 9
         target = _qualify(rest[3], origin)
-        return SrvRecord(service, protocol, zone, ttl, priority, weight, port, target)
+        return SrvRecord(service, protocol, zone, priority, weight, port, target)
     if rtype == "A":
         if len(rest) != 1:
             raise MalformedZoneError(f"A rdata must be one address, got {rest}")
@@ -307,17 +308,10 @@ def _parse_record_line(tokens: list[str], origin: str | None):
             address_int(address)
         except ValueError:
             raise MalformedZoneError(f"bad A address {address!r}") from None
-        return ARecord(
-            name=_qualify(owner, origin),
-            ttl=ttl,
-            address=address,
-        )
+        return ARecord(name=_qualify(owner, origin), address=address)
     if rtype == "PTR":
         if len(rest) != 1:
             raise MalformedZoneError(f"PTR rdata must be one name, got {rest}")
-        return PtrRecord(
-            address=_address_from_reverse_name(owner),
-            ttl=ttl,
-            target=_qualify(rest[0], origin),
-        )
+        address = _address_from_reverse_name(owner)
+        return PtrRecord(address=address, target=_qualify(rest[0], origin))
     raise MalformedZoneError(f"unsupported record type {rtype!r}")

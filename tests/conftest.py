@@ -55,7 +55,7 @@ def make_path(
     if complete:
         addresses.append(client)
     hops = tuple(
-        Hop(index=i, address=a, rtt_ms=None if a is None else float(i))
+        Hop(address=a, rtt_ms=None if a is None else float(i))
         for i, a in enumerate(addresses, start=1)
     )
     return ProbedPath(client=client, hops=hops)
@@ -260,16 +260,16 @@ class LoopbackResponder:
         """The reply to a query, echoing the question name `echo` if given."""
         txid, qname, qtype = self.question(query)
         if qtype == dnswire.TYPE_A:
-            found = [(r.ttl, socket.inet_aton(r.address)) for r in self.zone.lookup_a(qname)]
+            found = [socket.inet_aton(r.address) for r in self.zone.lookup_a(qname)]
         elif qtype == dnswire.TYPE_SRV:
             found = [
-                (r.ttl, struct.pack(">HHH", r.priority, r.weight, r.port) + hand_name(*r.target.split(".")))
+                struct.pack(">HHH", r.priority, r.weight, r.port) + hand_name(*r.target.split("."))
                 for r in self.zone.lookup_srv(qname)
             ]
         else:
             ptr = self.zone.lookup_ptr(".".join(reversed(qname.split(".")[:4])))
-            found = [] if ptr is None else [(ptr.ttl, hand_name(*ptr.target.split(".")))]
-        answers = [] if tc else [record(qtype, rdata, ttl) for ttl, rdata in found]
+            found = [] if ptr is None else [hand_name(*ptr.target.split("."))]
+        answers = [] if tc else [record(qtype, rdata) for rdata in found]
         rcode = dnswire.RCODE_NOERROR if found else dnswire.RCODE_NXDOMAIN
         return response_packet(txid, rcode, answers, tc=tc, qname=echo or qname, qtype=qtype)
 

@@ -214,9 +214,7 @@ def test_criterion_04_grouping_and_collapse():
             doubled.append(
                 ProbedPath(
                     client=p.client,
-                    hops=tuple(
-                        Hop(index=i + 1, address=a) for i, a in enumerate(addresses)
-                    ),
+                    hops=tuple(Hop(address=a) for a in addresses),
                 )
             )
         base = compute_centrality(build_tree(paths, bundle.root_address))

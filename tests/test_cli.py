@@ -12,7 +12,7 @@ import time
 import pytest
 
 from edisco.cli import main
-from edisco.errors import ProbePermissionError
+from edisco.errors import ProbePermissionError, ProbeTimeoutError
 from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import AggregationTree, paths_to_document
 
@@ -879,9 +879,12 @@ def test_probe_human_output(capsys, monkeypatch):
     monkeypatch.setattr("edisco.cli.TracerouteProber", FakeProber)
     assert main(["probe", "172.16.0.9"]) == 0
     out = capsys.readouterr().out
-    assert "# 172.16.0.9" in out
-    assert "10.0.0.1" in out
-    assert "  *" in out  # the silent hop
+    assert out.splitlines() == [
+        "# 172.16.0.9",
+        "  1  10.0.0.1         1.00 ms",
+        "  2  *",  # the silent hop, numbered by its position
+        "  3  172.16.0.9       3.00 ms",
+    ]
 
 
 def test_probe_json_output(capsys, monkeypatch):
@@ -898,6 +901,7 @@ def test_probe_json_output(capsys, monkeypatch):
     assert main(["probe", "172.16.0.9", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[0]["client"] == "172.16.0.9"
+    assert [hop["index"] for hop in doc[0]["hops"]] == [1, 2]  # each hop's position
 
 
 def test_probe_permission_error_is_operational(capsys, monkeypatch):
@@ -911,6 +915,30 @@ def test_probe_permission_error_is_operational(capsys, monkeypatch):
     monkeypatch.setattr("edisco.cli.TracerouteProber", DeniedProber)
     assert main(["probe", "172.16.0.9"]) == 1
     assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error", [ProbeTimeoutError("no hop answered any probe"), OSError("Network is unreachable")]
+)
+def test_probe_names_the_client_whose_probe_failed(capsys, monkeypatch, error):
+    probed = []
+
+    class SecondFails:
+        def __init__(self, config):
+            pass
+
+        def probe(self, client):
+            probed.append(client)
+            if len(probed) == 2:
+                raise error
+            return make_path(client)
+
+    monkeypatch.setattr("edisco.cli.TracerouteProber", SecondFails)
+    assert main(["probe", "172.16.0.9", "172.16.1.9", "172.16.2.9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"edisco probe: 172.16.1.9: {error}"]
+    assert probed == ["172.16.0.9", "172.16.1.9"]
 
 
 @pytest.mark.parametrize(

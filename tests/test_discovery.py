@@ -319,7 +319,7 @@ class GaugedResolver:
         with self.gauge.call():
             if address in self.missing:
                 return None
-            return PtrRecord(address=address, ttl=60, target=f"r.{address}.net")
+            return PtrRecord(address=address, target=f"r.{address}.net")
 
 
 @pytest.mark.parametrize("n", [19, 3])
@@ -497,23 +497,16 @@ def test_select_deterministic_per_seed():
 # --- the stub resolver ---
 
 
-wire = dnswire.WireAnswer
-
-
 REFERENCE_WIRE = {
-    ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [
-        wire(3600, (10, 30, 5060, "serverA.domainA.com."))
-    ],
-    ("servera.domaina.com", dnswire.TYPE_A): [
-        wire(90000, "192.168.121.30"),
-        wire(86400, "192.168.121.31"),
-    ],
+    ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [(10, 30, 5060, "serverA.domainA.com")],
+    ("servera.domaina.com", dnswire.TYPE_A): ["192.168.121.30", "192.168.121.31"],
 }
 
 
 class FakeDns:
-    """Stands in for dnswire.query: answers from a table keyed by
-    (lower-case name, type) and records the transaction ids."""
+    """Stands in for dnswire.query: answer data, as parse_response decodes
+    it, from a table keyed by (lower-case name, type); records the
+    transaction ids."""
 
     def __init__(self, answers=REFERENCE_WIRE):
         self.answers = answers
@@ -564,12 +557,8 @@ def test_srv_target_root_means_not_available(monkeypatch):
     """RFC 2782: target "." says the service is decidedly not available.
     The round completes and the node carries no edge servers."""
     answers = {
-        (reverse_pointer_name("192.168.121.30").lower(), dnswire.TYPE_PTR): [
-            wire(3600, "r1.domainA.com.")
-        ],
-        ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [
-            wire(3600, (0, 0, 0, ""))
-        ],
+        (reverse_pointer_name("192.168.121.30").lower(), dnswire.TYPE_PTR): ["r1.domainA.com"],
+        ("_edge._tcp.domaina.com", dnswire.TYPE_SRV): [(0, 0, 0, "")],
     }
     stub = fake_stub(monkeypatch, FakeDns(answers))
     tree = compute_centrality(build_tree([make_path("172.16.0.9", "192.168.121.30")], "10.0.0.1"))
@@ -585,7 +574,7 @@ def test_srv_answer_with_port_0_is_dropped(monkeypatch):
     server cannot be read back: only the answer with a port is kept."""
     answers = dict(REFERENCE_WIRE)
     answers["_edge._tcp.domaina.com", dnswire.TYPE_SRV] = [
-        wire(3600, (5, 50, 0, "serverA.domainA.com.")),
+        (5, 50, 0, "serverA.domainA.com"),
         *REFERENCE_WIRE["_edge._tcp.domaina.com", dnswire.TYPE_SRV],
     ]
     stub = fake_stub(monkeypatch, FakeDns(answers))
@@ -618,7 +607,7 @@ def test_stub_refuses_an_srv_qname_of_another_shape_before_it_sends(monkeypatch,
 
 
 def test_stub_resolver_maps_srv_answers(monkeypatch):
-    answers = [wire(3600, (10, 30, 5060, "serverA.domainA.com."))]
+    answers = [(10, 30, 5060, "serverA.domainA.com")]
     monkeypatch.setattr(dnswire, "query", lambda *a, **k: answers)
     stub = StubResolver(servers=["203.0.113.1"])
     records = stub.lookup_srv("_edge._tcp.domainA.com")
@@ -630,8 +619,8 @@ def test_stub_resolver_maps_srv_answers(monkeypatch):
 def test_stub_resolver_maps_ptr_and_a(monkeypatch):
     def fake_query(server, qname, qtype, timeout=2.0, txid=0):
         if qtype == dnswire.TYPE_PTR:
-            return [wire(60, "r1.domainA.com.")]
-        return [wire(60, "192.168.121.30")]
+            return ["r1.domainA.com"]
+        return ["192.168.121.30"]
 
     monkeypatch.setattr(dnswire, "query", fake_query)
     stub = StubResolver(servers=["203.0.113.1"])
@@ -707,6 +696,21 @@ def test_a_ptr_answer_of_another_class_gives_no_identity(monkeypatch):
     assert reverse_lookup(HOP, stub) == DomainIdentity(address=HOP)
     stub = wire_stub(monkeypatch, {ptr: in_ptr("r1.isp.test")})
     assert reverse_lookup(HOP, stub).domain == "isp.test"
+
+
+def test_a_ptr_answer_naming_the_root_is_skipped_so_whois_is_asked(monkeypatch):
+    """A PTR answer whose name is the root names no domain: the stub skips
+    it, takes a later answer if one names a host, and else has no record,
+    so identification falls back to whois."""
+    stub = StubResolver(servers=["203.0.113.1"])
+    whois = FixtureWhois({"192.168.121.0/24": "domainA.com"})
+    monkeypatch.setattr(stub, "_query", lambda qname, qtype: [""])
+    assert stub.lookup_ptr(HOP) is None
+    assert reverse_lookup(HOP, stub, whois) == DomainIdentity(
+        address=HOP, domain="domainA.com", provenance=Provenance.WHOIS
+    )
+    monkeypatch.setattr(stub, "_query", lambda qname, qtype: ["", "r1.isp.test"])
+    assert stub.lookup_ptr(HOP) == PtrRecord(address=HOP, target="r1.isp.test")
 
 
 # --- annotation ---

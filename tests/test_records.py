@@ -10,13 +10,13 @@ from edisco.topology import Hop, ProbedPath
 from edisco.zonefile import ARecord, PtrRecord, SrvRecord, Transport
 
 RECORDS = [
-    lambda: Hop(index=1, address="10.1.0.1", rtt_ms=1.5),
-    lambda: ProbedPath(client="10.1.0.1", hops=(Hop(index=1, address="10.1.0.1", rtt_ms=1.5),)),
+    lambda: Hop(address="10.1.0.1", rtt_ms=1.5),
+    lambda: ProbedPath(client="10.1.0.1", hops=(Hop(address="10.1.0.1", rtt_ms=1.5),)),
     lambda: DomainIdentity(address="10.1.0.1", domain="domainA.com", provenance=Provenance.PTR),
     lambda: EdgeServer("domainA.com", Transport.TCP, 10, 30, "192.168.121.30", 5060),
-    lambda: SrvRecord("edge", Transport.TCP, "domainA.com", 60, 10, 30, 5060, "serverA.domainA.com"),
-    lambda: ARecord("serverA.domainA.com", 60, "192.168.121.30"),
-    lambda: PtrRecord("192.168.121.30", 60, "serverA.domainA.com"),
+    lambda: SrvRecord("edge", Transport.TCP, "domainA.com", 10, 30, 5060, "serverA.domainA.com"),
+    lambda: ARecord("serverA.domainA.com", "192.168.121.30"),
+    lambda: PtrRecord("192.168.121.30", "serverA.domainA.com"),
 ]
 
 

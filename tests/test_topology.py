@@ -87,17 +87,12 @@ def test_group_subnet_idempotent(packed):
 
 def test_hop_rtt_without_address_rejected():
     with pytest.raises(ValueError):
-        Hop(index=1, address=None, rtt_ms=3.0)
-
-
-def test_hop_index_must_be_positive():
-    with pytest.raises(ValueError):
-        Hop(index=0, address="10.0.0.1")
+        Hop(address=None, rtt_ms=3.0)
 
 
 def test_unknown_hop_is_not_known():
-    assert not Hop(index=2).known
-    assert Hop(index=1, address="10.0.0.1").known
+    assert not Hop().known
+    assert Hop(address="10.0.0.1").known
 
 
 def test_path_complete_when_last_hop_is_client():
@@ -117,14 +112,6 @@ def test_path_truncated_when_all_hops_unknown():
     assert p.known_addresses == []
 
 
-def test_path_rejects_gapped_indices():
-    with pytest.raises(ValueError):
-        ProbedPath(
-            client="172.16.0.9",
-            hops=(Hop(index=1, address="10.1.0.1"), Hop(index=3, address="172.16.0.9")),
-        )
-
-
 # --- ingest / serialize ---
 
 
@@ -133,6 +120,23 @@ def test_ingest_two_entries():
         [make_path("172.16.0.1", "10.1.0.1"), make_path("172.16.1.1", "10.1.0.1")]
     )
     assert len(ingest_recorded_paths(doc)) == 2
+
+
+@pytest.mark.parametrize(
+    "indices, hop",
+    [([0, 2], 0), ([1, -1], 1), ([1, 3], 1), (["1", 2], 0), ([None, 2], 0), ([1, 2.5], 1), ([1, ...], 1)],
+    ids=["zero", "negative", "gap", "string", "null", "fraction", "missing"],
+)
+def test_ingest_refuses_a_hop_index_that_is_not_its_position(indices, hop):
+    """A hop's TTL is its position, so a trace's "index" must run 1..n in
+    order; the refusal names the entry and the hop, counted from 0. `...`
+    leaves the key out."""
+    hops = [{"address": "10.1.0.1", "rtt_ms": 1.0}, {"address": "172.16.0.9", "rtt_ms": 2.0}]
+    for raw, index in zip(hops, indices):
+        if index is not ...:
+            raw["index"] = index
+    with pytest.raises(MalformedFixtureError, match=f"^entry 0, hop {hop}: 'index' must be {hop + 1}, got "):
+        ingest_recorded_paths([{"client": "172.16.0.9", "hops": hops}])
 
 
 def test_ingest_rejects_out_of_order_indices():
@@ -211,16 +215,21 @@ def trace_documents(draw):
 
 
 def build_directly(document):
-    """Each entry's Hops and ProbedPath built one by one: the paths, or the
-    message ingest must give for the first failure, which may also be a
-    client's path whose known addresses differ from its first path's."""
+    """Each entry's hops checked and built one by one: the paths, or the
+    message ingest must give for the first failure. A hop's index passes
+    only as a number equal to its 1-based position, checked before the
+    Hop is built; a path can also fail as a client's path whose known
+    addresses differ from its first path's."""
     paths = []
     for i, entry in enumerate(document):
         hops = []
         for j, raw in enumerate(entry["hops"]):
+            index = raw.get("index")
+            if not (isinstance(index, (int, float)) and index == j + 1):
+                return f"entry {i}, hop {j}: 'index' must be {j + 1}, got {index!r}"
             try:
-                hops.append(Hop(index=raw["index"], address=raw.get("address"), rtt_ms=raw.get("rtt_ms")))
-            except (KeyError, ValueError, TypeError) as exc:
+                hops.append(Hop(address=raw.get("address"), rtt_ms=raw.get("rtt_ms")))
+            except (ValueError, TypeError) as exc:
                 return f"entry {i}, hop {j}: {exc}"
         try:
             path = ProbedPath(client=entry["client"], hops=tuple(hops))
@@ -238,6 +247,10 @@ def build_directly(document):
     {"index": 1, "address": "10.1.0.1", "rtt_ms": None},
     {"index": 0, "address": "10.1.0.1", "rtt_ms": 1.5},
 ]}])
+@example([{"client": "172.16.0.9", "hops": [
+    {"index": True, "address": "10.1.0.1", "rtt_ms": 1.5},
+    {"index": 2.0, "address": "172.16.0.9", "rtt_ms": 2.5},
+]}])  # numbers equal to the position pass, as they always have
 def test_ingest_fails_exactly_when_direct_construction_fails(document):
     expected = build_directly(document)
     if isinstance(expected, str):
