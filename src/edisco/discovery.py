@@ -205,8 +205,10 @@ class WhoisService(Protocol):
 class FixtureWhois:
     """Registry fixture: JSON map of IPv4 prefix to registrant domain.
 
-    Keyed by (prefix length, network value); a lookup masks the address's
-    value once per prefix length present in the table."""
+    Each domain is checked at load to be a name DNS can carry, the zone's
+    rule, so no domain is empty. Keyed by (prefix length, network value); a
+    lookup masks the address's value once per prefix length present in the
+    table."""
 
     def __init__(self, prefixes: dict[str, str]):
         if not isinstance(prefixes, dict):
@@ -217,6 +219,8 @@ class FixtureWhois:
         for prefix, domain in prefixes.items():
             if not isinstance(domain, str):
                 raise MalformedFixtureError(f"whois fixture: {prefix!r}: domain is not a string")
+            with _refused(f"whois fixture: {prefix!r}"):
+                dnswire.name_labels(domain)
             self.networks[int(prefix.partition("/")[2]), subnet_sort_key(prefix)] = domain
         self.masks = [(n, -1 << (32 - n)) for n in {n for n, _ in self.networks}]
 

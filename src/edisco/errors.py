@@ -63,14 +63,6 @@ class NoServersError(EdiscoError):
     """Server selection was asked to choose from an empty list."""
 
 
-class NoCandidatesError(EdiscoError):
-    """A service's clients reach no edge-equipped node in the tree."""
-
-
-class ServerUnreachableError(EdiscoError):
-    """An edge server did not answer a capacity request."""
-
-
 class RoundAbortedError(EdiscoError):
     """A protocol round obtained zero usable paths and was abandoned."""
 

@@ -6,7 +6,6 @@ clients), and ask servers for capacity until one accepts.
 """
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -14,15 +13,17 @@ from numbers import Real
 from typing import Iterable, Protocol
 
 from .discovery import EdgeServer
-from .errors import (
-    MalformedFixtureError,
-    NoCandidatesError,
-    ServerUnreachableError,
+from .errors import MalformedFixtureError
+from .topology import (
+    AggregationTree,
+    SubnetNode,
+    _refused,
+    _typed,
+    address_int,
+    parse_subnets,
+    subnet_sort_key,
 )
-from .topology import AggregationTree, SubnetNode, _refused, _typed, parse_subnets, subnet_sort_key
 from .zonefile import Transport
-
-logger = logging.getLogger(__name__)
 
 PLAN_FORMAT = "edisco-plan/1"
 
@@ -65,9 +66,16 @@ def load_service_profiles(document) -> list[ServiceProfile]:
     if not isinstance(document, list):
         raise MalformedFixtureError("services fixture must be a top-level list")
     profiles = []
+    first_entry: dict[str, int] = {}
     for i, entry in enumerate(document):
         with _refused(f"service entry {i}", MalformedFixtureError):
-            profiles.append(ServiceProfile.from_document(entry))
+            profile = ServiceProfile.from_document(entry)
+        first = first_entry.setdefault(profile.service_id, i)
+        if first != i:
+            raise MalformedFixtureError(
+                f"service entry {i}: service_id {profile.service_id!r} repeats entry {first}"
+            )
+        profiles.append(profile)
     return profiles
 
 
@@ -176,6 +184,9 @@ class CapacityResponse:
 
 
 class CapacityService(Protocol):
+    """A server that does not answer is a rejection with reason
+    ``unreachable: <address>: not answering``, not an exception."""
+
     def request(
         self, server: EdgeServer, cpu: float, bandwidth: float
     ) -> CapacityResponse: ...
@@ -184,7 +195,9 @@ class CapacityService(Protocol):
 class FixtureCapacityService:
     """Capacity fixture: per-address headroom, decremented on each accept.
 
-    State lasts one round; build a fresh instance per round.
+    Keys are IPv4 addresses, checked at load. A server the fixture does not
+    list answers ``unreachable: <address>: not answering``. State lasts one
+    round; build a fresh instance per round.
     """
 
     def __init__(self, capacities: dict[str, dict]):
@@ -193,6 +206,8 @@ class FixtureCapacityService:
         self.available = {}
         for address, spec in capacities.items():
             where = f"capacity of {address}"
+            with _refused(where):
+                address_int(address)
             slot = {key: _typed(spec, key, Real, where) for key in ("cpu", "bandwidth")}
             # json.loads also yields NaN, Infinity and integers beyond any float
             if not all(0 <= value <= sys.float_info.max for value in slot.values()):
@@ -204,7 +219,8 @@ class FixtureCapacityService:
     ) -> CapacityResponse:
         slot = self.available.get(server.address)
         if slot is None:
-            raise ServerUnreachableError(f"{server.address}: not answering")
+            reason = f"unreachable: {server.address}: not answering"
+            return CapacityResponse(accepted=False, reason=reason)
         if slot["cpu"] >= cpu and slot["bandwidth"] >= bandwidth:
             slot["cpu"] -= cpu
             slot["bandwidth"] -= bandwidth
@@ -265,7 +281,8 @@ def score_candidates(fold: PathFold, service: ServiceProfile) -> list[PlacementC
     each node its restricted centrality, its mean distance to those clients
     and the prefixes it covers, all from exact integer sums. The sort is
     centrality descending, mean distance ascending, then subnet, then
-    server identity."""
+    server identity. `[]` when no equipped node on the service's paths has a
+    server of its transport."""
     reach: dict[str, list] = {}  # subnet -> [count, distance_sum, prefixes]
     for prefix in service.client_subnets:
         for subnet, (count, distance_sum) in fold.reach.get(prefix, {}).items():
@@ -293,10 +310,6 @@ def score_candidates(fold: PathFold, service: ServiceProfile) -> list[PlacementC
                 )
                 for server in servers
             )
-    if not candidates:
-        raise NoCandidatesError(
-            f"{service.service_id}: no edge-equipped node on any client path"
-        )
     candidates.sort(
         key=lambda c: (
             -c.centrality,
@@ -308,21 +321,6 @@ def score_candidates(fold: PathFold, service: ServiceProfile) -> list[PlacementC
     return candidates
 
 
-def negotiate(
-    candidate: PlacementCandidate,
-    service: ServiceProfile,
-    capacity: CapacityService,
-) -> CapacityResponse:
-    """One capacity request. An unreachable server is a reject with reason,
-    not an exception; the round must go on."""
-    try:
-        return capacity.request(
-            candidate.server, service.cpu_demand, service.bandwidth_demand
-        )
-    except ServerUnreachableError as exc:
-        return CapacityResponse(accepted=False, reason=f"unreachable: {exc}")
-
-
 def plan_round(
     tree: AggregationTree,
     profiles: Iterable[ServiceProfile],
@@ -330,7 +328,8 @@ def plan_round(
     round_id: int = 0,
 ) -> PlacementPlan:
     """Greedy deployment: per ranked service, walk candidates until a server
-    accepts. Rejections and unplaceable services are recorded, never raised.
+    accepts. Rejections and unplaceable services are recorded, never raised:
+    a service with no candidate is unplaced with no rejection.
 
     The client paths are folded once per call (`fold_client_paths`), and
     every service is scored from that fold.
@@ -339,14 +338,10 @@ def plan_round(
     ranked = rank_services(list(profiles))
     fold = fold_client_paths(tree) if ranked else None
     for service in ranked:
-        try:
-            candidates = score_candidates(fold, service)
-        except NoCandidatesError as exc:
-            logger.info("%s", exc)
-            plan.unplaced.append(service.service_id)
-            continue
-        for candidate in candidates:
-            response = negotiate(candidate, service, capacity)
+        for candidate in score_candidates(fold, service):
+            response = capacity.request(
+                candidate.server, service.cpu_demand, service.bandwidth_demand
+            )
             if response.accepted:
                 plan.assignments.append(
                     Assignment(

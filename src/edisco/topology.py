@@ -8,8 +8,8 @@ sequences. Centrality of a node is the number of client paths that pass
 through it, counting only paths that originate at the root.
 
 Address text is checked by `address_int` where it enters the program:
-Hop/ProbedPath construction, tree and plan documents, zone and whois
-fixtures, the client list and the client of a redirect request.
+Hop/ProbedPath construction, tree and plan documents, zone, whois and
+capacity fixtures, the client list and the client of a redirect request.
 Downstream code trusts it and reads it with `subnet_sort_key`, built on
 `socket.inet_aton`, which alone would also take 1.2.3 or 010.0.0.1.
 """

@@ -301,6 +301,22 @@ def test_non_string_service_id_is_operational_error(bundle_dir, capsys):
     assert_one_error_line(capsys.readouterr(), f"service entry {len(doc) - 1}", "'service_id'")
 
 
+def test_repeated_service_id_is_refused_before_run_binds(bundle_dir, capsys, monkeypatch):
+    def no_bind(*args, **kwargs):
+        raise AssertionError("the front end bound")
+
+    monkeypatch.setattr("edisco.cli.socket.create_server", no_bind)
+    directory, _ = bundle_dir
+    services = directory / "services.json"
+    doc = json.loads(services.read_text())
+    doc.append(dict(doc[0]))
+    services.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(directory / "config.json")]) == 1
+    assert_one_error_line(
+        capsys.readouterr(), f"service entry {len(doc) - 1}: service_id", "repeats entry 0"
+    )
+
+
 def test_non_ascii_ttl_in_zone_is_operational_error(bundle_dir, capsys):
     directory, _ = bundle_dir
     zone = directory / "zone.txt"
@@ -692,6 +708,7 @@ def test_run_accepts_config_with_old_strategy_key(bundle_dir, capsys):
     [
         ({"x": "isp0.test"}, ("whois", "'x' is not a canonical IPv4 prefix")),
         ({"240.0.1.0/24": 5}, ("whois", "'240.0.1.0/24'", "not a string")),
+        ({"240.0.1.0/24": "a..b"}, ("whois", "'240.0.1.0/24'", "bad label")),
     ],
 )
 def test_malformed_whois_json_is_operational_error(bundle_dir, capsys, table, words):

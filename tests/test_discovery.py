@@ -214,6 +214,11 @@ def test_empty_fixture_whois_knows_no_address():
         {"010.0.0.0/8": "a.net"},
         {"2001:db8::/32": "a.net"},
         {"10.0.0.0/8": None},
+        # a domain DNS cannot carry, the zone's rule; "" would be no domain
+        {"10.0.0.0/8": ""},
+        {"10.0.0.0/8": "a..b"},
+        {"10.0.0.0/8": "ex\u00e4mple.net"},
+        {"10.0.0.0/8": "x" * 64 + ".net"},
     ],
 )
 def test_fixture_whois_rejects_malformed_table(table):

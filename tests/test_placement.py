@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edisco.discovery import EdgeServer
-from edisco.errors import MalformedFixtureError, NoCandidatesError, ServerUnreachableError
+from edisco.errors import MalformedFixtureError
 from edisco.placement import (
     Assignment,
     CapacityResponse,
@@ -17,7 +17,6 @@ from edisco.placement import (
     ServiceProfile,
     fold_client_paths,
     load_service_profiles,
-    negotiate,
     plan_round,
     rank_services,
     score_candidates,
@@ -125,10 +124,10 @@ def test_single_equipped_node_is_singleton():
     assert ranked[0].node.subnet == "10.2.0.0/24"
 
 
-def test_no_reachable_server_raises():
+def test_no_reachable_server_is_no_candidate():
     tree = two_branch_tree()
-    with pytest.raises(NoCandidatesError):
-        score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, proto=Transport.UDP))
+    svc = service(subnets=ALL_FOUR, proto=Transport.UDP)
+    assert score_candidates(fold_client_paths(tree), svc) == []
 
 
 def test_transport_filter():
@@ -191,9 +190,8 @@ def test_ordering_matches_comparator_oracle():
         rng = random.Random(seed)
         subnets = sorted({group_subnet(c) for c in tree.client_paths})
         svc = service(subnets=rng.sample(subnets, rng.randint(1, len(subnets))))
-        try:
-            ranked = score_candidates(fold_client_paths(tree), svc)
-        except NoCandidatesError:
+        ranked = score_candidates(fold_client_paths(tree), svc)
+        if not ranked:
             continue
         keys = [oracle_key(tree, svc, c) for c in ranked]
         assert keys == sorted(keys)
@@ -276,43 +274,36 @@ def test_per_round_fold_scores_like_the_per_service_fold(tree, data):
             subnets=data.draw(st.sets(st.sampled_from(prefixes), min_size=1)),
             proto=data.draw(st.sampled_from(list(Transport))),
         )
-        expected = per_service_fold_oracle(tree, svc)
-        try:
-            ranked = score_candidates(fold, svc)
-        except NoCandidatesError:
-            assert expected == []
-            continue
         assert [
             (c.node.subnet, c.server, c.centrality, c.client_distance, c.covered_prefixes)
-            for c in ranked
-        ] == expected
+            for c in score_candidates(fold, svc)
+        ] == per_service_fold_oracle(tree, svc)
 
 
-# --- negotiate / capacity fixture ---
+# --- capacity negotiation / capacity fixture ---
 
 
 def test_negotiate_accepts_when_capacity_dominates():
     capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 10}})
     tree = two_branch_tree()
-    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR, bw=5.0, cpu=2.0))[0]
-    response = negotiate(candidate, service(subnets=ALL_FOUR, bw=5.0, cpu=2.0), capacity)
+    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))[0]
+    response = capacity.request(candidate.server, cpu=2.0, bandwidth=5.0)
     assert response == CapacityResponse(accepted=True)
 
 
 def test_negotiate_rejects_on_insufficient_cpu():
     capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 10}})
     tree = two_branch_tree()
-    svc = service(subnets=ALL_FOUR, bw=5.0, cpu=6.0)
-    response = negotiate(score_candidates(fold_client_paths(tree), svc)[0], svc, capacity)
-    assert not response.accepted
-    assert response.reason == "insufficient-capacity"
+    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))[0]
+    response = capacity.request(candidate.server, cpu=6.0, bandwidth=5.0)
+    assert response == CapacityResponse(accepted=False, reason="insufficient-capacity")
 
 
 def test_negotiate_turns_unreachable_into_reject():
     capacity = FixtureCapacityService({})
     tree = two_branch_tree()
-    svc = service(subnets=ALL_FOUR)
-    response = negotiate(score_candidates(fold_client_paths(tree), svc)[0], svc, capacity)
+    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))[0]
+    response = capacity.request(candidate.server, cpu=1.0, bandwidth=10.0)
     assert not response.accepted
     assert response.reason.startswith("unreachable")
 
@@ -328,8 +319,17 @@ def test_capacity_decrements_until_exhausted():
 
 
 def test_unknown_server_is_unreachable():
-    with pytest.raises(ServerUnreachableError):
-        FixtureCapacityService({}).request(edge("10.9.9.9"), 1, 1)
+    response = FixtureCapacityService({}).request(edge("10.9.9.9"), 1, 1)
+    assert response == CapacityResponse(
+        accepted=False, reason="unreachable: 10.9.9.9: not answering"
+    )
+
+
+@pytest.mark.parametrize("key", ["010.0.0.1", "edge1"])
+def test_capacity_key_that_is_no_address_is_malformed(key):
+    spec = {"cpu": 1, "bandwidth": 1}
+    with pytest.raises(MalformedFixtureError, match=f"^capacity of {key}: "):
+        FixtureCapacityService({"10.0.0.1": spec, key: spec})
 
 
 # --- plan_round ---
@@ -360,6 +360,7 @@ def test_no_edge_servers_leaves_all_unplaced():
         FixtureCapacityService({}),
     )
     assert plan.assignments == []
+    assert plan.rejected == []  # no candidate: unplaced, and nothing was asked
     assert plan.unplaced == ["svc-a", "svc-b"]
 
 
@@ -511,6 +512,16 @@ def test_capacity_headroom_is_a_finite_number_at_least_zero(key, value):
 def test_load_service_profiles_round_trip():
     docs = [service("svc-a", subnets=["172.16.0.0/24"]).to_document()]
     assert load_service_profiles(docs)[0].service_id == "svc-a"
+
+
+def test_load_service_profiles_refuses_a_repeated_service_id():
+    docs = [
+        service(service_id, subnets=["172.16.0.0/24"]).to_document()
+        for service_id in ("svc-a", "svc-b", "svc-a")
+    ]
+    with pytest.raises(MalformedFixtureError) as caught:
+        load_service_profiles(docs)
+    assert str(caught.value) == "service entry 2: service_id 'svc-a' repeats entry 0"
 
 
 # --- fuzzed fixture documents ---
