@@ -91,12 +91,16 @@ class ScenarioBundle:
         }
 
     def write(self, directory) -> list[Path]:
+        """Write the bundle's files into `directory` and return their paths,
+        sorted. Each JSON file is compact, key-sorted text, which the C
+        encoder writes; every reader takes any JSON layout. A bundle without
+        expected outputs removes an `expected.json` left by an earlier one."""
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
 
         def dump(name, value):
             path = out / name
-            path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+            path.write_text(json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n")
             return path
 
         written = [
@@ -114,6 +118,8 @@ class ScenarioBundle:
         written.append(clients_path)
         if self.expected is not None:
             written.append(dump("expected.json", self.expected))
+        else:
+            (out / "expected.json").unlink(missing_ok=True)
         return sorted(written)
 
 

@@ -843,6 +843,18 @@ def test_two_rounds_from_one_setup_both_give_the_golden_round(tmp_path):
         assert {"tree_digest": record.tree_digest, "plan": record.plan.to_document()} == golden
 
 
+def test_an_indented_bundle_of_earlier_versions_gives_the_golden_round(tmp_path):
+    """Earlier versions wrote each JSON file with indent=2; such bundles
+    still load and run."""
+    generate_scenario(ScenarioSpec(clients=100, seed=42)).write(tmp_path)
+    for path in tmp_path.glob("*.json"):
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+    setup = load_run_config(tmp_path / "config.json")
+    record = run_round(setup.config, setup.services, setup.make_providers())
+    golden = json.loads(GOLDEN_ROUND.read_text())
+    assert {"tree_digest": record.tree_digest, "plan": record.plan.to_document()} == golden
+
+
 def test_round_and_cli_plan_share_one_discovery_phase(tmp_path, monkeypatch, capsys):
     calls = []
     identify = edisco.rounds.identify_addresses

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -75,6 +76,35 @@ def test_written_bundles_are_byte_identical(tmp_path):
     assert [p.name for p in files_a] == [p.name for p in files_b]
     for a, b in zip(files_a, files_b):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+SEED42_SHA256 = {
+    "capacity.json": "4a45e79115494141691fe575034fe05726e867ba8ceac48daf9726b4ba298b50",
+    "clients.txt": "09a98d9cb612180be39ec6d010171af8f40196c373359f6bf74f7f9114348f3d",
+    "config.json": "153d9e9afb9b775623a0578312599163e609a2463aac7c183f37eae4e62c9fe4",
+    "expected.json": "8147d954347af8e20dedfd801d4e829fc13565a3bc0eb17545bd9a972c6f535a",
+    "services.json": "9b4c089e11569a53c1615f4a1d759651027abf71531e914e12410507c00ee344",
+    "traces.json": "5ca3b0b8241cbed501f2e8d8c6a913d7c9f67c538a737e9bf038b4fd1e95f81c",
+    "whois.json": "af7e662ea247515ce8158d1caf969d9ed84c37e8bbc1ed1da8221256f34bd33a",
+    "zone.txt": "7222185462a13ec34f7cac21cb038bc230777bd47287f6b77c242b3a099295b9",
+}
+
+
+def test_written_bundle_bytes_are_pinned(tmp_path):
+    """The seed-42 bundle's bytes, the same on every supported Python:
+    the README promises byte-identical bundles for one spec and seed."""
+    bundle = generate_scenario(ScenarioSpec(clients=100, seed=42))
+    files = bundle.write(tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == SEED42_SHA256
+    compact = json.dumps(bundle.traces, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (tmp_path / "traces.json").read_text() == compact
+
+
+def test_bundle_without_expected_removes_a_stale_expected_json(tmp_path):
+    generate_scenario(small_spec(seed=42)).write(tmp_path)
+    files = generate_scenario(small_spec(), include_expected=False).write(tmp_path)
+    assert "expected.json" not in [p.name for p in files]
+    assert not (tmp_path / "expected.json").exists()
 
 
 def test_different_seeds_differ():

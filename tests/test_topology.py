@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import edisco.topology as topology
 from edisco.discovery import EdgeServer, FixtureWhois
 from edisco.errors import EmptyFixtureError, EmptyInputError, MalformedFixtureError
-from edisco.rounds import discover_phase
+from edisco.rounds import _parse_json, discover_phase
 from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import (
     AggregationTree,
@@ -259,6 +259,31 @@ def test_ingest_fails_exactly_when_direct_construction_fails(document):
         assert str(err.value) == expected
     else:
         assert ingest_recorded_paths(document) == expected
+
+
+JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=2)
+
+
+def ingest_text(text: str):
+    """The paths a trace file's text reads to, or the message it is refused with."""
+    try:
+        return ingest_recorded_paths(_parse_json("traces.json", text.encode()))
+    except MalformedFixtureError as exc:
+        return str(exc)
+
+
+@given(
+    trace_documents(),
+    st.sampled_from([None, 0, 2, "\t"]),
+    st.tuples(JSON_SPACE, JSON_SPACE, JSON_SPACE, JSON_SPACE),
+)
+def test_any_json_layout_ingests_like_the_compact_text(document, indent, space):
+    """Bundles are written compact; files of any other JSON layout, such as
+    the indented ones earlier versions wrote, read to the same paths."""
+    compact = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    separators = (space[0] + "," + space[1], space[2] + ":" + space[3])
+    laid_out = json.dumps(document, indent=indent, separators=separators)
+    assert ingest_text(laid_out) == ingest_text(compact)
 
 
 JSON_VALUES = st.recursive(
