@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import functools
 import itertools
 import json
@@ -27,6 +28,7 @@ from .probing import ProbeConfig, TracerouteProber
 from .redirect import FrontEnd, RedirectService, rules_from_plan_document
 from .rounds import (
     MIN_PERIOD_S,
+    RoundConfig,
     append_journal,
     discover_phase,
     load_json,
@@ -38,6 +40,7 @@ from .rounds import (
 )
 from .simharness import ScenarioSpec, generate_scenario, validate_bundle
 from .topology import (
+    DEFAULT_PREFIX_LEN,
     AggregationTree,
     address_int,
     build_tree,
@@ -63,14 +66,17 @@ def _emit_document(args, document):
     _emit(args, json.dumps(document, indent=2, sort_keys=True))
 
 
+def _from_flags(cls, args):
+    """A `cls` dataclass built from the parsed flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def _load_tree(args) -> AggregationTree:
-    if getattr(args, "tree", None):
+    if getattr(args, "tree", None):  # `tree` takes no --tree
         return AggregationTree.from_document(load_json(args.tree))
-    if getattr(args, "traces", None) and getattr(args, "root", None):
+    if args.traces and args.root:
         paths = ingest_recorded_paths(load_json(args.traces))
-        return compute_centrality(
-            build_tree(paths, args.root, getattr(args, "prefix_len", 24))
-        )
+        return compute_centrality(build_tree(paths, args.root, args.prefix_len))
     raise EdiscoError("need either --tree or both --traces and --root")
 
 
@@ -81,12 +87,7 @@ def cmd_probe(args) -> int:
     try:
         for client in args.clients:
             address_int(client)
-        config = ProbeConfig(
-            method=args.method,
-            probes_per_hop=args.probes,
-            timeout_s=args.timeout_s,
-            max_ttl=args.max_ttl,
-        )
+        config = _from_flags(ProbeConfig, args)
     except ValueError as exc:
         print(f"edisco probe: {exc}", file=sys.stderr)
         return 2
@@ -251,17 +252,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = ScenarioSpec(
-        clients=args.clients,
-        seed=args.seed,
-        depth_min=args.depth_min,
-        depth_max=args.depth_max,
-        branching=args.branching,
-        edge_density=args.edge_density,
-        services=args.services,
-        unknown_hop_rate=args.unknown_hop_rate,
-        ptr_missing_rate=args.ptr_missing_rate,
-    )
+    spec = _from_flags(ScenarioSpec, args)
     bundle = generate_scenario(spec, include_expected=not args.no_expected)
     violations = validate_bundle(bundle)
     if violations:
@@ -299,10 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="traceroute one or more clients (needs raw sockets)")
     p.add_argument("clients", nargs="+", metavar="CLIENT")
-    p.add_argument("--method", choices=["udp", "icmp"], default="udp")
-    p.add_argument("--max-ttl", type=int, default=30)
-    p.add_argument("--probes", type=int, default=3, help="probes per hop")
-    p.add_argument("--timeout-s", type=float, default=1.0)
+    p.add_argument("--method", choices=["udp", "icmp"], default=ProbeConfig.method)
+    p.add_argument("--max-ttl", type=int, default=ProbeConfig.max_ttl)
+    p.add_argument(
+        "--probes", type=int, default=ProbeConfig.probes_per_hop, help="probes per hop",
+        dest="probes_per_hop", metavar="PROBES",
+    )
+    p.add_argument("--timeout-s", type=float, default=ProbeConfig.timeout_s)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_probe)
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="build an aggregation tree from recorded traces")
     p.add_argument("--traces", required=True)
     p.add_argument("--root", required=True)
-    p.add_argument("--prefix-len", type=int, default=24)
+    p.add_argument("--prefix-len", type=int, default=DEFAULT_PREFIX_LEN)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tree)
 
@@ -318,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", help="tree document file")
     p.add_argument("--traces", help="build the tree from traces instead")
     p.add_argument("--root")
-    p.add_argument("--prefix-len", type=int, default=24)
+    p.add_argument("--prefix-len", type=int, default=DEFAULT_PREFIX_LEN)
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_dot)
 
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", help="tree document (already annotated or with --zone)")
     p.add_argument("--traces", help="build the tree from traces instead")
     p.add_argument("--root")
-    p.add_argument("--prefix-len", type=int, default=24)
+    p.add_argument("--prefix-len", type=int, default=DEFAULT_PREFIX_LEN)
     p.add_argument("--zone", help="zone fixture for annotation")
     p.add_argument("--whois", help="whois fixture for annotation")
     p.add_argument("--services", required=True)
@@ -348,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--listen", type=parse_listen, default=("127.0.0.1", 8302), metavar="HOST:PORT"
     )
-    p.add_argument("--period-s", type=float, default=300.0)
+    p.add_argument("--period-s", type=float, default=RoundConfig.period_s)
     p.set_defaults(func=cmd_serve_redirect)
 
     p = sub.add_parser("run", help="run protocol rounds from a config")
@@ -360,15 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a deterministic scenario bundle")
     p.add_argument("--clients", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ScenarioSpec.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--services", type=int, default=3)
-    p.add_argument("--depth-min", type=int, default=2)
-    p.add_argument("--depth-max", type=int, default=5)
-    p.add_argument("--branching", type=int, default=3)
-    p.add_argument("--edge-density", type=float, default=0.5)
-    p.add_argument("--unknown-hop-rate", type=float, default=0.0)
-    p.add_argument("--ptr-missing-rate", type=float, default=0.0)
+    p.add_argument("--services", type=int, default=ScenarioSpec.services)
+    p.add_argument("--depth-min", type=int, default=ScenarioSpec.depth_min)
+    p.add_argument("--depth-max", type=int, default=ScenarioSpec.depth_max)
+    p.add_argument("--branching", type=int, default=ScenarioSpec.branching)
+    p.add_argument("--edge-density", type=float, default=ScenarioSpec.edge_density)
+    p.add_argument("--unknown-hop-rate", type=float, default=ScenarioSpec.unknown_hop_rate)
+    p.add_argument("--ptr-missing-rate", type=float, default=ScenarioSpec.ptr_missing_rate)
     p.add_argument("--no-expected", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen)
@@ -387,7 +381,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if not 0 <= getattr(args, "prefix_len", 24) <= 32:  # tree, export-dot, plan: before any read
+    if hasattr(args, "prefix_len") and not 0 <= args.prefix_len <= 32:  # before any read
         print(f"edisco {args.subcommand}: --prefix-len must be 0..32", file=sys.stderr)
         return 2
     try:

@@ -66,18 +66,13 @@ class Provenance(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class DomainIdentity:
-    """What we learned about one address. No domain means unknown, always."""
+    """What we learned about one address. No domain means unknown, always:
+    reverse_lookup, the one producer, gives a domain exactly with PTR or
+    WHOIS provenance."""
 
     address: str
     domain: str | None = None
     provenance: Provenance = Provenance.UNKNOWN
-
-    def __post_init__(self):
-        if (self.provenance is Provenance.UNKNOWN) != (self.domain is None):
-            raise ValueError(
-                f"{self.address}: provenance {self.provenance.value} "
-                f"inconsistent with domain {self.domain!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,14 +33,14 @@ class RedirectService:
 
     def __init__(self, clock=time.time):
         self.clock = clock
-        self._rules: tuple[dict[tuple[str, int], str], int, float] = ({}, -1 << 8, 0.0)
+        self._rules: tuple[dict[tuple[str, int], str], int, float] = ({}, 0, 0.0)
 
     def install_rules(
         self, plan: PlacementPlan, round_deadline: float = 0.0
     ) -> dict[tuple[str, int], str]:
         """Build round N's table, one entry per (service, prefix), from the
         plan's coverage, swap it in and return it. All prefixes share the
-        length the round's tree picked; an empty table may use any."""
+        length the round's tree picked; an empty table matches nothing, under any mask."""
         table = {}
         lengths = set()
         for assignment in plan.assignments:
@@ -50,7 +50,7 @@ class RedirectService:
                 table[(assignment.service_id, subnet_sort_key(prefix))] = url
         if len(lengths) > 1:
             raise MalformedFixtureError(f"coverage mixes prefix lengths {sorted(lengths)}")
-        self._rules = (table, -1 << (32 - (lengths.pop() if lengths else 24)), round_deadline)
+        self._rules = (table, -1 << (32 - lengths.pop()) if lengths else 0, round_deadline)
         return table
 
     @property

@@ -71,6 +71,7 @@ from .placement import (
 )
 from .probing import FixtureProber, ProbeConfig, TracerouteProber, probe_many
 from .topology import (
+    DEFAULT_PREFIX_LEN,
     AggregationTree,
     _refused,
     _typed,
@@ -97,7 +98,7 @@ class RoundConfig:
     root_address: str
     clients: tuple[str, ...]
     period_s: float = 300.0
-    prefix_len: int = 24
+    prefix_len: int = DEFAULT_PREFIX_LEN
 
     def __post_init__(self):
         # type() rather than isinstance(): JSON true and false are no numbers

@@ -33,8 +33,6 @@ from .zonefile import (
     render_srv_line,
 )
 
-DEFAULT_PERIOD_S = 300.0
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -85,8 +83,8 @@ class ScenarioBundle:
             "traces": "traces.json",
             "zone": "zone.txt",
             "whois": "whois.json",
-            "period_s": DEFAULT_PERIOD_S,
-            "prefix_len": 24,
+            "period_s": RoundConfig.period_s,
+            "prefix_len": RoundConfig.prefix_len,
             "listen": "127.0.0.1:0",
         }
 
@@ -155,7 +153,7 @@ def bundle_providers(bundle: ScenarioBundle) -> RoundProviders:
 
 
 def bundle_round_config(bundle: ScenarioBundle) -> RoundConfig:
-    return RoundConfig(bundle.root_address, tuple(bundle.clients), period_s=DEFAULT_PERIOD_S)
+    return RoundConfig(bundle.root_address, tuple(bundle.clients))
 
 
 def compute_expected(bundle: ScenarioBundle) -> dict:

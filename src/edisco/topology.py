@@ -9,7 +9,9 @@ through it, counting only paths that originate at the root.
 
 Address text is checked by `address_int` where it enters the program:
 Hop/ProbedPath construction, tree and plan documents, zone, whois and
-capacity fixtures, the client list and the client of a redirect request.
+capacity fixtures, the client list, the run config's root and
+nameservers, the clients of `edisco probe` and the client of a redirect
+request.
 Downstream code trusts it and reads it with `subnet_sort_key`, built on
 `socket.inet_aton`, which alone would also take 1.2.3 or 010.0.0.1.
 """
@@ -34,6 +36,7 @@ if TYPE_CHECKING:
     from .discovery import EdgeServer
 
 TREE_FORMAT = "edisco-tree/1"
+DEFAULT_PREFIX_LEN = 24  # the prefix length hops are grouped by, unless a round sets one
 
 
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"  # no leading zeros
@@ -72,7 +75,7 @@ def parse_subnets(value) -> frozenset[str]:
     return frozenset(value)
 
 
-def group_subnet(address: str, prefix_len: int = 24) -> str:
+def group_subnet(address: str, prefix_len: int = DEFAULT_PREFIX_LEN) -> str:
     """Map an IPv4 address to its enclosing prefix, low bits zeroed.
 
     With the default /24, 192.168.121.30 and 192.168.121.31 land in the same
@@ -410,7 +413,7 @@ class AggregationTree:
 
 
 def build_tree(
-    paths: Iterable[ProbedPath], root_address: str, prefix_len: int = 24
+    paths: Iterable[ProbedPath], root_address: str, prefix_len: int = DEFAULT_PREFIX_LEN
 ) -> AggregationTree:
     """Group all probed paths into subnets under one root.
 

@@ -45,10 +45,6 @@ class Transport(str, Enum):
     UDP = "udp"
 
 
-def _strip_dot(name: str) -> str:
-    return name[:-1] if name.endswith(".") else name
-
-
 @dataclass(frozen=True, slots=True)
 class SrvRecord:
     """One SRV line. Service and protocol are stored bare; the leading
@@ -104,7 +100,7 @@ def _take_int(tokens: list | tuple, idx: int, field: int, what: str, low: int, h
 def parse_srv_owner(owner: str) -> tuple[str, Transport, str]:
     """(service, transport, zone) of an ``_service._proto.zone`` name, bare
     and without the trailing dot. Raises MalformedSrvError for field 1 or 2."""
-    name = _strip_dot(owner)
+    name = owner.removesuffix(".")
     if not name.startswith("_"):
         raise MalformedSrvError(
             f"service label must start with '_': {name!r}", FIELD_SERVICE
@@ -120,7 +116,7 @@ def parse_srv_owner(owner: str) -> tuple[str, Transport, str]:
         raise MalformedSrvError(
             f"protocol must be _tcp or _udp: {name!r}", FIELD_PROTOCOL_NAME
         ) from None
-    zone = _strip_dot(zone)
+    zone = zone.removesuffix(".")
     if not zone:
         raise MalformedSrvError("missing zone name", FIELD_PROTOCOL_NAME)
     return service, protocol, zone
@@ -135,7 +131,7 @@ def parse_srv_rdata(values: list[str] | tuple[int, int, int, str]) -> tuple[int,
     priority = _take_int(values, 0, FIELD_PRIORITY, "priority", *SRV_RANGES["priority"])
     weight = _take_int(values, 1, FIELD_WEIGHT, "weight", *SRV_RANGES["weight"])
     port = _take_int(values, 2, FIELD_PORT, "port", *SRV_RANGES["port"])
-    target = _strip_dot(_take(values, 3, FIELD_TARGET, "target"))
+    target = _take(values, 3, FIELD_TARGET, "target").removesuffix(".")
     if not target:
         raise MalformedSrvError("empty target", FIELD_TARGET)
     if len(values) > 4:
@@ -165,7 +161,7 @@ def reverse_pointer_name(address: str) -> str:
 
 
 def _address_from_reverse_name(owner: str) -> str:
-    labels = _strip_dot(owner).lower().split(".")
+    labels = owner.removesuffix(".").lower().split(".")
     if len(labels) == 6 and labels[-2:] == ["in-addr", "arpa"]:
         address = ".".join(reversed(labels[:4]))
         try:
@@ -204,10 +200,10 @@ class ZoneData:
         return self._ptr.get(address)
 
     def lookup_a(self, name: str) -> list[ARecord]:
-        return list(self._a.get(_strip_dot(name).lower(), ()))
+        return list(self._a.get(name.removesuffix(".").lower(), ()))
 
     def lookup_srv(self, qname: str) -> list[SrvRecord]:
-        return list(self._srv.get(_strip_dot(qname).lower(), ()))
+        return list(self._srv.get(qname.removesuffix(".").lower(), ()))
 
 
 def _checked(name: str) -> str:
@@ -217,7 +213,7 @@ def _checked(name: str) -> str:
         name_labels(name)
     except ValueError as exc:
         raise MalformedZoneError(str(exc)) from None
-    return _strip_dot(name)
+    return name.removesuffix(".")
 
 
 def _qualify(name: str, origin: str | None) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,8 +12,10 @@ import time
 
 import pytest
 
-from edisco.cli import main
+from edisco.cli import build_parser, main
 from edisco.errors import ProbePermissionError, ProbeTimeoutError
+from edisco.probing import ProbeConfig
+from edisco.rounds import RoundConfig
 from edisco.simharness import ScenarioSpec, generate_scenario
 from edisco.topology import AggregationTree, paths_to_document
 
@@ -44,6 +47,25 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["tree", "--help"]) == 0
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    gen = parser.parse_args(["gen", "--clients", "5", "--out", "D"])
+    probe = parser.parse_args(["probe", "10.0.0.1"])
+    for args, expected in ((gen, ScenarioSpec(clients=5)), (probe, ProbeConfig())):
+        for name, value in dataclasses.asdict(expected).items():
+            flag = getattr(args, name)
+            assert (name, flag, type(flag)) == (name, value, type(value))
+    config = RoundConfig("240.0.0.1", ("240.0.0.2",))
+    for argv in (
+        ["tree", "--traces", "traces.json", "--root", "240.0.0.1"],
+        ["export-dot"],
+        ["plan", "--services", "services.json", "--capacity", "capacity.json"],
+    ):
+        assert parser.parse_args(argv).prefix_len == config.prefix_len
+    period_s = parser.parse_args(["serve-redirect", "--plan", "P"]).period_s
+    assert (period_s, type(period_s)) == (config.period_s, float)
 
 
 def test_missing_fixture_file_is_operational_error(tmp_path, capsys):

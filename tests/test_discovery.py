@@ -88,13 +88,6 @@ def test_registrable_domain_custom_suffixes():
 # --- identity ---
 
 
-def test_identity_requires_domain_provenance_agreement():
-    with pytest.raises(ValueError):
-        DomainIdentity(address="10.0.0.1", domain="x.com", provenance=Provenance.UNKNOWN)
-    with pytest.raises(ValueError):
-        DomainIdentity(address="10.0.0.1", domain=None, provenance=Provenance.PTR)
-
-
 def test_reverse_lookup_prefers_ptr(reference_zone):
     resolver = parse_zone(
         reference_zone + "30.121.168.192.in-addr.arpa. 86400 IN PTR serverA.domainA.com.\n"
@@ -285,6 +278,7 @@ whois_line = st.builds(
 ) | st.text(max_size=16)
 
 
+@pytest.mark.fuzz
 @given(st.lists(whois_line, max_size=8), st.sampled_from(["\r\n", "\n", "\r"]))
 def test_live_whois_domains_for_never_raises(lines, newline):
     """Whatever text a registry sends, the answer is a sorted list of
@@ -814,6 +808,7 @@ def test_edge_server_document_refuses_what_no_srv_record_holds(key, value, messa
         EdgeServer.from_document(doc)
 
 
+@pytest.mark.fuzz
 @given(mutated(small_bundle().whois))
 def test_whois_fixture_raises_only_malformed_fixture_error(document):
     try:

@@ -167,6 +167,7 @@ def mutate(packet: bytes, edits: list[tuple[int, int]], cut: int) -> bytes:
     return bytes(data[:cut])
 
 
+@pytest.mark.fuzz
 @given(
     st.binary(max_size=96)
     | st.builds(

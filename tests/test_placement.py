@@ -204,6 +204,7 @@ def test_ordering_matches_comparator_oracle():
     assert checked >= 6  # enough non-degenerate scenarios exercised
 
 
+@pytest.mark.fuzz
 def test_restricting_clients_never_raises_centrality():
     tree = two_branch_tree()
     full = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))
@@ -265,6 +266,7 @@ def equipped_trees(draw):
     return tree
 
 
+@pytest.mark.fuzz
 @given(equipped_trees(), st.data())
 def test_per_round_fold_scores_like_the_per_service_fold(tree, data):
     prefixes = sorted({path[-1] for path in tree.client_paths.values()}) + ["172.16.9.0/24"]
@@ -535,6 +537,7 @@ def test_service_profiles_raise_only_malformed_fixture_error(document):
         pass
 
 
+@pytest.mark.fuzz
 @given(mutated(small_bundle().capacity))
 def test_capacity_fixture_raises_only_malformed_fixture_error(document):
     try:

@@ -90,6 +90,7 @@ def test_reply_type_ignores_a_packet_too_short_for_an_icmp_header(packet):
     assert reply_type(packet, "172.16.0.9", socket.IPPROTO_UDP, bytes(4)) is None
 
 
+@pytest.mark.fuzz
 @given(
     st.binary(max_size=80),
     st.sampled_from([socket.IPPROTO_UDP, socket.IPPROTO_ICMP]),

@@ -379,6 +379,7 @@ def test_http_idle_connections_cost_no_thread():
                 sock.close()
 
 
+@pytest.mark.fuzz
 @given(mutated(small_bundle().expected["plan"]))
 def test_plan_document_raises_only_malformed_fixture_error(document):
     """rules_from_plan_document parses with PlacementPlan.from_document and

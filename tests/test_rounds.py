@@ -983,6 +983,7 @@ def test_a_config_naming_a_fixture_file_that_does_not_open_is_refused_at_load(tm
         load_run_config(config_path)
 
 
+@pytest.mark.fuzz
 def test_run_config_raises_only_declared_errors(tmp_path):
     """A config names files, so a mutated one may also name a file that is
     not there, which is an OSError; the CLI reports both kinds in one line."""

@@ -242,6 +242,7 @@ def build_directly(document):
     return paths
 
 
+@pytest.mark.fuzz
 @given(trace_documents())
 @example([{"client": "172.16.0.9", "hops": [
     {"index": 1, "address": "10.1.0.1", "rtt_ms": None},
@@ -272,6 +273,7 @@ def ingest_text(text: str):
         return str(exc)
 
 
+@pytest.mark.fuzz
 @given(
     trace_documents(),
     st.sampled_from([None, 0, 2, "\t"]),
@@ -300,6 +302,7 @@ JSON_ENTRY = JSON_VALUES | st.fixed_dictionaries(
 )
 
 
+@pytest.mark.fuzz
 @given(JSON_VALUES | st.lists(JSON_ENTRY, max_size=4))
 def test_ingest_raises_only_declared_errors(document):
     try:
@@ -633,6 +636,7 @@ def trees(draw):
     )
 
 
+@pytest.mark.fuzz
 @given(trees())
 @example(
     AggregationTree(
@@ -943,6 +947,7 @@ def annotated_tree_document() -> dict:
     return tree.to_document()
 
 
+@pytest.mark.fuzz
 @given(mutated(annotated_tree_document()))
 def test_tree_document_raises_only_malformed_fixture_error(document):
     try:

@@ -305,6 +305,7 @@ fuzz_line = zone_line | st.lists(
 ).map(" ".join)
 
 
+@pytest.mark.fuzz
 @given(st.lists(fuzz_line, max_size=8))
 @example(["x.test. \u00b2 IN A 10.0.0.1"])
 def test_parse_zone_raises_only_malformed_zone_error(lines):
