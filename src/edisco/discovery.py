@@ -309,7 +309,7 @@ def identify_addresses(
     whois: WhoisService | None = None,
 ) -> dict[str, DomainIdentity]:
     """Concurrent reverse_lookup over many addresses, keyed in address order."""
-    unique = sorted(set(addresses), key=subnet_sort_key)
+    unique = sorted(set(addresses), key=socket.inet_aton)
     identities = map_in_threads(
         lambda address: reverse_lookup(address, resolver, whois), unique, LOOKUP_CONCURRENCY
     )

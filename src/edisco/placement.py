@@ -9,8 +9,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from numbers import Real
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .discovery import EdgeServer
 from .errors import MalformedFixtureError
@@ -274,15 +275,17 @@ def fold_client_paths(tree: AggregationTree) -> PathFold:
     return PathFold(tree=tree, reach=reach, order=order)
 
 
-def score_candidates(fold: PathFold, service: ServiceProfile) -> list[PlacementCandidate]:
-    """All deployable (node, server) pairs for one service, best first.
+def score_candidates(fold: PathFold, service: ServiceProfile) -> Iterator[PlacementCandidate]:
+    """The deployable (node, server) pairs for one service, best first.
 
     Summing the round's fold over the service's own client prefixes gives
     each node its restricted centrality, its mean distance to those clients
-    and the prefixes it covers, all from exact integer sums. The sort is
+    and the prefixes it covers, all from exact integer sums. The order is
     centrality descending, mean distance ascending, then subnet, then
-    server identity. `[]` when no equipped node on the service's paths has a
-    server of its transport."""
+    server identity. The sum and the ranking of the nodes happen here; a
+    node's candidates are built only when the iterator reaches it, so a
+    caller that stops early builds no more. Yields nothing when no equipped
+    node on the service's paths has a server of its transport."""
     reach: dict[str, list] = {}  # subnet -> [count, distance_sum, prefixes]
     for prefix in service.client_subnets:
         for subnet, (count, distance_sum) in fold.reach.get(prefix, {}).items():
@@ -294,31 +297,36 @@ def score_candidates(fold: PathFold, service: ServiceProfile) -> list[PlacementC
                 entry[1] += distance_sum
                 entry[2].append(prefix)
     order = fold.order
-    candidates = []
-    for subnet, (count, distance_sum, prefixes) in reach.items():
-        node = fold.tree.nodes[subnet]
-        servers = [s for s in node.edge_servers if s.protocol is service.transport]
-        if servers:
-            covered = tuple(sorted(prefixes, key=order.__getitem__))
-            candidates.extend(
-                PlacementCandidate(
+    nodes = fold.tree.nodes
+
+    def rank(subnet: str) -> tuple:
+        count, distance_sum, _ = reach[subnet]
+        return -count, distance_sum / count, order[subnet]
+
+    ranked = sorted(reach, key=rank)
+
+    def walk() -> Iterator[PlacementCandidate]:
+        # Nodes share a rank only when their networks coincide, in a loaded
+        # tree that mixes prefix lengths; their servers then interleave.
+        for (negative_count, distance, _), run in groupby(ranked, key=rank):
+            offers = []
+            for subnet in run:
+                node = nodes[subnet]
+                servers = [s for s in node.edge_servers if s.protocol is service.transport]
+                if servers:
+                    covered = tuple(sorted(reach[subnet][2], key=order.__getitem__))
+                    offers.extend((server, node, covered) for server in servers)
+            offers.sort(key=lambda offer: offer[0].sort_key)
+            for server, node, covered in offers:
+                yield PlacementCandidate(
                     node=node,
                     server=server,
-                    centrality=count,
-                    client_distance=distance_sum / count,
+                    centrality=-negative_count,
+                    client_distance=distance,
                     covered_prefixes=covered,
                 )
-                for server in servers
-            )
-    candidates.sort(
-        key=lambda c: (
-            -c.centrality,
-            c.client_distance,
-            order[c.node.subnet],
-            c.server.sort_key,
-        )
-    )
-    return candidates
+
+    return walk()
 
 
 def plan_round(
@@ -332,7 +340,8 @@ def plan_round(
     a service with no candidate is unplaced with no rejection.
 
     The client paths are folded once per call (`fold_client_paths`), and
-    every service is scored from that fold.
+    every service is scored from that fold. The walk stops at the first
+    accept, so the candidates past it are never built.
     """
     plan = PlacementPlan(round_id=round_id)
     ranked = rank_services(list(profiles))

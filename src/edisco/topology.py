@@ -380,28 +380,39 @@ class AggregationTree:
         keys, no spaces, ASCII with \\u escapes, as json.dumps(doc,
         sort_keys=True, separators=(",", ":")) writes it. The text is written
         straight from the tree, without building the document, but for the
-        edge servers, few to a node, which EdgeServer.to_document() writes."""
+        edge servers, which EdgeServer.to_document() writes, each distinct
+        one once per call. Node subnets, members and client paths are IPv4
+        text checked on entry, which needs no escaping; the edges, root,
+        domains and zones may hold any text and are escaped."""
 
         def strings(items) -> str:
             return "[" + ",".join(map(_json_string, items)) + "]"
 
+        def checked(items) -> str:
+            return '["' + '","'.join(items) + '"]' if items else "[]"
+
+        written: dict[EdgeServer, str] = {}
         nodes = []
         for subnet in self.sorted_subnets():
             node = self.nodes[subnet]
-            servers = ",".join(
-                json.dumps(s.to_document(), sort_keys=True, separators=(",", ":"))
-                for s in node.edge_servers
-            )
+            servers = []
+            for server in node.edge_servers:
+                text = written.get(server)
+                if text is None:
+                    text = written[server] = json.dumps(
+                        server.to_document(), sort_keys=True, separators=(",", ":")
+                    )
+                servers.append(text)
             nodes.append(
                 f'{{"centrality":{node.centrality},"domains":{strings(sorted(node.domains))},'
-                f'"edge_servers":[{servers}],"is_client":{"true" if node.is_client else "false"},'
-                f'"members":{strings(sorted(node.member_addresses, key=socket.inet_aton))},'
-                f'"subnet":{_json_string(node.subnet)}}}'
+                f'"edge_servers":[{",".join(servers)}],'
+                f'"is_client":{"true" if node.is_client else "false"},'
+                f'"members":{checked(sorted(node.member_addresses, key=socket.inet_aton))},'
+                f'"subnet":"{node.subnet}"}}'
             )
         edges = ",".join(f"[{_json_string(a)},{_json_string(b)}]" for a, b in sorted(self.edges))
         paths = ",".join(
-            f"{_json_string(client)}:{strings(self.client_paths[client])}"
-            for client in sorted(self.client_paths)
+            f'"{client}":{checked(self.client_paths[client])}' for client in sorted(self.client_paths)
         )
         canonical = (
             f'{{"client_paths":{{{paths}}},"edges":[{edges}],'

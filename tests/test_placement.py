@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import edisco.placement as placement
 from edisco.discovery import EdgeServer
 from edisco.errors import MalformedFixtureError
 from edisco.placement import (
@@ -21,7 +22,13 @@ from edisco.placement import (
     rank_services,
     score_candidates,
 )
-from edisco.topology import build_tree, compute_centrality, group_subnet, subnet_sort_key
+from edisco.topology import (
+    AggregationTree,
+    build_tree,
+    compute_centrality,
+    group_subnet,
+    subnet_sort_key,
+)
 from edisco.zonefile import Transport
 
 from conftest import make_path, mutated, random_paths, small_bundle
@@ -103,7 +110,7 @@ def test_negative_demand_rejected():
 
 def test_deeper_node_beats_equal_centrality():
     tree = two_branch_tree()
-    ranked = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))
+    ranked = list(score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR)))
     assert [c.node.subnet for c in ranked] == [
         "10.2.0.0/24",  # deep, branch one
         "10.4.0.0/24",  # deep, branch two
@@ -119,7 +126,7 @@ def test_single_equipped_node_is_singleton():
     tree = two_branch_tree()
     for subnet in ("10.1.0.0/24", "10.3.0.0/24", "10.4.0.0/24"):
         tree.nodes[subnet].edge_servers = []
-    ranked = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))
+    ranked = list(score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR)))
     assert len(ranked) == 1
     assert ranked[0].node.subnet == "10.2.0.0/24"
 
@@ -127,7 +134,7 @@ def test_single_equipped_node_is_singleton():
 def test_no_reachable_server_is_no_candidate():
     tree = two_branch_tree()
     svc = service(subnets=ALL_FOUR, proto=Transport.UDP)
-    assert score_candidates(fold_client_paths(tree), svc) == []
+    assert list(score_candidates(fold_client_paths(tree), svc)) == []
 
 
 def test_transport_filter():
@@ -190,7 +197,7 @@ def test_ordering_matches_comparator_oracle():
         rng = random.Random(seed)
         subnets = sorted({group_subnet(c) for c in tree.client_paths})
         svc = service(subnets=rng.sample(subnets, rng.randint(1, len(subnets))))
-        ranked = score_candidates(fold_client_paths(tree), svc)
+        ranked = list(score_candidates(fold_client_paths(tree), svc))
         if not ranked:
             continue
         keys = [oracle_key(tree, svc, c) for c in ranked]
@@ -282,13 +289,56 @@ def test_per_round_fold_scores_like_the_per_service_fold(tree, data):
         ] == per_service_fold_oracle(tree, svc)
 
 
+def test_tied_nodes_of_a_loaded_tree_interleave_their_servers():
+    """10.0.0.0/16 and 10.0.0.0/24 share a network; on these two paths they
+    also share centrality and mean distance, so their servers interleave by
+    sort_key, as one sort over all candidates orders them."""
+    wide, narrow = "10.0.0.0/16", "10.0.0.0/24"
+    servers = {
+        wide: [edge("10.0.0.30", priority=10), edge("10.0.0.32", priority=30)],
+        narrow: [edge("10.0.0.31", priority=20), edge("10.0.0.33", priority=40)],
+    }
+    nodes = ["192.0.2.0/24", wide, narrow, "172.16.0.0/24", "172.16.1.0/24"]
+    tree = AggregationTree.from_document(
+        {
+            "format": "edisco-tree/1",
+            "root_address": "192.0.2.1",
+            "root_subnet": "192.0.2.0/24",
+            "prefix_len": 24,
+            "nodes": [
+                {
+                    "subnet": subnet,
+                    "members": [],
+                    "domains": [],
+                    "centrality": 0,
+                    "is_client": subnet.startswith("172."),
+                    "edge_servers": [s.to_document() for s in servers.get(subnet, [])],
+                }
+                for subnet in nodes
+            ],
+            "edges": [],
+            "client_paths": {
+                "172.16.0.9": ["192.0.2.0/24", wide, narrow, "172.16.0.0/24"],
+                "172.16.1.9": ["192.0.2.0/24", narrow, wide, "172.16.1.0/24"],
+            },
+        }
+    )
+    svc = service(subnets=["172.16.0.0/24", "172.16.1.0/24"])
+    ranked = list(score_candidates(fold_client_paths(tree), svc))
+    assert [c.server.address for c in ranked] == ["10.0.0.30", "10.0.0.31", "10.0.0.32", "10.0.0.33"]
+    assert [
+        (c.node.subnet, c.server, c.centrality, c.client_distance, c.covered_prefixes)
+        for c in ranked
+    ] == per_service_fold_oracle(tree, svc)
+
+
 # --- capacity negotiation / capacity fixture ---
 
 
 def test_negotiate_accepts_when_capacity_dominates():
     capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 10}})
     tree = two_branch_tree()
-    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))[0]
+    candidate = next(score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR)))
     response = capacity.request(candidate.server, cpu=2.0, bandwidth=5.0)
     assert response == CapacityResponse(accepted=True)
 
@@ -296,7 +346,7 @@ def test_negotiate_accepts_when_capacity_dominates():
 def test_negotiate_rejects_on_insufficient_cpu():
     capacity = FixtureCapacityService({"10.2.0.30": {"cpu": 4, "bandwidth": 10}})
     tree = two_branch_tree()
-    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))[0]
+    candidate = next(score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR)))
     response = capacity.request(candidate.server, cpu=6.0, bandwidth=5.0)
     assert response == CapacityResponse(accepted=False, reason="insufficient-capacity")
 
@@ -304,7 +354,7 @@ def test_negotiate_rejects_on_insufficient_cpu():
 def test_negotiate_turns_unreachable_into_reject():
     capacity = FixtureCapacityService({})
     tree = two_branch_tree()
-    candidate = score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR))[0]
+    candidate = next(score_candidates(fold_client_paths(tree), service(subnets=ALL_FOUR)))
     response = capacity.request(candidate.server, cpu=1.0, bandwidth=10.0)
     assert not response.accepted
     assert response.reason.startswith("unreachable")
@@ -409,6 +459,63 @@ def test_plan_never_assigns_a_rejecting_server():
         refused = {(r.service_id, r.server) for r in plan.rejected}
         for a in plan.assignments:
             assert (a.service_id, a.server) not in refused
+
+
+class ScriptedCapacity:
+    """Refuses the first `refusals` requests, then accepts each; records
+    every server asked."""
+
+    def __init__(self, refusals: int):
+        self.refusals = refusals
+        self.asked = []
+
+    def request(self, server, cpu, bandwidth):
+        self.asked.append(server)
+        if len(self.asked) <= self.refusals:
+            return CapacityResponse(accepted=False, reason="insufficient-capacity")
+        return CapacityResponse(accepted=True)
+
+
+def test_plan_asks_in_candidate_order_and_stops_at_the_accept():
+    walked = 0
+    for seed in range(12):
+        tree = randomly_equipped_tree(seed)
+        svc = service(subnets=[group_subnet(c) for c in tree.client_paths])
+        candidates = list(score_candidates(fold_client_paths(tree), svc))
+        refusals = random.Random(seed).randint(0, len(candidates))
+        capacity = ScriptedCapacity(refusals)
+        plan = plan_round(tree, [svc], capacity)
+        assert capacity.asked == [c.server for c in candidates[: refusals + 1]]
+        assert [r.server for r in plan.rejected] == [c.server for c in candidates[:refusals]]
+        if refusals < len(candidates):
+            accepted = candidates[refusals]
+            assert plan.assignments == [
+                Assignment(svc.service_id, accepted.server, accepted.node.subnet, accepted.covered_prefixes)
+            ]
+            walked += refusals > 0
+        else:
+            assert plan.unplaced == [svc.service_id]
+    assert walked >= 4  # enough plans accepted past a rejection
+
+
+def test_plan_builds_one_candidate_per_service_when_the_first_accepts(monkeypatch):
+    built = []
+
+    class Counted(placement.PlacementCandidate):
+        def __init__(self, **fields):
+            built.append(fields["server"])
+            super().__init__(**fields)
+
+    monkeypatch.setattr(placement, "PlacementCandidate", Counted)
+    tree = randomly_equipped_tree(3)
+    prefixes = sorted({group_subnet(c) for c in tree.client_paths})
+    services = [service(f"svc-{i}", subnets=prefixes[i::3]) for i in range(3)]
+    fold = fold_client_paths(tree)
+    available = sum(len(list(score_candidates(fold, svc))) for svc in services)
+    built.clear()
+    plan = plan_round(tree, services, ScriptedCapacity(0))
+    assert len(plan.assignments) == len(services) < available
+    assert built == [a.server for a in plan.assignments]
 
 
 def test_plan_deterministic():

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -604,6 +605,11 @@ edge_servers = st.builds(
 )
 
 
+SHARED_SERVER = EdgeServer(
+    zone="edgeco.test", protocol=Transport.TCP, priority=10, weight=5, address="10.0.0.30", port=8080
+)
+
+
 @st.composite
 def trees(draw):
     """An AggregationTree built field by field: node domains and edge server
@@ -646,6 +652,58 @@ def trees(draw):
         nodes={"10.0.0.0/24": SubnetNode(subnet="10.0.0.0/24", member_addresses={ROOT})},
         edges=set(),
         client_paths={},
+    )
+)
+@example(  # a node with no members
+    AggregationTree(
+        root_address=ROOT,
+        root_subnet="10.0.0.0/24",
+        prefix_len=24,
+        nodes={
+            "10.0.0.0/24": SubnetNode(subnet="10.0.0.0/24", member_addresses={ROOT}),
+            "10.1.0.0/24": SubnetNode(subnet="10.1.0.0/24"),
+        },
+        edges={("10.0.0.0/24", "10.1.0.0/24")},
+        client_paths={},
+    )
+)
+@example(  # one server on two nodes, and an equal second instance on the first
+    AggregationTree(
+        root_address=ROOT,
+        root_subnet="10.0.0.0/24",
+        prefix_len=24,
+        nodes={
+            "10.0.0.0/24": SubnetNode(
+                subnet="10.0.0.0/24",
+                member_addresses={ROOT},
+                edge_servers=[SHARED_SERVER, replace(SHARED_SERVER)],
+            ),
+            "10.1.0.0/24": SubnetNode(subnet="10.1.0.0/24", edge_servers=[SHARED_SERVER]),
+        },
+        edges=set(),
+        client_paths={"10.1.0.9": ("10.0.0.0/24", "10.1.0.0/24")},
+    )
+)
+@example(  # edges are not checked on load: an endpoint may need escaping
+    AggregationTree.from_document(
+        {
+            "format": "edisco-tree/1",
+            "root_address": ROOT,
+            "root_subnet": "10.0.0.0/24",
+            "prefix_len": 24,
+            "nodes": [
+                {
+                    "subnet": "10.0.0.0/24",
+                    "members": [ROOT],
+                    "domains": [],
+                    "centrality": 0,
+                    "is_client": False,
+                    "edge_servers": [],
+                }
+            ],
+            "edges": [["10.0.0.0/24", 'say "h\u00e9"']],
+            "client_paths": {},
+        }
     )
 )
 def test_digest_hashes_the_canonical_document_text(tree):
